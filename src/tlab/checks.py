@@ -218,22 +218,25 @@ def check_strip_asymptotics(u: GridFunction, p: GrimParams, window: float,
 
     pp = parts if parts is not None else partials(u)
     sel = np.ix_(rows, cols)
-    v_tilt = float(np.max(np.abs(pp.u2[sel] - L_target)))
     profile_target = (p.lam ** 2) * (-np.log(np.cos(x1[cols] / p.lam)))
-    v_slope = float(np.max(np.abs(pp.u1[sel] - p.lam * np.tan(x1[cols] / p.lam)[None, :])))
     i0 = _nearest_column(u, 0.0)
     prof = u.values[rows][:, cols] - u.values[rows, i0][:, None]
-    v_prof = float(np.max(np.abs(prof - profile_target[None, :])))
+    # window-shaped defect of each limit, in the order ties are resolved
+    terms = [np.abs(pp.u2[sel] - L_target),
+             np.abs(pp.u1[sel] - p.lam * np.tan(x1[cols] / p.lam)[None, :]),
+             np.abs(prof - profile_target[None, :])]
+    v_tilt, v_slope, v_prof = (float(np.max(t)) for t in terms)
 
     worst = max(v_tilt, v_slope, v_prof)
-    jworst = int(rows[0])
+    binding = terms[[v_tilt, v_slope, v_prof].index(worst)]
+    r, c = np.unravel_index(int(np.argmax(binding)), binding.shape)
     notes = (f"{side} window x2 in [{lo:.3g}, {hi:.3g}], |x1| <= "
              f"{p.half_width - eff_margin:.3g}: |u_x2 - ({L_target:+.6g})| "
              f"{v_tilt:.3e}; |u_x1 - lam tan| {v_slope:.3e}; profile {v_prof:.3e}")
     return _report(f"strip_asymptotics_{side}",
                    "u_x2 -> +-sqrt(lam^2-1) and row profiles -> lam^2 log sec(x1/lam) "
                    "at the strip ends",
-                   worst, tol, (int(cols[0]), jworst), notes)
+                   worst, tol, (int(cols[c]), int(rows[r])), notes)
 
 
 def check_symmetry(u: GridFunction, tol: float,
@@ -248,7 +251,8 @@ def check_symmetry(u: GridFunction, tol: float,
     if abs(u.rect.x1_min + u.rect.x1_max) > 1e-9 * span:
         raise ValueError("grid is not symmetric about x1 = 0")
     V = u.values
-    v_sym = float(np.max(np.abs(V - V[:, ::-1])))
+    defect = np.abs(V - V[:, ::-1])
+    v_sym = float(np.max(defect))
     pp = parts if parts is not None else partials(u)
     x1 = u.x1()
     pos = np.where(x1 > 0.5 * u.h1)[0]
@@ -257,7 +261,11 @@ def check_symmetry(u: GridFunction, tol: float,
     v_mono, (ci, cj) = worst_over(-sub)
     n_bad = int(np.count_nonzero(sub <= 0.0))
     worst = max(v_sym, v_mono)
-    loc = (int(pos[ci]), int(cj) + 1)
+    if v_mono > v_sym:
+        loc = (int(pos[ci]), int(cj) + 1)
+    else:
+        j, i = np.unravel_index(int(np.argmax(defect)), defect.shape)
+        loc = (int(i), int(j))
     notes = (f"symmetry defect {v_sym:.3e}; worst -u_x1 over x1>0 {v_mono:.3e}; "
              f"{n_bad} nodes with u_x1 <= 0")
     return _report("symmetry",
@@ -319,19 +327,6 @@ def check_halfstrip_W_bound(u: GridFunction, p: GrimParams, delta: float,
 
 # ---------------------------------------------------------------------------
 # suite driver
-
-CANONICAL_ORDER = (
-    "convexity",
-    "strip_H_bound",
-    "harnack",
-    "gradient_bounds",
-    "soliton_identities",
-    "strip_asymptotics_top",
-    "strip_asymptotics_bottom",
-    "symmetry",
-    "A_bound",
-    "halfstrip_W_bound",
-)
 
 STRIP_CHECKS = ("strip_H_bound", "strip_asymptotics_top",
                 "strip_asymptotics_bottom", "halfstrip_W_bound")
@@ -404,6 +399,44 @@ def random_monotone_paths(u: GridFunction, count: int, seed: int = 0) -> list:
     return paths
 
 
+def _soliton_identities_or_refusal(u, fields, parts_, cfg) -> CheckReport:
+    """The identities check, or a failed report when the input is refused."""
+    try:
+        return check_soliton_identities(u, fields, cfg.identity_tol, cfg.residual_gate)
+    except NotASolutionError as err:
+        res = translator_residual(u, parts_)
+        worst = float(np.nanmax(np.abs(res)))
+        return CheckReport(
+            name="soliton_identities",
+            statement_ref="|grad u|^2 = 1 - H^2, drift identities for H and W, "
+                          "|A|^2 W^2 >= 1/2",
+            worst_violation=worst, tolerance=float(cfg.identity_tol),
+            passed=False, worst_location=None,
+            notes=f"refused: {err}")
+
+
+# check name -> check(u, fields, parts, resolved config); the suite runs
+# them in this (canonical) order
+_SUITE = {
+    "convexity": lambda u, g, pp, cfg: check_convexity(g, cfg.convexity_tol),
+    "strip_H_bound": lambda u, g, pp, cfg: check_strip_H_bound(g, cfg.grim, cfg.strip_h_tol),
+    "harnack": lambda u, g, pp, cfg: check_harnack(
+        u, g, random_monotone_paths(u, cfg.harnack_paths, cfg.seed), cfg.harnack_tol),
+    "gradient_bounds": lambda u, g, pp, cfg: check_gradient_bounds(u, cfg.gradient_tol, pp),
+    "soliton_identities": _soliton_identities_or_refusal,
+    "strip_asymptotics_top": lambda u, g, pp, cfg: check_strip_asymptotics(
+        u, cfg.grim, cfg.window, cfg.asymptotics_tol, "top", cfg.margin, pp),
+    "strip_asymptotics_bottom": lambda u, g, pp, cfg: check_strip_asymptotics(
+        u, cfg.grim, cfg.window, cfg.asymptotics_tol, "bottom", cfg.margin, pp),
+    "symmetry": lambda u, g, pp, cfg: check_symmetry(u, cfg.symmetry_tol, pp),
+    "A_bound": lambda u, g, pp, cfg: check_A_bound(g, cfg.a_cap),
+    "halfstrip_W_bound": lambda u, g, pp, cfg: check_halfstrip_W_bound(
+        u, cfg.grim, cfg.delta, cfg.halfstrip_tol, pp),
+}
+
+CANONICAL_ORDER = tuple(_SUITE)
+
+
 def default_suite(grim: GrimParams | None, symmetric: bool) -> tuple[str, ...]:
     names = ["convexity", "harnack", "gradient_bounds", "soliton_identities",
              "A_bound"]
@@ -428,45 +461,5 @@ def run_suite(u: GridFunction, names, cfg: SuiteConfig) -> list[CheckReport]:
 
     parts_ = partials(u)
     fields = geometry_fields(u, parts_)
-    ordered = [n for n in CANONICAL_ORDER if n in requested]
-    reports: list[CheckReport] = []
-    for name in ordered:
-        if name == "convexity":
-            reports.append(check_convexity(fields, cfg.convexity_tol))
-        elif name == "strip_H_bound":
-            reports.append(check_strip_H_bound(fields, cfg.grim, cfg.strip_h_tol))
-        elif name == "harnack":
-            paths = random_monotone_paths(u, cfg.harnack_paths, cfg.seed)
-            reports.append(check_harnack(u, fields, paths, cfg.harnack_tol))
-        elif name == "gradient_bounds":
-            reports.append(check_gradient_bounds(u, cfg.gradient_tol, parts_))
-        elif name == "soliton_identities":
-            try:
-                reports.append(check_soliton_identities(
-                    u, fields, cfg.identity_tol, cfg.residual_gate))
-            except NotASolutionError as err:
-                res = translator_residual(u, parts_)
-                worst = float(np.nanmax(np.abs(res)))
-                reports.append(CheckReport(
-                    name="soliton_identities",
-                    statement_ref="|grad u|^2 = 1 - H^2, drift identities for H and W, "
-                                  "|A|^2 W^2 >= 1/2",
-                    worst_violation=worst, tolerance=float(cfg.identity_tol),
-                    passed=False, worst_location=None,
-                    notes=f"refused: {err}"))
-        elif name == "strip_asymptotics_top":
-            reports.append(check_strip_asymptotics(
-                u, cfg.grim, cfg.window, cfg.asymptotics_tol, "top",
-                cfg.margin, parts_))
-        elif name == "strip_asymptotics_bottom":
-            reports.append(check_strip_asymptotics(
-                u, cfg.grim, cfg.window, cfg.asymptotics_tol, "bottom",
-                cfg.margin, parts_))
-        elif name == "symmetry":
-            reports.append(check_symmetry(u, cfg.symmetry_tol, parts_))
-        elif name == "A_bound":
-            reports.append(check_A_bound(fields, cfg.a_cap))
-        elif name == "halfstrip_W_bound":
-            reports.append(check_halfstrip_W_bound(
-                u, cfg.grim, cfg.delta, cfg.halfstrip_tol, parts_))
-    return reports
+    return [_SUITE[name](u, fields, parts_, cfg)
+            for name in CANONICAL_ORDER if name in requested]

@@ -69,29 +69,45 @@ class GeometryFields:
     pdir2: np.ndarray
 
 
-def _nan_ring(shape) -> np.ndarray:
+def _centered_first(F: np.ndarray, h1: float, h2: float) -> tuple[np.ndarray, np.ndarray]:
+    """Centered first differences (F1, F2) at the interior nodes of F."""
+    return ((F[1:-1, 2:] - F[1:-1, :-2]) / (2.0 * h1),
+            (F[2:, 1:-1] - F[:-2, 1:-1]) / (2.0 * h2))
+
+
+def _centered_second(F: np.ndarray, h1: float, h2: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Centered second differences (F11, F12, F22) at the interior nodes of F."""
+    C = F[1:-1, 1:-1]
+    return ((F[1:-1, 2:] - 2.0 * C + F[1:-1, :-2]) / (h1 * h1),
+            (F[2:, 2:] - F[2:, :-2] - F[:-2, 2:] + F[:-2, :-2]) / (4.0 * h1 * h2),
+            (F[2:, 1:-1] - 2.0 * C + F[:-2, 1:-1]) / (h2 * h2))
+
+
+def interior_partials(U: np.ndarray, h1: float, h2: float):
+    """(u1, u2, u11, u12, u22) at the interior nodes of U.
+
+    The one difference stencil of the lab: the solver's residual and
+    Jacobian use it directly, and partials, first_diffs and second_diffs
+    embed the same differences in a NaN ring.
+    """
+    return (*_centered_first(U, h1, h2), *_centered_second(U, h1, h2))
+
+
+def _ringed(inner: np.ndarray, shape) -> np.ndarray:
+    """Embed interior values in a full-size array with a NaN edge ring."""
     out = np.full(shape, np.nan)
+    out[1:-1, 1:-1] = inner
     return out
 
 
 def first_diffs(F: np.ndarray, h1: float, h2: float) -> tuple[np.ndarray, np.ndarray]:
     """Centered first differences of a full-size field; NaN edge ring."""
-    F1 = _nan_ring(F.shape)
-    F2 = _nan_ring(F.shape)
-    F1[1:-1, 1:-1] = (F[1:-1, 2:] - F[1:-1, :-2]) / (2.0 * h1)
-    F2[1:-1, 1:-1] = (F[2:, 1:-1] - F[:-2, 1:-1]) / (2.0 * h2)
-    return F1, F2
+    return tuple(_ringed(f, F.shape) for f in _centered_first(F, h1, h2))
 
 
 def second_diffs(F: np.ndarray, h1: float, h2: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Centered second differences of a full-size field; NaN edge ring."""
-    F11 = _nan_ring(F.shape)
-    F12 = _nan_ring(F.shape)
-    F22 = _nan_ring(F.shape)
-    F11[1:-1, 1:-1] = (F[1:-1, 2:] - 2.0 * F[1:-1, 1:-1] + F[1:-1, :-2]) / (h1 * h1)
-    F22[1:-1, 1:-1] = (F[2:, 1:-1] - 2.0 * F[1:-1, 1:-1] + F[:-2, 1:-1]) / (h2 * h2)
-    F12[1:-1, 1:-1] = (F[2:, 2:] - F[2:, :-2] - F[:-2, 2:] + F[:-2, :-2]) / (4.0 * h1 * h2)
-    return F11, F12, F22
+    return tuple(_ringed(f, F.shape) for f in _centered_second(F, h1, h2))
 
 
 def partials(u: GridFunction) -> Partials:
@@ -103,9 +119,7 @@ def partials(u: GridFunction) -> Partials:
     if u.nx < 5 or u.ny < 5:
         raise ValueError("partials needs nx, ny >= 5")
     U = u.values
-    u1, u2 = first_diffs(U, u.h1, u.h2)
-    u11, u12, u22 = second_diffs(U, u.h1, u.h2)
-    return Partials(u1=u1, u2=u2, u11=u11, u12=u12, u22=u22)
+    return Partials(*(_ringed(f, U.shape) for f in interior_partials(U, u.h1, u.h2)))
 
 
 def quasilinear_residual(u1, u2, u11, u12, u22):

@@ -13,7 +13,7 @@ import pytest
 
 import tlab
 from tlab import reporting
-from tlab.solver import _interior_residual
+from tlab.geometry import interior_partials, quasilinear_residual
 
 
 def _verdict(num, ok, detail):
@@ -76,7 +76,8 @@ def test_criterion_4_solver_vs_oracle(bowl_solves):
     sample = tlab.grim_grid(p, rect, 101, 121)  # h = 0.05
     boundary = lambda a, b: tlab.grim_cylinder_value(p, a, b)
     forcing = np.zeros_like(sample.values)
-    forcing[1:-1, 1:-1] = _interior_residual(sample.values, sample.h1, sample.h2)
+    forcing[1:-1, 1:-1] = quasilinear_residual(
+        *interior_partials(sample.values, sample.h1, sample.h2))
     t = np.linspace(0, 1, sample.ny)[:, None]
     s = np.linspace(0, 1, sample.nx)[None, :]
     init = sample.with_values(sample.values + 0.5 * np.sin(np.pi * s) * np.sin(np.pi * t))

@@ -165,6 +165,22 @@ class TestStripAsymptotics:
         assert not bottom.passed  # single tilt is not the two-ended soliton
         assert bottom.worst_violation == pytest.approx(2 * p.tilt_slope, rel=1e-6)
 
+    def test_location_is_the_binding_node(self, grim_setup):
+        # a tilt defect and a larger slope defect at two window nodes: the
+        # report must point at the slope defect, the term that sets worst
+        p, u, _, _ = grim_setup
+        exact = tlab.grim_partials(p, u)
+        j_tilt, j_slope = (int(np.argmin(np.abs(u.x2() - t))) for t in (-0.4, -0.2))
+        i_tilt, i_slope = (int(np.argmin(np.abs(u.x1() - t * p.half_width)))
+                           for t in (-0.3, 0.2))
+        u1, u2 = exact.u1.copy(), exact.u2.copy()
+        u2[j_tilt, i_tilt] += 0.1
+        u1[j_slope, i_slope] += 0.3
+        parts = dataclasses.replace(exact, u1=u1, u2=u2)
+        rep = tlab.check_strip_asymptotics(u, p, 1.5, 1e-10, "top", parts=parts)
+        assert rep.worst_violation == pytest.approx(0.3, rel=1e-9)
+        assert rep.worst_location == (i_slope, j_slope)
+
     def test_window_validation(self, grim_setup):
         p, u, _, _ = grim_setup
         with pytest.raises(ValueError):
@@ -206,6 +222,23 @@ class TestSymmetry:
         rep = tlab.check_symmetry(u, 1e-9)
         assert not rep.passed
         assert rep.worst_violation > 0.0
+
+    def test_location_follows_the_binding_term(self):
+        rect = tlab.Rectangle(-1.0, 1.0, -1.0, 1.0)
+        # monotone and even but for one bumped node: the symmetry defect
+        # binds, at the bump or its mirror image
+        u = tlab.sample_to_grid(lambda a, b: a * a + b, rect, 21, 21)
+        bumped = u.values.copy()
+        bumped[7, 14] += 1e-3
+        rep = tlab.check_symmetry(u.with_values(bumped), 1e-9)
+        assert rep.worst_violation == pytest.approx(1e-3, rel=1e-6)
+        assert rep.worst_location in ((14, 7), (6, 7))
+        # even but decreasing for x1 > 0: monotonicity binds, at the steepest
+        # descent next to the right edge
+        u = tlab.sample_to_grid(lambda a, b: -a * a + b, rect, 21, 21)
+        rep = tlab.check_symmetry(u, 1e-9)
+        assert rep.worst_violation > 1.0
+        assert rep.worst_location[0] == 19
 
     def test_asymmetric_grid_rejected(self):
         rect = tlab.Rectangle(0.0, 1.0, -1.0, 1.0)

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+import scipy.sparse.linalg as spla
+
 import tlab
 from tlab.errors import SolverError
-from tlab.solver import _interior_residual
+from tlab.geometry import interior_partials, quasilinear_residual
+from tlab.solver import _jacobian, _linear_solve
 
 
 def _grim_problem(lam=2.0, rect=(-2.5, 2.5, -3.0, 3.0), nx=51, ny=61):
@@ -18,7 +21,8 @@ def _grim_problem(lam=2.0, rect=(-2.5, 2.5, -3.0, 3.0), nx=51, ny=61):
 
 def _manufactured_forcing(sample):
     forcing = np.zeros_like(sample.values)
-    forcing[1:-1, 1:-1] = _interior_residual(sample.values, sample.h1, sample.h2)
+    forcing[1:-1, 1:-1] = quasilinear_residual(
+        *interior_partials(sample.values, sample.h1, sample.h2))
     return forcing
 
 
@@ -88,6 +92,17 @@ class TestNewton:
             tlab.newton_solve(boundary, init, tlab.SolveConfig(tol=1e-12))
         assert err.value.iterate is not None
         assert calls["n"] == 2  # one retry after the deterministic perturbation
+
+    def test_exactly_singular_jacobian_gives_nonfinite_step(self):
+        # the real linear solve must hand Newton a nonfinite step, not raise,
+        # so the perturb-then-SolverError path above stays reachable
+        p, rect, boundary, sample = _grim_problem(nx=11, ny=11)
+        J = _jacobian(sample.values, sample.h1, sample.h2).tolil()
+        J[4, :] = 0.0
+        with pytest.warns(spla.MatrixRankWarning):
+            delta = _linear_solve(J.tocsr(), np.ones(J.shape[0]))
+        assert delta.shape == (J.shape[0],)
+        assert not np.all(np.isfinite(delta))
 
     def test_ring_mismatch_rejected(self):
         p, rect, boundary, sample = _grim_problem(nx=11, ny=11)
@@ -263,8 +278,8 @@ class TestFill:
 
 
 @pytest.mark.slow
-def test_large_grid_uses_iterative_branch():
-    # 303x303 has 90601 interior unknowns, just over the direct-solve limit
+def test_large_grid_manufactured_solve():
+    # 303x303 has 90601 interior unknowns
     p, rect, boundary, sample = _grim_problem(nx=303, ny=303, rect=(-2.0, 2.0, -2.0, 2.0))
     forcing = _manufactured_forcing(sample)
     init = sample.with_values(sample.values + _bump(303, 303, 1e-3))
