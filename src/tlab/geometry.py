@@ -24,6 +24,10 @@ from .grids import GridFunction
 # exact zero before that to avoid spurious underflow traps.
 _EXP_FLUSH = -745.0
 
+# relative gap under which worst_over treats a node and its mirror images
+# as tied: far above rounding, far below every check tolerance
+_MIRROR_TIE_RTOL = 1e-9
+
 
 @dataclass(frozen=True)
 class Partials:
@@ -308,11 +312,24 @@ def path_intrinsic_length(u: GridFunction, path) -> float:
 
 
 def worst_over(arr: np.ndarray):
-    """Max over trusted (finite) nodes and its (i, j) location."""
+    """Max over trusted (finite) nodes and its (i, j) location.
+
+    Fields of even solutions tie between a node and its mirror images
+    (nx-1-i, j), (i, ny-1-j) and (nx-1-i, ny-1-j). Of those that are
+    trusted and within _MIRROR_TIE_RTOL of the max, the one with the
+    largest (j, i) is reported (x1, x2 >= 0 on a grid centred at the
+    origin), so rounding cannot move the location across an axis. The
+    returned value is always the true max.
+    """
     finite = np.isfinite(arr)
     if not np.any(finite):
         raise ValueError("field has no trusted nodes")
     masked = np.where(finite, arr, -np.inf)
     flat = int(np.argmax(masked))
     j, i = np.unravel_index(flat, arr.shape)
-    return float(arr[j, i]), (int(i), int(j))
+    worst = float(arr[j, i])
+    ny, nx = arr.shape
+    mirrors = [(j, i), (j, nx - 1 - i), (ny - 1 - j, i), (ny - 1 - j, nx - 1 - i)]
+    j, i = max(m for m in mirrors
+               if worst - masked[m] <= _MIRROR_TIE_RTOL * abs(worst))
+    return worst, (int(i), int(j))

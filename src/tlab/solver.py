@@ -9,6 +9,7 @@ guesses, plus the boundary-data generator for truncated-strip experiments.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +22,8 @@ from .grids import GridFunction, Rectangle
 from .solitons import GrimParams
 
 _MIN_STEP_FRACTION = 2.0 ** -30
+# inner iterations of the one GMRES cycle run on a reused factorization
+_GMRES_RESTART = 10
 
 
 @dataclass(frozen=True)
@@ -52,21 +55,56 @@ class SolveOutcome:
     converged: bool
     history: list[float] = field(default_factory=list)
     notes: str = ""
+    factorizations: int = 0
 
 
 def _residual(U: np.ndarray, h1: float, h2: float, f_int: np.ndarray) -> np.ndarray:
     return quasilinear_residual(*interior_partials(U, h1, h2)) - f_int
 
 
-def _jacobian(U: np.ndarray, h1: float, h2: float) -> sp.csr_matrix:
+# Stencil offsets (di, dj) in decreasing order of the flat offset
+# dj*mi + di (for mi >= 3), so each CSC column lists its rows in
+# increasing order.
+_OFFSETS = ((1, 1), (0, 1), (-1, 1), (1, 0), (0, 0), (-1, 0),
+            (1, -1), (0, -1), (-1, -1))
+
+
+def _stencil_pattern(mi: int, mj: int):
+    """CSC structure of the 9-point Jacobian on an mi x mj interior.
+
+    Returns (indices, indptr, gather), all int32: gather picks each stored
+    entry out of the flattened (9, mj, mi) coefficient stack that
+    _jacobian fills in _OFFSETS order. Column c = (jc, ic) holds rows
+    (jc - dj, ic - di) that lie inside the interior.
+    """
+    n = mi * mj
+    jc, ic = np.divmod(np.arange(n), mi)
+    di, dj = np.array(_OFFSETS).T
+    ri = ic[:, None] - di
+    rj = jc[:, None] - dj
+    keep = (ri >= 0) & (ri < mi) & (rj >= 0) & (rj < mj)
+    rows = rj * mi + ri
+    indices = rows[keep].astype(np.int32)
+    gather = (np.arange(len(_OFFSETS)) * n + rows)[keep].astype(np.int32)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
+    return indices, indptr, gather
+
+
+def _jacobian(U: np.ndarray, h1: float, h2: float, pattern=None) -> sp.csc_matrix:
     """Full linearization of the discrete residual at interior nodes.
 
     Includes the first-order terms from differentiating the quasilinear
     coefficients, not just the frozen-coefficient principal part; Dirichlet
-    neighbors contribute nothing.
+    neighbors contribute nothing. pattern is _stencil_pattern of the
+    interior, built here when not given; a solve builds it once and only
+    the data is refilled per iteration.
     """
     ny, nx = U.shape
     mi, mj = nx - 2, ny - 2
+    if pattern is None:
+        pattern = _stencil_pattern(mi, mj)
+    indices, indptr, gather = pattern
     u1, u2, u11, u12, u22 = interior_partials(U, h1, h2)
     A = 1.0 + u2 * u2
     B = -2.0 * u1 * u2
@@ -74,43 +112,53 @@ def _jacobian(U: np.ndarray, h1: float, h2: float) -> sp.csr_matrix:
     D1 = 2.0 * (u1 * u22 - u2 * u12 - u1)
     D2 = 2.0 * (u2 * u11 - u1 * u12 - u2)
 
-    idx = np.arange(mi * mj).reshape(mj, mi)
-    stencil = [
-        (0, 0, -2.0 * A / (h1 * h1) - 2.0 * Cc / (h2 * h2)),
-        (1, 0, A / (h1 * h1) + D1 / (2.0 * h1)),
-        (-1, 0, A / (h1 * h1) - D1 / (2.0 * h1)),
-        (0, 1, Cc / (h2 * h2) + D2 / (2.0 * h2)),
-        (0, -1, Cc / (h2 * h2) - D2 / (2.0 * h2)),
-        (1, 1, B / (4.0 * h1 * h2)),
-        (-1, -1, B / (4.0 * h1 * h2)),
-        (1, -1, -B / (4.0 * h1 * h2)),
-        (-1, 1, -B / (4.0 * h1 * h2)),
-    ]
-    rows, cols, data = [], [], []
-    ii = np.arange(mi)
-    jj = np.arange(mj)
-    I, J = np.meshgrid(ii, jj)
-    for di, dj, coef in stencil:
-        ti = I + di
-        tj = J + dj
-        keep = (ti >= 0) & (ti < mi) & (tj >= 0) & (tj < mj)
-        rows.append(idx[J[keep], I[keep]])
-        cols.append(idx[tj[keep], ti[keep]])
-        data.append(coef[keep])
-    mat = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(mi * mj, mi * mj))
-    return mat.tocsr()
+    coef = {
+        (0, 0): -2.0 * A / (h1 * h1) - 2.0 * Cc / (h2 * h2),
+        (1, 0): A / (h1 * h1) + D1 / (2.0 * h1),
+        (-1, 0): A / (h1 * h1) - D1 / (2.0 * h1),
+        (0, 1): Cc / (h2 * h2) + D2 / (2.0 * h2),
+        (0, -1): Cc / (h2 * h2) - D2 / (2.0 * h2),
+        (1, 1): B / (4.0 * h1 * h2),
+        (-1, -1): B / (4.0 * h1 * h2),
+        (1, -1): -B / (4.0 * h1 * h2),
+        (-1, 1): -B / (4.0 * h1 * h2),
+    }
+    stack = np.stack([coef[o] for o in _OFFSETS])
+    n = mi * mj
+    return sp.csc_matrix((stack.ravel()[gather], indices, indptr), shape=(n, n))
 
 
-def _linear_solve(J: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
-    """Direct sparse LU solve; an exactly singular J gives NaNs, not an error.
+def _factorize(J):
+    """Sparse LU of J; returns the solve callable of the factor.
 
     Minimum-degree ordering on J^T + J suits the 9-point stencil: at the
-    sizes the lab solves it fills in far less than the default COLAMD.
+    sizes the lab solves it fills in far less than the default COLAMD. An
+    exactly singular J emits MatrixRankWarning and gives a solve that
+    returns NaNs, not an error, so Newton can perturb and retry.
     """
+    try:
+        lu = spla.splu(J.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as exc:
+        if "singular" not in str(exc):
+            raise
+        warnings.warn("Matrix is exactly singular", spla.MatrixRankWarning,
+                      stacklevel=2)
+        return lambda rhs: np.full(np.shape(rhs), np.nan)
+    return lu.solve
+
+
+def _preconditioned_step(J, rhs: np.ndarray, solve, rtol: float):
+    """GMRES on J x = rhs, preconditioned by an earlier factor's solve.
+
+    Starts from that factor's own step and gets one restart cycle; returns
+    None if the residual misses rtol * |rhs|.
+    """
+    n = J.shape[0]
+    M = spla.LinearOperator((n, n), matvec=solve, dtype=float)
     with np.errstate(all="ignore"):
-        return spla.spsolve(J.tocsc(), rhs, permc_spec="MMD_AT_PLUS_A")
+        x, info = spla.gmres(J, rhs, x0=solve(rhs), rtol=rtol,
+                             restart=_GMRES_RESTART, maxiter=1, M=M)
+    return x if info == 0 else None
 
 
 def boundary_ring_values(boundary, u: GridFunction):
@@ -196,6 +244,14 @@ def newton_solve(boundary, init: GridFunction, cfg: SolveConfig,
                  forcing=None) -> SolveOutcome:
     """Damped Newton for the discrete translator system.
 
+    The first iteration factors the Jacobian (sparse LU). Each later
+    iteration assembles the fresh Jacobian and solves for the Newton step
+    by one GMRES cycle preconditioned by the kept LU, to the forcing
+    tolerance min(1e-2, residual) relative to the right-hand side. The LU
+    is reused while GMRES meets that tolerance; when it misses, the old
+    factor is dropped and the current Jacobian is factored in its place.
+    The sparsity pattern is built once per solve.
+
     Parameters
     ----------
     boundary : callable, GridFunction or None
@@ -216,8 +272,9 @@ def newton_solve(boundary, init: GridFunction, cfg: SolveConfig,
     -------
     SolveOutcome
         converged=False (not an exception) on stagnation or iteration
-        exhaustion; a singular Jacobian raises SolverError after one
-        deterministic smooth re-perturbation of the iterate.
+        exhaustion; factorizations counts the LUs built. A singular
+        Jacobian raises SolverError after one deterministic smooth
+        re-perturbation of the iterate.
     """
     if init.nx < 5 or init.ny < 5:
         raise ValueError("newton_solve needs at least a 5x5 grid")
@@ -234,10 +291,23 @@ def newton_solve(boundary, init: GridFunction, cfg: SolveConfig,
     iterations = 0
     notes = ""
 
+    pattern = _stencil_pattern(init.nx - 2, init.ny - 2)
+    solve = None
+    factorizations = 0
+
     while rn > cfg.tol and iterations < cfg.max_newton_iters:
-        J = _jacobian(U, h1, h2)
-        delta = _linear_solve(J, -F.ravel())
+        J = _jacobian(U, h1, h2, pattern)
+        rhs = -F.ravel()
+        delta = None
+        if solve is not None:
+            delta = _preconditioned_step(J, rhs, solve, min(1e-2, rn))
+        if delta is None:
+            solve = None  # free the old factor before building the new one
+            solve = _factorize(J)
+            factorizations += 1
+            delta = solve(rhs)
         if not np.all(np.isfinite(delta)):
+            solve = None
             if not perturbed:
                 perturbed = True
                 U[1:-1, 1:-1] += 1e-8 * _smooth_bump(init.ny, init.nx)[1:-1, 1:-1]
@@ -275,7 +345,8 @@ def newton_solve(boundary, init: GridFunction, cfg: SolveConfig,
     return SolveOutcome(solution=GridFunction(init.rect, U),
                         final_residual=rn, iterations=iterations,
                         converged=converged, history=history,
-                        notes="" if converged else notes)
+                        notes="" if converged else notes,
+                        factorizations=factorizations)
 
 
 def parabolic_relax(boundary, init: GridFunction, cfg: SolveConfig,

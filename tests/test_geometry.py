@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tlab
-from tlab.geometry import first_diffs, second_diffs
+from tlab.geometry import first_diffs, second_diffs, worst_over
 
 
 def _grid(fn, rect=(-1.0, 1.0, -1.0, 1.0), nx=41, ny=41):
@@ -281,3 +281,37 @@ class TestPathLength:
         got = tlab.path_intrinsic_length(u, whole)
         split = tlab.path_intrinsic_length(u, p1) + tlab.path_intrinsic_length(u, p2)
         assert got == pytest.approx(split, rel=1e-15)
+
+
+class TestWorstOver:
+    def test_mirror_tie_reports_the_same_node_under_rounding(self):
+        # x1-even field peaking at |x1| = 0.6, with the boundary ring untrusted
+        u = _grid(lambda a, b: -(a * a - 0.36) ** 2 + 0.1 * b, nx=11, ny=9)
+        field = u.values.copy()
+        field[[0, -1], :] = np.nan
+        field[:, [0, -1]] = np.nan
+        locs = set()
+        for side in (2, 8):  # the two x1 = -0.6, +0.6 nodes of the top trusted row
+            bumped = field.copy()
+            bumped[7, side] += 4.0 * np.spacing(bumped[7, side])
+            worst, loc = worst_over(bumped)
+            assert worst == np.nanmax(bumped)
+            locs.add(loc)
+        assert locs == {(8, 7)}
+
+    def test_x2_mirror_tie_reports_the_same_node_under_rounding(self):
+        u = _grid(lambda a, b: 1.0 - (a * a - 0.36) ** 2 - (b * b - 0.25) ** 2, nx=11, ny=9)
+        locs = set()
+        for side in [(2, 2), (2, 6), (8, 2), (8, 6)]:  # x1 = +-0.6, x2 = +-0.5
+            bumped = u.values.copy()
+            bumped[side[1], side[0]] += 4.0 * np.spacing(1.0)
+            worst, loc = worst_over(bumped)
+            assert worst == np.max(bumped)
+            locs.add(loc)
+        assert locs == {(8, 6)}
+
+    def test_distinct_values_keep_the_true_arg_max(self):
+        u = _grid(lambda a, b: -(a * a - 0.36) ** 2, nx=11, ny=9)
+        field = u.values.copy()
+        field[4, 2] += 1e-6
+        assert worst_over(field) == (float(field[4, 2]), (2, 4))

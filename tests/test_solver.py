@@ -8,7 +8,7 @@ import scipy.sparse.linalg as spla
 import tlab
 from tlab.errors import SolverError
 from tlab.geometry import interior_partials, quasilinear_residual
-from tlab.solver import _jacobian, _linear_solve
+from tlab.solver import _factorize, _jacobian, _residual
 
 
 def _grim_problem(lam=2.0, rect=(-2.5, 2.5, -3.0, 3.0), nx=51, ny=61):
@@ -82,11 +82,11 @@ class TestNewton:
         p, rect, boundary, sample = _grim_problem(nx=11, ny=11)
         calls = {"n": 0}
 
-        def bad_solve(J, rhs):
+        def bad_factorize(J):
             calls["n"] += 1
-            return np.full(J.shape[0], np.nan)
+            return lambda rhs: np.full(J.shape[0], np.nan)
 
-        monkeypatch.setattr(tlab.solver, "_linear_solve", bad_solve)
+        monkeypatch.setattr(tlab.solver, "_factorize", bad_factorize)
         init = sample.with_values(sample.values + _bump(11, 11, 0.1))
         with pytest.raises(SolverError) as err:
             tlab.newton_solve(boundary, init, tlab.SolveConfig(tol=1e-12))
@@ -94,15 +94,33 @@ class TestNewton:
         assert calls["n"] == 2  # one retry after the deterministic perturbation
 
     def test_exactly_singular_jacobian_gives_nonfinite_step(self):
-        # the real linear solve must hand Newton a nonfinite step, not raise,
+        # the real factorization must hand Newton a nonfinite step, not raise,
         # so the perturb-then-SolverError path above stays reachable
         p, rect, boundary, sample = _grim_problem(nx=11, ny=11)
         J = _jacobian(sample.values, sample.h1, sample.h2).tolil()
         J[4, :] = 0.0
         with pytest.warns(spla.MatrixRankWarning):
-            delta = _linear_solve(J.tocsr(), np.ones(J.shape[0]))
+            delta = _factorize(J.tocsc())(np.ones(J.shape[0]))
         assert delta.shape == (J.shape[0],)
         assert not np.all(np.isfinite(delta))
+
+    def test_jacobian_matches_central_differences(self):
+        p, rect, boundary, sample = _grim_problem(nx=9, ny=7)
+        U = sample.values + _bump(7, 9, 0.3)
+        J = _jacobian(U, sample.h1, sample.h2)
+        assert J.format == "csc" and J.has_sorted_indices
+        rng = np.random.default_rng(3)
+        v = np.zeros_like(U)
+        v[1:-1, 1:-1] = rng.standard_normal((5, 7))
+        f_int = np.zeros((5, 7))
+        eps = 1e-6
+        fd = (_residual(U + eps * v, sample.h1, sample.h2, f_int)
+              - _residual(U - eps * v, sample.h1, sample.h2, f_int)) / (2.0 * eps)
+        np.testing.assert_allclose(J @ v[1:-1, 1:-1].ravel(), fd.ravel(), rtol=1e-6, atol=1e-6)
+
+    def test_strip_solve_reuses_factorizations(self, strip_solution):
+        assert strip_solution.converged
+        assert 1 <= strip_solution.factorizations < strip_solution.iterations
 
     def test_ring_mismatch_rejected(self):
         p, rect, boundary, sample = _grim_problem(nx=11, ny=11)
