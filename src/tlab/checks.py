@@ -70,32 +70,27 @@ def check_harnack(u: GridFunction, g: GeometryFields, paths, tol: float) -> Chec
 
     Graph path length upper-bounds intrinsic distance, so the tested bound
     is implied by the intrinsic one; both orientations of every path are
-    checked.
+    checked, and the violation is located at the far end of the path.
     """
-    worst = -math.inf
-    loc = None
-    H = g.H
-    n_paths = 0
-    for path in paths:
-        nodes = [(int(i), int(j)) for i, j in path]
-        (i0, j0), (i1, j1) = nodes[0], nodes[-1]
-        for i, j in (nodes[0], nodes[-1]):
-            if not np.isfinite(H[j, i]):
-                raise ValueError(f"path endpoint ({i}, {j}) is not a trusted interior node")
-        ell = path_intrinsic_length(u, nodes)
-        damp = math.exp(-ell)
-        v_fwd = damp * H[j0, i0] - H[j1, i1]
-        v_bwd = damp * H[j1, i1] - H[j0, i0]
-        if v_fwd > worst:
-            worst, loc = v_fwd, (i1, j1)
-        if v_bwd > worst:
-            worst, loc = v_bwd, (i0, j0)
-        n_paths += 1
-    if n_paths == 0:
+    paths = [np.asarray(path, dtype=int).reshape(-1, 2) for path in paths]
+    if not paths:
         raise ValueError("check_harnack needs at least one path")
+    # math.exp, not np.exp: the two can differ in the last place
+    damp = np.array([math.exp(-path_intrinsic_length(u, path)) for path in paths])
+    ends = np.array([(path[0], path[-1]) for path in paths])  # path, end, (i, j)
+    H_end = g.H[ends[..., 1], ends[..., 0]]
+    untrusted = ~np.isfinite(H_end)
+    if np.any(untrusted):
+        i, j = ends[untrusted][0]
+        raise ValueError(f"path endpoint ({i}, {j}) is not a trusted interior node")
+    # columns: forward P1 -> P2, backward P2 -> P1; argmax keeps the first max
+    violation = damp[:, None] * H_end - H_end[:, ::-1]
+    k, backward = np.unravel_index(int(np.argmax(violation)), violation.shape)
+    i, j = ends[k, 1 - backward]
     return _report("harnack",
                    "H(P2) >= exp(-d(P1,P2)) H(P1) along the surface",
-                   worst, tol, loc, f"{n_paths} paths, both orientations")
+                   violation[k, backward], tol, (int(i), int(j)),
+                   f"{len(paths)} paths, both orientations")
 
 
 def check_gradient_bounds(u: GridFunction, tol: float,
@@ -373,8 +368,12 @@ class SuiteConfig:
         return out
 
 
-def random_monotone_paths(u: GridFunction, count: int, seed: int = 0) -> list:
-    """Random monotone staircase paths between interior nodes."""
+def random_monotone_paths(u: GridFunction, count: int, seed: int = 0) -> list[np.ndarray]:
+    """Random monotone staircase paths between interior nodes.
+
+    Each path is a (k, 2) integer array of (i, j) nodes; every step moves
+    one node east (i + 1) or north (j + 1).
+    """
     rng = np.random.default_rng(seed)
     paths = []
     for _ in range(count):
@@ -385,17 +384,10 @@ def random_monotone_paths(u: GridFunction, count: int, seed: int = 0) -> list:
                 i1 += 1
             else:
                 i0 -= 1
-        moves = ["E"] * (i1 - i0) + ["N"] * (j1 - j0)
-        rng.shuffle(moves)
-        path = [(i0, j0)]
-        i, j = i0, j0
-        for mv in moves:
-            if mv == "E":
-                i += 1
-            else:
-                j += 1
-            path.append((i, j))
-        paths.append(path)
+        north = np.repeat([0, 1], [i1 - i0, j1 - j0])
+        rng.shuffle(north)
+        steps = np.column_stack((1 - north, north))
+        paths.append(np.cumsum(np.vstack(([i0, j0], steps)), axis=0))
     return paths
 
 

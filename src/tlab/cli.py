@@ -17,11 +17,11 @@ import numpy as np
 from . import checks as ck
 from . import reporting as rep
 from .errors import DomainError, SolverError
-from .grids import GridFunction, Rectangle
-from .geometry import partials, translator_residual
-from .solitons import (BowlProfile, CylinderParams, GrimParams, bowl_grid,
-                       bowl_profile_solve, bowl_radial_function, grim_grid,
-                       sample_to_grid, tilted_cylinder_value, grim_reaper_value)
+from .grids import Rectangle
+from .geometry import translator_residual
+from .solitons import (CylinderParams, GrimParams, bowl_grid, bowl_profile_solve,
+                       bowl_radial_function, grim_cylinder_value, grim_grid,
+                       grim_reaper_value, sample_to_grid, tilted_cylinder_value)
 from .solver import (SolveConfig, fill_from_boundary, newton_solve,
                      parabolic_relax, strip_boundary_data)
 
@@ -137,9 +137,17 @@ def _domain_from(args, defaults) -> Rectangle:
     return Rectangle(*vals)
 
 
+def _bowl_profile(args, rect: Rectangle):
+    """Bowl profile out to --rmax, by default just past the corner radius of rect."""
+    corner = math.hypot(max(abs(rect.x1_min), abs(rect.x1_max)),
+                        max(abs(rect.x2_min), abs(rect.x2_max)))
+    rmax = args.rmax if args.rmax is not None else corner * (1.0 + 1e-9) + args.step
+    if rmax < corner:
+        raise ValueError(f"--rmax {rmax} does not cover the domain corner radius {corner}")
+    return bowl_profile_solve(rmax, args.step)
+
+
 def cmd_generate(args) -> int:
-    if args.family in ("grim", "reaper") and args.lam < 1.0:
-        raise ValueError("the grim family needs lambda >= 1")
     defaults = _default_domain(args)
     rect = _domain_from(args, defaults)
     if args.family == "grim":
@@ -153,13 +161,7 @@ def cmd_generate(args) -> int:
         u = sample_to_grid(lambda a, b: tilted_cylinder_value(cyl, a, b),
                            rect, args.nx, args.ny)
     else:
-        corner = math.hypot(max(abs(rect.x1_min), abs(rect.x1_max)),
-                            max(abs(rect.x2_min), abs(rect.x2_max)))
-        rmax = args.rmax if args.rmax is not None else corner * (1.0 + 1e-9) + args.step
-        if rmax < corner:
-            raise ValueError(f"--rmax {rmax} does not cover the domain corner radius {corner}")
-        profile = bowl_profile_solve(rmax, args.step)
-        u = bowl_grid(profile, rect, args.nx, args.ny)
+        u = bowl_grid(_bowl_profile(args, rect), rect, args.nx, args.ny)
     rep.write_grid(args.out, u)
     res = translator_residual(u)
     print(f"max_interior_residual {np.nanmax(np.abs(res)):.17g}")
@@ -169,16 +171,11 @@ def cmd_generate(args) -> int:
 def _solve_problem(args):
     """Boundary callable + rectangle + init grid for a solve command."""
     if args.boundary == "grim":
-        if args.lam < 1.0:
-            raise ValueError("the grim family needs lambda >= 1")
         p = GrimParams(args.lam, 1 if args.tilt == "+" else -1)
         R = p.half_width
         rect = _domain_from(args, (-0.75 * R, 0.75 * R, -3.0, 3.0))
-        from .solitons import grim_cylinder_value
         boundary = lambda a, b: grim_cylinder_value(p, a, b)
     elif args.boundary == "strip":
-        if args.lam < 1.0:
-            raise ValueError("the grim family needs lambda >= 1")
         p = GrimParams(args.lam, 1 if args.tilt == "+" else -1)
         eps = args.eps_frac * p.half_width
         smoothing = args.smoothing
@@ -187,11 +184,7 @@ def _solve_problem(args):
         rect, boundary = strip_boundary_data(p, eps, args.Y, smoothing)
     elif args.boundary == "bowl":
         rect = _domain_from(args, (-4.0, 4.0, -4.0, 4.0))
-        corner = math.hypot(max(abs(rect.x1_min), abs(rect.x1_max)),
-                            max(abs(rect.x2_min), abs(rect.x2_max)))
-        rmax = args.rmax if args.rmax is not None else corner * (1.0 + 1e-9) + args.step
-        profile = bowl_profile_solve(rmax, args.step)
-        boundary = bowl_radial_function(profile)
+        boundary = bowl_radial_function(_bowl_profile(args, rect))
     else:
         if not args.boundary_file:
             raise ValueError("--boundary file needs --boundary-file")
@@ -238,8 +231,6 @@ def cmd_check(args) -> int:
     u = rep.read_grid(args.solution)
     grim = None
     if args.lam is not None:
-        if args.lam < 1.0:
-            raise ValueError("the grim family needs lambda >= 1")
         grim = GrimParams(args.lam)
     symmetric = abs(u.rect.x1_min + u.rect.x1_max) <= 1e-9 * u.rect.width1
     if args.suite == "default":

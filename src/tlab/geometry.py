@@ -290,25 +290,27 @@ def drift_identity_residuals(u: GridFunction, parts: Partials | None = None,
 def path_intrinsic_length(u: GridFunction, path) -> float:
     """Graph length of a 4-adjacent node path; upper-bounds intrinsic distance.
 
-    Each segment contributes sqrt(h^2 + (delta u)^2) with h the grid step in
-    the segment's direction.
+    path is a sequence of (i, j) nodes, such as a (k, 2) integer array. Each
+    segment contributes sqrt(h^2 + (delta u)^2) with h the grid step in the
+    segment's direction; the segments are summed in path order.
     """
-    nodes = [(int(i), int(j)) for i, j in path]
-    if not nodes:
+    nodes = np.asarray(path, dtype=int).reshape(-1, 2)
+    if len(nodes) == 0:
         raise ValueError("path must contain at least one node")
-    for i, j in nodes:
-        if not (0 <= i < u.nx and 0 <= j < u.ny):
-            raise ValueError(f"path node ({i}, {j}) outside the grid")
-    U = u.values
-    total = 0.0
-    for (i0, j0), (i1, j1) in zip(nodes[:-1], nodes[1:]):
-        di, dj = i1 - i0, j1 - j0
-        if abs(di) + abs(dj) != 1:
-            raise ValueError(f"path nodes ({i0},{j0}) and ({i1},{j1}) are not grid-adjacent")
-        h = u.h1 if dj == 0 else u.h2
-        du = U[j1, i1] - U[j0, i0]
-        total += float(np.hypot(h, du))
-    return total
+    i, j = nodes[:, 0], nodes[:, 1]
+    outside = (i < 0) | (i >= u.nx) | (j < 0) | (j >= u.ny)
+    if np.any(outside):
+        k = int(np.argmax(outside))
+        raise ValueError(f"path node ({i[k]}, {j[k]}) outside the grid")
+    dj = np.diff(j)
+    apart = np.abs(np.diff(i)) + np.abs(dj) != 1
+    if np.any(apart):
+        k = int(np.argmax(apart))
+        raise ValueError(f"path nodes ({i[k]},{j[k]}) and ({i[k + 1]},{j[k + 1]}) "
+                         "are not grid-adjacent")
+    segments = np.hypot(np.where(dj == 0, u.h1, u.h2), np.diff(u.values[j, i]))
+    # cumsum adds left to right, so the total rounds like a loop over segments
+    return float(np.cumsum(segments)[-1]) if segments.size else 0.0
 
 
 def worst_over(arr: np.ndarray):

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError
 from .geometry import Partials, quasilinear_residual
@@ -39,7 +38,7 @@ class GrimParams:
 
     def __post_init__(self):
         if not (np.isfinite(self.lam) and self.lam >= 1.0):
-            raise ValueError("grim scale lam must be >= 1")
+            raise ValueError("grim scale lambda must be >= 1")
         if self.tilt_sign not in (1, -1):
             raise ValueError("tilt_sign must be +1 or -1")
 
@@ -188,8 +187,10 @@ class BowlProfile:
         return float(self.r[1] - self.r[0])
 
     @cached_property
-    def interpolant(self) -> PchipInterpolator:
-        # monotone cubic keeps the sampled convexity
+    def interpolant(self):
+        # monotone cubic keeps the sampled convexity; scipy.interpolate is
+        # imported here so that commands that never sample the bowl skip it
+        from scipy.interpolate import PchipInterpolator
         return PchipInterpolator(self.r, self.f)
 
     def second_derivative_at_origin(self) -> float:

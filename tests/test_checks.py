@@ -106,6 +106,49 @@ class TestHarnack:
         with pytest.raises(ValueError):
             tlab.check_harnack(u, fields, [[(1, 1), (4, 1)]], 0.0)
 
+    def test_empty_path_list_rejected(self, grim_setup):
+        _, u, _, fields = grim_setup
+        with pytest.raises(ValueError, match="at least one path"):
+            tlab.check_harnack(u, fields, [], 0.0)
+
+    def test_path_ending_on_the_ring_rejected(self, grim_setup):
+        _, u, _, fields = grim_setup
+        with pytest.raises(ValueError, match=r"\(2, 0\) is not a trusted"):
+            tlab.check_harnack(u, fields, [[(2, 2), (2, 1), (2, 0)]], 0.0)
+
+    def test_location_is_the_far_end_of_the_worst_orientation(self, grim_setup):
+        _, u, _, fields = grim_setup
+        H = fields.H.copy()
+        H[10, 10] *= 10.0
+        fake = dataclasses.replace(fields, H=H)
+        rep = tlab.check_harnack(u, fake, [[(12, 10), (11, 10)], [(10, 10), (11, 10)]], 1e-8)
+        assert rep.worst_location == (11, 10)
+        rep = tlab.check_harnack(u, fake, [[(11, 10), (10, 10)]], 1e-8)
+        assert rep.worst_location == (11, 10)
+
+
+class TestRandomPaths:
+    def test_monotone_staircases_between_interior_nodes(self):
+        p, u = _grim_sample(h=0.1)
+        for path in tlab.random_monotone_paths(u, 200, seed=3):
+            assert path.ndim == 2 and path.shape[1] == 2 and len(path) >= 2
+            i, j = path[:, 0], path[:, 1]
+            assert np.all((1 <= i) & (i <= u.nx - 2) & (1 <= j) & (j <= u.ny - 2))
+            steps = np.diff(path, axis=0)
+            assert np.all((steps == (1, 0)).all(axis=1) | (steps == (0, 1)).all(axis=1))
+
+    def test_seed_zero_stream_is_pinned(self):
+        # the generator stream fixes every Harnack report; these nodes must not drift
+        u = tlab.sample_to_grid(lambda a, b: 0.0 * a, tlab.Rectangle(-1, 1, -1, 1), 12, 10)
+        paths = tlab.random_monotone_paths(u, 4, seed=0)
+        assert [path.tolist() for path in paths] == [
+            [[7, 3], [7, 4], [7, 5], [8, 5], [9, 5]],
+            [[1, 6], [2, 6], [2, 7]],
+            [[6, 6], [7, 6], [7, 7], [7, 8]],
+            [[3, 1], [4, 1], [5, 1], [5, 2], [5, 3], [5, 4], [6, 4], [7, 4], [7, 5],
+             [7, 6], [8, 6], [9, 6]],
+        ]
+
 
 class TestGradientBounds:
     def test_exact_grim_analytic_fields(self, grim_setup):

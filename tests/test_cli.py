@@ -29,6 +29,11 @@ class TestGenerate:
         assert r.returncode == 1
         assert "lambda" in r.stderr
 
+    def test_reaper_ignores_lambda(self, tmp_path):
+        r = run_cli("generate", "reaper", "--lambda", 0.5, "--nx", 11, "--ny", 11,
+                    "--out", tmp_path / "x.grid")
+        assert r.returncode == 0, r.stderr
+
     def test_bowl_residual_shrinks_with_step(self, tmp_path):
         res = {}
         for step in (0.4, 0.1, 0.02):
@@ -94,6 +99,12 @@ class TestSolve:
                     "--boundary-file", tmp_path / "missing.grid",
                     "--out", tmp_path / "out.grid")
         assert r.returncode == 1
+
+    def test_bowl_rmax_short_of_the_corner_is_an_error(self, tmp_path):
+        r = run_cli("solve", "newton", "--boundary", "bowl", "--rmax", 1,
+                    "--nx", 11, "--ny", 11, "--out", tmp_path / "x.grid")
+        assert r.returncode == 1
+        assert "corner radius" in r.stderr
 
     def test_nonconvergence_exit_code(self, tmp_path):
         # one Newton iteration cannot reach 1e-12 from a cold start

@@ -273,6 +273,29 @@ class TestPathLength:
         with pytest.raises(ValueError):
             tlab.path_intrinsic_length(u, [(1, 1), (2, 2)])
 
+    def test_empty_path_rejected(self):
+        u = _grid(lambda a, b: np.zeros_like(a), nx=7, ny=7)
+        with pytest.raises(ValueError, match="at least one node"):
+            tlab.path_intrinsic_length(u, [])
+
+    def test_node_outside_grid_rejected(self):
+        u = _grid(lambda a, b: np.zeros_like(a), nx=7, ny=7)
+        with pytest.raises(ValueError, match="outside the grid"):
+            tlab.path_intrinsic_length(u, [(5, 3), (6, 3), (7, 3)])
+        with pytest.raises(ValueError, match="outside the grid"):
+            tlab.path_intrinsic_length(u, [(0, 0), (0, -1)])
+
+    def test_sums_segments_in_path_order(self):
+        # bit-for-bit the left-to-right sum of the segment lengths
+        u = _grid(lambda a, b: np.sin(3 * a) * np.exp(b), nx=81, ny=81)
+        path = [(2 + (k + 1) // 2, 3 + k // 2) for k in range(100)]
+        total = 0.0
+        for (i0, j0), (i1, j1) in zip(path[:-1], path[1:]):
+            h = u.h1 if j1 == j0 else u.h2
+            total += float(np.hypot(h, u.values[j1, i1] - u.values[j0, i0]))
+        assert tlab.path_intrinsic_length(u, path) == total
+        assert tlab.path_intrinsic_length(u, np.array(path)) == total
+
     def test_concatenation_additivity(self):
         u = _grid(lambda a, b: np.sin(a) * b, nx=15, ny=15)
         p1 = [(2, 3), (3, 3), (4, 3)]
