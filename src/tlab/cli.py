@@ -274,10 +274,9 @@ def cmd_check(args) -> int:
 def cmd_profile_export(args) -> int:
     profile = bowl_profile_solve(args.rmax, args.step)
     lines = ["r,f,fp,asymptote_gap"]
-    for r, f, fp in zip(profile.r, profile.f, profile.fp):
+    for r, f, fp in zip(profile.r.tolist(), profile.f.tolist(), profile.fp.tolist()):
         gap = "" if r < 1.0 else format(f - 0.5 * r * r + math.log(r), ".17g")
-        lines.append(f"{format(r, '.17g')},{format(f, '.17g')},"
-                     f"{format(fp, '.17g')},{gap}")
+        lines.append(f"{r:.17g},{f:.17g},{fp:.17g},{gap}")
     Path(args.out).write_text("\n".join(lines) + "\n")
     return 0
 

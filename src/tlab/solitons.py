@@ -228,16 +228,15 @@ def bowl_profile_solve(r_max: float, step: float) -> BowlProfile:
     n = int(round(r_max / step))
     if n < 4:
         raise ValueError("step too coarse for r_max")
-    h = r_max / n
+    h = float(r_max) / n
     r = np.linspace(0.0, r_max, n + 1)
-    f = np.zeros(n + 1)
-    fp = np.zeros(n + 1)
-    f[1] = 0.25 * h * h
-    fp[1] = 0.5 * h
-    y = f[1]
-    yp = fp[1]
-    for k in range(1, n):
-        rk = r[k]
+    # the steps run on Python floats: numpy scalars round the same but
+    # cost several times more per operation
+    y = 0.25 * h * h
+    yp = 0.5 * h
+    f = [0.0, y]
+    fp = [0.0, yp]
+    for rk in r.tolist()[1:n]:
         k1 = _bowl_slope_rate(rk, yp)
         s2 = yp + 0.5 * h * k1
         k2 = _bowl_slope_rate(rk + 0.5 * h, s2)
@@ -247,9 +246,9 @@ def bowl_profile_solve(r_max: float, step: float) -> BowlProfile:
         k4 = _bowl_slope_rate(rk + h, s4)
         y += (h / 6.0) * (yp + 2.0 * s2 + 2.0 * s3 + s4)
         yp += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        f[k + 1] = y
-        fp[k + 1] = yp
-    return BowlProfile(r=r, f=f, fp=fp)
+        f.append(y)
+        fp.append(yp)
+    return BowlProfile(r=r, f=np.array(f), fp=np.array(fp))
 
 
 def bowl_asymptote_gap(profile: BowlProfile, r_lo: float, r_hi: float) -> float:

@@ -13,17 +13,35 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import SolverError
-from .geometry import interior_partials, quasilinear_residual
+from .geometry import _residual_and_wsq, interior_partials, quasilinear_residual
 from .grids import GridFunction, Rectangle
 from .solitons import GrimParams
 
 _MIN_STEP_FRACTION = 2.0 ** -30
 # inner iterations of the one GMRES cycle run on a reused factorization
 _GMRES_RESTART = 10
+
+
+def _linalg():
+    """scipy.sparse.linalg, imported by the first solve that needs it.
+
+    Only Newton factors and iterates, so the other commands never pay for
+    the import. The module is kept in the global spla, where a stand-in
+    set on tlab.solver.spla (a tracer, a test) replaces it.
+    """
+    spla = globals().get("spla")
+    if spla is None:
+        import scipy.sparse.linalg as spla
+        globals()["spla"] = spla
+    return spla
+
+
+def __getattr__(name):
+    if name == "spla":
+        return _linalg()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -91,15 +109,17 @@ def _stencil_pattern(mi: int, mj: int):
     return indices, indptr, gather
 
 
-def _jacobian(U: np.ndarray, h1: float, h2: float, pattern=None) -> sp.csc_matrix:
+def _jacobian(U: np.ndarray, h1: float, h2: float, pattern=None):
     """Full linearization of the discrete residual at interior nodes.
 
     Includes the first-order terms from differentiating the quasilinear
     coefficients, not just the frozen-coefficient principal part; Dirichlet
     neighbors contribute nothing. pattern is _stencil_pattern of the
     interior, built here when not given; a solve builds it once and only
-    the data is refilled per iteration.
+    the data is refilled per iteration. Returns a CSC matrix.
     """
+    from scipy.sparse import csc_matrix
+
     ny, nx = U.shape
     mi, mj = nx - 2, ny - 2
     if pattern is None:
@@ -125,7 +145,7 @@ def _jacobian(U: np.ndarray, h1: float, h2: float, pattern=None) -> sp.csc_matri
     }
     stack = np.stack([coef[o] for o in _OFFSETS])
     n = mi * mj
-    return sp.csc_matrix((stack.ravel()[gather], indices, indptr), shape=(n, n))
+    return csc_matrix((stack.ravel()[gather], indices, indptr), shape=(n, n))
 
 
 def _factorize(J):
@@ -136,6 +156,7 @@ def _factorize(J):
     exactly singular J emits MatrixRankWarning and gives a solve that
     returns NaNs, not an error, so Newton can perturb and retry.
     """
+    spla = _linalg()
     try:
         lu = spla.splu(J.tocsc(), permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
@@ -151,12 +172,20 @@ def _preconditioned_step(J, rhs: np.ndarray, solve, rtol: float):
     """GMRES on J x = rhs, preconditioned by an earlier factor's solve.
 
     Starts from that factor's own step and gets one restart cycle; returns
-    None if the residual misses rtol * |rhs|.
+    None if the residual misses rtol * |rhs|. GMRES applies M to rhs once
+    to scale its tolerance; that product is the starting step, so it is
+    handed back rather than solved for again.
     """
+    spla = _linalg()
     n = J.shape[0]
-    M = spla.LinearOperator((n, n), matvec=solve, dtype=float)
+    x0 = solve(rhs)
+
+    def precondition(v):
+        return x0.copy() if np.array_equal(v, rhs) else solve(v)
+
+    M = spla.LinearOperator((n, n), matvec=precondition, dtype=float)
     with np.errstate(all="ignore"):
-        x, info = spla.gmres(J, rhs, x0=solve(rhs), rtol=rtol,
+        x, info = spla.gmres(J, rhs, x0=x0, rtol=rtol,
                              restart=_GMRES_RESTART, maxiter=1, M=M)
     return x if info == 0 else None
 
@@ -368,20 +397,19 @@ def parabolic_relax(boundary, init: GridFunction, cfg: SolveConfig,
     U = init.values.copy()
     f_int = _forcing_interior(forcing, U.shape)
 
-    # one stencil evaluation per step: the partials that give F also give
-    # the W^2 of the next step
-    u1, u2, *second = interior_partials(U, h1, h2)
-    F = quasilinear_residual(u1, u2, *second) - f_int
+    # one stencil and one residual evaluation per step: the residual also
+    # gives the W^2 of the next step
+    F, Wsq = _residual_and_wsq(*interior_partials(U, h1, h2))
+    F -= f_int
     rn = float(np.max(np.abs(F)))
     history = [rn]
     growth_streak = 0
     steps = 0
     notes = ""
     while rn > cfg.tol and steps < cfg.max_relax_steps:
-        Wsq = 1.0 + u1 * u1 + u2 * u2
         U[1:-1, 1:-1] += dt * F / Wsq
-        u1, u2, *second = interior_partials(U, h1, h2)
-        F = quasilinear_residual(u1, u2, *second) - f_int
+        F, Wsq = _residual_and_wsq(*interior_partials(U, h1, h2))
+        F -= f_int
         rn_new = float(np.max(np.abs(F)))
         steps += 1
         if not np.isfinite(rn_new):

@@ -8,7 +8,7 @@ import scipy.sparse.linalg as spla
 import tlab
 from tlab.errors import SolverError
 from tlab.geometry import interior_partials, quasilinear_residual
-from tlab.solver import _factorize, _jacobian, _residual
+from tlab.solver import _factorize, _jacobian, _preconditioned_step, _residual
 
 
 def _grim_problem(lam=2.0, rect=(-2.5, 2.5, -3.0, 3.0), nx=51, ny=61):
@@ -117,6 +117,26 @@ class TestNewton:
         fd = (_residual(U + eps * v, sample.h1, sample.h2, f_int)
               - _residual(U - eps * v, sample.h1, sample.h2, f_int)) / (2.0 * eps)
         np.testing.assert_allclose(J @ v[1:-1, 1:-1].ravel(), fd.ravel(), rtol=1e-6, atol=1e-6)
+
+    def test_preconditioned_step_solves_rhs_once(self):
+        # the factor's step from rhs is GMRES's start and also the M*rhs it
+        # scales its tolerance by; the kept factor must not solve it twice
+        p, rect, boundary, sample = _grim_problem(nx=21, ny=25)
+        h1, h2 = sample.h1, sample.h2
+        solve = _factorize(_jacobian(sample.values, h1, h2))
+        U = sample.values + _bump(25, 21, 0.2)
+        J = _jacobian(U, h1, h2)
+        rhs = -_residual(U, h1, h2, np.zeros((23, 19))).ravel()
+        seen = []
+
+        def counted(v):
+            seen.append(np.array_equal(v, rhs))
+            return solve(v)
+
+        x = _preconditioned_step(J, rhs, counted, 1e-8)
+        assert x is not None
+        assert seen.count(True) == 1 and len(seen) >= 2
+        assert np.linalg.norm(J @ x - rhs) <= 1e-8 * np.linalg.norm(rhs)
 
     def test_strip_solve_reuses_factorizations(self, strip_solution):
         assert strip_solution.converged
