@@ -14,8 +14,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NotASolutionError
-from .geometry import (GeometryFields, Partials, drift_identity_residuals,
-                       first_diffs, geometry_fields, partials,
+from .geometry import (_MIRROR_ROUNDING_RTOL, GeometryFields, Partials,
+                       drift_identity_residuals, first_diffs, geometry_fields, partials,
                        translator_residual, path_intrinsic_length, worst_over)
 from .grids import GridFunction
 from .solitons import GrimParams
@@ -240,7 +240,9 @@ def check_symmetry(u: GridFunction, tol: float,
 
     Strictness is tested as u_x1 >= -tol away from the axis, with a census
     of nonpositive-slope nodes reported; the exact zero at x1 = 0 is
-    excluded.
+    excluded. When the symmetry defect binds at rounding level (within
+    _MIRROR_ROUNDING_RTOL of max|u|), no node stands out and worst_location
+    is None.
     """
     span = u.rect.width1
     if abs(u.rect.x1_min + u.rect.x1_max) > 1e-9 * span:
@@ -258,6 +260,8 @@ def check_symmetry(u: GridFunction, tol: float,
     worst = max(v_sym, v_mono)
     if v_mono > v_sym:
         loc = (int(pos[ci]), int(cj) + 1)
+    elif v_sym <= _MIRROR_ROUNDING_RTOL * float(np.max(np.abs(V))):
+        loc = None
     else:
         j, i = np.unravel_index(int(np.argmax(defect)), defect.shape)
         loc = (int(i), int(j))

@@ -28,6 +28,11 @@ _EXP_FLUSH = -745.0
 # as tied: far above rounding, far below every check tolerance
 _MIRROR_TIE_RTOL = 1e-9
 
+# a mirror defect within this many ulps of max|u| is rounding, not shape:
+# the solver folds a problem across such a mirror, and check_symmetry names
+# no node for it
+_MIRROR_ROUNDING_RTOL = 256 * np.finfo(float).eps
+
 
 @dataclass(frozen=True)
 class Partials:

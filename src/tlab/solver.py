@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SolverError
-from .geometry import _residual_and_wsq, interior_partials, quasilinear_residual
+from .geometry import (_MIRROR_ROUNDING_RTOL, _residual_and_wsq, interior_partials,
+                       quasilinear_residual)
 from .grids import GridFunction, Rectangle
 from .solitons import GrimParams
 
@@ -74,10 +75,15 @@ class SolveOutcome:
     history: list[float] = field(default_factory=list)
     notes: str = ""
     factorizations: int = 0
+    # the axes Newton folded the problem across, e.g. ("x1", "x2")
+    mirror_axes: tuple[str, ...] = ()
 
 
-def _residual(U: np.ndarray, h1: float, h2: float, f_int: np.ndarray) -> np.ndarray:
-    return quasilinear_residual(*interior_partials(U, h1, h2)) - f_int
+def _residual(U: np.ndarray, h1: float, h2: float, f_int=None) -> np.ndarray:
+    R = quasilinear_residual(*interior_partials(U, h1, h2))
+    if f_int is not None:
+        R -= f_int
+    return R
 
 
 # Stencil offsets (di, dj) in decreasing order of the flat offset
@@ -85,6 +91,7 @@ def _residual(U: np.ndarray, h1: float, h2: float, f_int: np.ndarray) -> np.ndar
 # increasing order.
 _OFFSETS = ((1, 1), (0, 1), (-1, 1), (1, 0), (0, 0), (-1, 0),
             (1, -1), (0, -1), (-1, -1))
+_SLOT = {o: k for k, o in enumerate(_OFFSETS)}
 
 
 def _stencil_pattern(mi: int, mj: int):
@@ -109,14 +116,17 @@ def _stencil_pattern(mi: int, mj: int):
     return indices, indptr, gather
 
 
-def _jacobian(U: np.ndarray, h1: float, h2: float, pattern=None):
+def _jacobian(U: np.ndarray, h1: float, h2: float, pattern=None, axes=()):
     """Full linearization of the discrete residual at interior nodes.
 
     Includes the first-order terms from differentiating the quasilinear
     coefficients, not just the frozen-coefficient principal part; Dirichlet
     neighbors contribute nothing. pattern is _stencil_pattern of the
     interior, built here when not given; a solve builds it once and only
-    the data is refilled per iteration. Returns a CSC matrix.
+    the data is refilled per iteration. axes names the mirror folds of U
+    (see _mirror_ghosts): a ghost neighbour's coefficient is added onto
+    its mirror node's, the x1 fold first, so the corner ghost (-1, -1)
+    lands on (1, 1). Returns a CSC matrix.
     """
     from scipy.sparse import csc_matrix
 
@@ -144,6 +154,12 @@ def _jacobian(U: np.ndarray, h1: float, h2: float, pattern=None):
         (-1, 1): -B / (4.0 * h1 * h2),
     }
     stack = np.stack([coef[o] for o in _OFFSETS])
+    if "x1" in axes:
+        for d in (1, 0, -1):
+            stack[_SLOT[1, d], :, 0] += stack[_SLOT[-1, d], :, 0]
+    if "x2" in axes:
+        for d in (1, 0, -1):
+            stack[_SLOT[d, 1], 0, :] += stack[_SLOT[d, -1], 0, :]
     n = mi * mj
     return csc_matrix((stack.ravel()[gather], indices, indptr), shape=(n, n))
 
@@ -252,7 +268,7 @@ def fill_from_boundary(rect: Rectangle, nx: int, ny: int, boundary) -> GridFunct
 
 def _forcing_interior(forcing, shape):
     if forcing is None:
-        return np.zeros((shape[0] - 2, shape[1] - 2))
+        return None
     f = np.asarray(forcing, dtype=float)
     if f.shape == shape:
         f = f[1:-1, 1:-1]
@@ -269,6 +285,63 @@ def _smooth_bump(ny: int, nx: int) -> np.ndarray:
     return np.sin(math.pi * s) * np.sin(math.pi * t)
 
 
+def _mirror_axes(init: GridFunction, f_int) -> tuple[str, ...]:
+    """The axes across which the discrete problem is mirror-even.
+
+    An axis qualifies when its node count is odd, the rectangle is centred
+    on 0 along it, and the init (ring included) and the forcing equal their
+    mirror images to within _MIRROR_ROUNDING_RTOL * max|init|. The
+    boundary callable is not consulted: Newton keeps the init's ring.
+    """
+    V = init.values
+    tol = _MIRROR_ROUNDING_RTOL * float(np.max(np.abs(V)))
+    fields = (V,) if f_int is None else (V, f_int)
+    r = init.rect
+    axes = []
+    for name, axis, n, lo, hi in (("x1", 1, init.nx, r.x1_min, r.x1_max),
+                                  ("x2", 0, init.ny, r.x2_min, r.x2_max)):
+        if (n % 2 and abs(lo + hi) <= 1e-9 * (hi - lo)
+                and all(float(np.max(np.abs(F - np.flip(F, axis)))) <= tol
+                        for F in fields)):
+            axes.append(name)
+    return tuple(axes)
+
+
+def _fold_origin(shape, axes):
+    """(row, column) where the folded block starts: one ghost before each
+    folded centre line, 0 along an unfolded axis."""
+    ny, nx = shape
+    return (ny // 2 - 1 if "x2" in axes else 0,
+            nx // 2 - 1 if "x1" in axes else 0)
+
+
+def _mirror_ghosts(V: np.ndarray, axes) -> None:
+    """Refresh V's ghost column (x1) and ghost row (x2) from their mirrors.
+
+    V is a grid cut at _fold_origin: its interior holds the unknowns of the
+    fundamental domain, and row or column 0 mirrors row or column 2 across
+    the centre line at index 1. The rest of V's edge is Dirichlet ring.
+    """
+    if "x1" in axes:
+        V[1:-1, 0] = V[1:-1, 2]
+    if "x2" in axes:
+        i = 0 if "x1" in axes else 1
+        V[0, i:-1] = V[2, i:-1]
+
+
+def _unfold(values: np.ndarray, V: np.ndarray, axes) -> np.ndarray:
+    """values with its interior replaced by the mirror-even extension of V's."""
+    U = values.copy()
+    j0, i0 = _fold_origin(U.shape, axes)
+    U[j0 + 1:-1, i0 + 1:-1] = V[1:-1, 1:-1]
+    ny, nx = U.shape
+    if "x1" in axes:
+        U[1:-1, 1:nx // 2] = U[1:-1, -2:nx // 2:-1]
+    if "x2" in axes:
+        U[1:ny // 2, 1:-1] = U[-2:ny // 2:-1, 1:-1]
+    return U
+
+
 def newton_solve(boundary, init: GridFunction, cfg: SolveConfig,
                  forcing=None) -> SolveOutcome:
     """Damped Newton for the discrete translator system.
@@ -280,6 +353,16 @@ def newton_solve(boundary, init: GridFunction, cfg: SolveConfig,
     is reused while GMRES meets that tolerance; when it misses, the old
     factor is dropped and the current Jacobian is factored in its place.
     The sparsity pattern is built once per solve.
+
+    A problem that is mirror-even across x1 = 0 or x2 = 0 (odd node count
+    along the axis, rectangle centred on 0, and init and forcing even to
+    within a few hundred ulps of max|init|) is solved on its fundamental
+    domain: a half or a quarter of the unknowns, padded with one mirror
+    ghost column or row that is refreshed after every step. This is the
+    full Newton step restricted to even grid functions. The result is
+    unfolded into the interior, so the ring is the init's bit for bit and
+    the interior is exactly even. Without a fold the loop runs on the full
+    grid with no ghosts.
 
     Parameters
     ----------
@@ -301,7 +384,9 @@ def newton_solve(boundary, init: GridFunction, cfg: SolveConfig,
     -------
     SolveOutcome
         converged=False (not an exception) on stagnation or iteration
-        exhaustion; factorizations counts the LUs built. A singular
+        exhaustion; factorizations counts the LUs built; mirror_axes names
+        the folds. final_residual, converged and the last history entry are
+        those of the returned full grid. A singular
         Jacobian raises SolverError after one deterministic smooth
         re-perturbation of the iterate.
     """
@@ -310,8 +395,14 @@ def newton_solve(boundary, init: GridFunction, cfg: SolveConfig,
     ring = boundary_ring_values(boundary, init)
     _check_ring(init, ring)
     h1, h2 = init.h1, init.h2
-    U = init.values.copy()
-    f_int = _forcing_interior(forcing, U.shape)
+    f_full = _forcing_interior(forcing, init.values.shape)
+    axes = _mirror_axes(init, f_full)
+    j0, i0 = _fold_origin(init.values.shape, axes)
+    # U's interior holds the unknowns; with no fold U is the whole grid
+    U = init.values[j0:, i0:].copy()
+    _mirror_ghosts(U, axes)
+    f_int = None if f_full is None else f_full[j0:, i0:]
+    mj, mi = U.shape[0] - 2, U.shape[1] - 2
 
     F = _residual(U, h1, h2, f_int)
     rn = float(np.max(np.abs(F)))
@@ -320,12 +411,12 @@ def newton_solve(boundary, init: GridFunction, cfg: SolveConfig,
     iterations = 0
     notes = ""
 
-    pattern = _stencil_pattern(init.nx - 2, init.ny - 2)
+    pattern = _stencil_pattern(mi, mj)
     solve = None
     factorizations = 0
 
     while rn > cfg.tol and iterations < cfg.max_newton_iters:
-        J = _jacobian(U, h1, h2, pattern)
+        J = _jacobian(U, h1, h2, pattern, axes)
         rhs = -F.ravel()
         delta = None
         if solve is not None:
@@ -339,21 +430,23 @@ def newton_solve(boundary, init: GridFunction, cfg: SolveConfig,
             solve = None
             if not perturbed:
                 perturbed = True
-                U[1:-1, 1:-1] += 1e-8 * _smooth_bump(init.ny, init.nx)[1:-1, 1:-1]
+                U[1:-1, 1:-1] += 1e-8 * _smooth_bump(init.ny, init.nx)[j0 + 1:-1, i0 + 1:-1]
+                _mirror_ghosts(U, axes)
                 F = _residual(U, h1, h2, f_int)
                 rn = float(np.max(np.abs(F)))
                 notes = "singular Jacobian: iterate perturbed once"
                 continue
             raise SolverError(
                 f"singular Jacobian at iteration {iterations}",
-                iterate=GridFunction(init.rect, U))
-        delta = delta.reshape(init.ny - 2, init.nx - 2)
+                iterate=GridFunction(init.rect, _unfold(init.values, U, axes)))
+        delta = delta.reshape(mj, mi)
 
         alpha = cfg.damping
         accepted = False
         while alpha >= _MIN_STEP_FRACTION:
             U_try = U.copy()
             U_try[1:-1, 1:-1] += alpha * delta
+            _mirror_ghosts(U_try, axes)
             F_try = _residual(U_try, h1, h2, f_int)
             rn_try = float(np.max(np.abs(F_try)))
             if np.isfinite(rn_try) and rn_try < rn:
@@ -368,14 +461,19 @@ def newton_solve(boundary, init: GridFunction, cfg: SolveConfig,
             break
         history.append(rn)
 
+    if not notes and not rn <= cfg.tol:
+        notes = f"iteration budget exhausted after {iterations} steps"
+    U = _unfold(init.values, U, axes)
+    rn = float(np.max(np.abs(_residual(U, h1, h2, f_full))))
+    history[-1] = rn
     converged = rn <= cfg.tol
     if not converged and not notes:
-        notes = f"iteration budget exhausted after {iterations} steps"
+        notes = "the folded residual met tol but the unfolded one does not"
     return SolveOutcome(solution=GridFunction(init.rect, U),
                         final_residual=rn, iterations=iterations,
                         converged=converged, history=history,
                         notes="" if converged else notes,
-                        factorizations=factorizations)
+                        factorizations=factorizations, mirror_axes=axes)
 
 
 def parabolic_relax(boundary, init: GridFunction, cfg: SolveConfig,
@@ -400,7 +498,8 @@ def parabolic_relax(boundary, init: GridFunction, cfg: SolveConfig,
     # one stencil and one residual evaluation per step: the residual also
     # gives the W^2 of the next step
     F, Wsq = _residual_and_wsq(*interior_partials(U, h1, h2))
-    F -= f_int
+    if f_int is not None:
+        F -= f_int
     rn = float(np.max(np.abs(F)))
     history = [rn]
     growth_streak = 0
@@ -409,7 +508,8 @@ def parabolic_relax(boundary, init: GridFunction, cfg: SolveConfig,
     while rn > cfg.tol and steps < cfg.max_relax_steps:
         U[1:-1, 1:-1] += dt * F / Wsq
         F, Wsq = _residual_and_wsq(*interior_partials(U, h1, h2))
-        F -= f_int
+        if f_int is not None:
+            F -= f_int
         rn_new = float(np.max(np.abs(F)))
         steps += 1
         if not np.isfinite(rn_new):

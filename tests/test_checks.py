@@ -283,6 +283,19 @@ class TestSymmetry:
         assert rep.worst_violation > 1.0
         assert rep.worst_location[0] == 19
 
+    def test_rounding_level_defect_has_no_location(self):
+        # two rounding-level defects at different nodes report alike
+        rect = tlab.Rectangle(-1.0, 1.0, -1.0, 1.0)
+        u = tlab.sample_to_grid(lambda a, b: a * a + b, rect, 21, 21)
+        locations = []
+        for j, i in ((7, 14), (15, 3)):
+            V = u.values.copy()
+            V[j, i] = np.nextafter(np.nextafter(V[j, i], np.inf), np.inf)
+            rep = tlab.check_symmetry(u.with_values(V), 1e-9)
+            assert 0.0 < rep.worst_violation < 1e-14 and rep.passed
+            locations.append(rep.worst_location)
+        assert locations == [None, None]
+
     def test_asymmetric_grid_rejected(self):
         rect = tlab.Rectangle(0.0, 1.0, -1.0, 1.0)
         u = tlab.sample_to_grid(lambda a, b: a, rect, 21, 21)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -8,7 +9,8 @@ import scipy.sparse.linalg as spla
 import tlab
 from tlab.errors import SolverError
 from tlab.geometry import interior_partials, quasilinear_residual
-from tlab.solver import _factorize, _jacobian, _preconditioned_step, _residual
+from tlab.solver import (_factorize, _fold_origin, _jacobian, _mirror_ghosts,
+                         _preconditioned_step, _residual)
 
 
 def _grim_problem(lam=2.0, rect=(-2.5, 2.5, -3.0, 3.0), nx=51, ny=61):
@@ -214,6 +216,105 @@ class TestNewton:
         assert out.final_residual == hist[-1]
         if out.converged:
             assert out.final_residual <= 1e-10
+
+
+def _strip_problem(nx=21, ny=41):
+    g2 = tlab.GrimParams(2.0)
+    rect, g = tlab.strip_boundary_data(g2, 0.25 * g2.half_width, 6.0, 3.0)
+    return g, tlab.fill_from_boundary(rect, nx, ny, g)
+
+
+def _one_sided(init, amp=1e-9):
+    # a bump on one interior node off both centre lines breaks every mirror
+    V = init.values.copy()
+    V[init.ny // 2 - 3, init.nx // 2 + 2] += amp
+    return init.with_values(V)
+
+
+def _grim_fill(nx=31, ny=37):
+    p, rect, boundary, sample = _grim_problem(nx=nx, ny=ny)
+    return boundary, tlab.fill_from_boundary(rect, nx, ny, boundary)
+
+
+class TestMirrorFold:
+    def test_mirror_axes(self, strip_solution):
+        assert strip_solution.mirror_axes == ("x1", "x2")
+        cfg = tlab.SolveConfig()
+        boundary, init = _grim_fill()
+        assert tlab.newton_solve(boundary, init, cfg).mirror_axes == ("x1",)
+        boundary, init = _grim_fill(30, 36)
+        assert tlab.newton_solve(boundary, init, cfg).mirror_axes == ()
+        g, init = _strip_problem(20, 40)
+        assert tlab.newton_solve(g, init, cfg).mirror_axes == ()
+        # a rectangle off centre does not fold, even on symmetric data
+        rect = tlab.Rectangle(0.0, 1.0, -1.0, 1.0)
+        cap = lambda a, b: np.zeros(np.broadcast_shapes(np.shape(a), np.shape(b)))
+        init = tlab.fill_from_boundary(rect, 21, 21, cap)
+        assert tlab.newton_solve(cap, init, cfg).mirror_axes == ("x2",)
+
+    @pytest.mark.parametrize("problem, axes", [(_strip_problem, ("x1", "x2")),
+                                               (_grim_fill, ("x1",))])
+    def test_folded_solve_equals_full_solve(self, problem, axes):
+        # the one-sided bump of 1e-9 disables the fold: a full solve
+        boundary, init = problem()
+        cfg = tlab.SolveConfig(tol=1e-10)
+        folded = tlab.newton_solve(boundary, init, cfg)
+        full = tlab.newton_solve(boundary, _one_sided(init), cfg)
+        assert folded.mirror_axes == axes and full.mirror_axes == ()
+        assert folded.converged and full.converged
+        assert np.max(np.abs(folded.solution.values - full.solution.values)) <= 1e-12
+
+    @pytest.mark.parametrize("problem", [_strip_problem, _grim_fill])
+    def test_unfolded_interior_is_even_and_ring_is_kept(self, problem):
+        boundary, init = problem()
+        out = tlab.newton_solve(boundary, init, tlab.SolveConfig())
+        U, V = out.solution.values, init.values
+        assert out.converged and out.mirror_axes
+        inner = U[1:-1, 1:-1]
+        assert np.array_equal(inner, inner[:, ::-1])
+        if "x2" in out.mirror_axes:
+            assert np.array_equal(inner, inner[::-1, :])
+        for edge in (np.s_[0, :], np.s_[-1, :], np.s_[:, 0], np.s_[:, -1]):
+            assert U[edge].tobytes() == V[edge].tobytes()
+        # converged, final_residual and history[-1] are the full grid's
+        res = float(np.nanmax(np.abs(tlab.translator_residual(out.solution))))
+        assert out.final_residual == res == out.history[-1]
+
+    @pytest.mark.parametrize("axes", [("x1",), ("x2",), ("x1", "x2")])
+    def test_folded_jacobian_matches_central_differences(self, axes):
+        p, rect, boundary, sample = _grim_problem(nx=11, ny=9)
+        h1, h2 = sample.h1, sample.h2
+        j0, i0 = _fold_origin(sample.values.shape, axes)
+        U = (sample.values + _bump(9, 11, 0.3))[j0:, i0:].copy()
+        _mirror_ghosts(U, axes)
+        J = _jacobian(U, h1, h2, axes=axes)
+        assert J.format == "csc" and J.has_sorted_indices
+        shape = (U.shape[0] - 2, U.shape[1] - 2)
+        v = np.zeros_like(U)
+        v[1:-1, 1:-1] = np.random.default_rng(5).standard_normal(shape)
+
+        def folded_residual(W):
+            W = W.copy()
+            _mirror_ghosts(W, axes)
+            return _residual(W, h1, h2)
+
+        eps = 1e-6
+        fd = (folded_residual(U + eps * v) - folded_residual(U - eps * v)) / (2.0 * eps)
+        np.testing.assert_allclose(J @ v[1:-1, 1:-1].ravel(), fd.ravel(), rtol=1e-6, atol=1e-6)
+
+    def test_unfolded_solves_pinned(self):
+        # problems with no mirror run today's full-grid loop, bit for bit
+        cfg = tlab.SolveConfig()
+        boundary, init = _grim_fill(30, 36)
+        out = tlab.newton_solve(boundary, init, cfg)
+        assert out.history[-1].hex() == "0x1.0f80000000000p-39"
+        assert (hashlib.sha256(out.solution.values.tobytes()).hexdigest()
+                == "34a80c64c83f336ee3a01602c88159dbb86222c3bf7781a365c43a5eac31887c")
+        g, init = _strip_problem()
+        out = tlab.newton_solve(g, _one_sided(init), cfg)
+        assert out.history[-1].hex() == "0x1.9ea0000000000p-36"
+        assert (hashlib.sha256(out.solution.values.tobytes()).hexdigest()
+                == "5641e32fa5cfcbdbcd011dd345aa1907f814f82069ef603813219dcf4b8620bb")
 
 
 class TestParabolicRelax:
