@@ -288,23 +288,19 @@ def _smooth_bump(ny: int, nx: int) -> np.ndarray:
 def _mirror_axes(init: GridFunction, f_int) -> tuple[str, ...]:
     """The axes across which the discrete problem is mirror-even.
 
-    An axis qualifies when its node count is odd, the rectangle is centred
-    on 0 along it, and the init (ring included) and the forcing equal their
-    mirror images to within _MIRROR_ROUNDING_RTOL * max|init|. The
-    boundary callable is not consulted: Newton keeps the init's ring.
+    An axis qualifies when its node count is odd and the init (ring
+    included) and the forcing equal their mirror images to within
+    _MIRROR_ROUNDING_RTOL * max|init|. The discrete system reads only the
+    node values and the spacings, so where the rectangle sits does not
+    matter, and the boundary callable is not consulted: Newton keeps the
+    init's ring.
     """
     V = init.values
     tol = _MIRROR_ROUNDING_RTOL * float(np.max(np.abs(V)))
     fields = (V,) if f_int is None else (V, f_int)
-    r = init.rect
-    axes = []
-    for name, axis, n, lo, hi in (("x1", 1, init.nx, r.x1_min, r.x1_max),
-                                  ("x2", 0, init.ny, r.x2_min, r.x2_max)):
-        if (n % 2 and abs(lo + hi) <= 1e-9 * (hi - lo)
-                and all(float(np.max(np.abs(F - np.flip(F, axis)))) <= tol
-                        for F in fields)):
-            axes.append(name)
-    return tuple(axes)
+    return tuple(name for name, axis, n in (("x1", 1, init.nx), ("x2", 0, init.ny))
+                 if n % 2 and all(float(np.max(np.abs(F - np.flip(F, axis)))) <= tol
+                                  for F in fields))
 
 
 def _fold_origin(shape, axes):
@@ -354,15 +350,17 @@ def newton_solve(boundary, init: GridFunction, cfg: SolveConfig,
     factor is dropped and the current Jacobian is factored in its place.
     The sparsity pattern is built once per solve.
 
-    A problem that is mirror-even across x1 = 0 or x2 = 0 (odd node count
-    along the axis, rectangle centred on 0, and init and forcing even to
-    within a few hundred ulps of max|init|) is solved on its fundamental
-    domain: a half or a quarter of the unknowns, padded with one mirror
-    ghost column or row that is refreshed after every step. This is the
-    full Newton step restricted to even grid functions. The result is
-    unfolded into the interior, so the ring is the init's bit for bit and
-    the interior is exactly even. Without a fold the loop runs on the full
-    grid with no ghosts.
+    A problem that is mirror-even across the middle column or row (odd
+    node count along the axis, and init and forcing even to within a few
+    hundred ulps of max|init|) is solved on its fundamental domain: a half
+    or a quarter of the unknowns, padded with one mirror ghost column or
+    row that is refreshed after every step. This is the full Newton step
+    restricted to even grid functions. The result is unfolded into the
+    interior, so the ring is the init's bit for bit and the interior is
+    exactly even. If the unfolded residual then misses tol and binds on
+    the mirror side (the ring's rounding-level asymmetry), the same loop
+    goes on over the full grid from the unfolded iterate. Without a fold
+    the loop runs on the full grid with no ghosts.
 
     Parameters
     ----------
@@ -386,9 +384,9 @@ def newton_solve(boundary, init: GridFunction, cfg: SolveConfig,
         converged=False (not an exception) on stagnation or iteration
         exhaustion; factorizations counts the LUs built; mirror_axes names
         the folds. final_residual, converged and the last history entry are
-        those of the returned full grid. A singular
-        Jacobian raises SolverError after one deterministic smooth
-        re-perturbation of the iterate.
+        those of the returned full grid; earlier entries of a folded solve
+        are fold-domain residuals. A singular Jacobian raises SolverError
+        after one deterministic smooth re-perturbation of the iterate.
     """
     if init.nx < 5 or init.ny < 5:
         raise ValueError("newton_solve needs at least a 5x5 grid")
@@ -396,84 +394,99 @@ def newton_solve(boundary, init: GridFunction, cfg: SolveConfig,
     _check_ring(init, ring)
     h1, h2 = init.h1, init.h2
     f_full = _forcing_interior(forcing, init.values.shape)
-    axes = _mirror_axes(init, f_full)
-    j0, i0 = _fold_origin(init.values.shape, axes)
-    # U's interior holds the unknowns; with no fold U is the whole grid
-    U = init.values[j0:, i0:].copy()
-    _mirror_ghosts(U, axes)
-    f_int = None if f_full is None else f_full[j0:, i0:]
-    mj, mi = U.shape[0] - 2, U.shape[1] - 2
-
-    F = _residual(U, h1, h2, f_int)
-    rn = float(np.max(np.abs(F)))
-    history = [rn]
+    mirror_axes = axes = _mirror_axes(init, f_full)
+    U = init.values
+    history = []
     perturbed = False
     iterations = 0
-    notes = ""
-
-    pattern = _stencil_pattern(mi, mj)
-    solve = None
     factorizations = 0
 
-    while rn > cfg.tol and iterations < cfg.max_newton_iters:
-        J = _jacobian(U, h1, h2, pattern, axes)
-        rhs = -F.ravel()
-        delta = None
-        if solve is not None:
-            delta = _preconditioned_step(J, rhs, solve, min(1e-2, rn))
-        if delta is None:
-            solve = None  # free the old factor before building the new one
-            solve = _factorize(J)
-            factorizations += 1
-            delta = solve(rhs)
-        if not np.all(np.isfinite(delta)):
-            solve = None
-            if not perturbed:
-                perturbed = True
-                U[1:-1, 1:-1] += 1e-8 * _smooth_bump(init.ny, init.nx)[j0 + 1:-1, i0 + 1:-1]
-                _mirror_ghosts(U, axes)
-                F = _residual(U, h1, h2, f_int)
-                rn = float(np.max(np.abs(F)))
-                notes = "singular Jacobian: iterate perturbed once"
-                continue
-            raise SolverError(
-                f"singular Jacobian at iteration {iterations}",
-                iterate=GridFunction(init.rect, _unfold(init.values, U, axes)))
-        delta = delta.reshape(mj, mi)
+    # A folded pass is followed by a pass with no fold from the unfolded
+    # iterate when the unfolded residual misses tol and exceeds the folded
+    # one, i.e. binds on the mirror side. There the ring's rounding-level
+    # asymmetry and the mirrored order of the stencil's floating-point sums
+    # act, which no even step can undo. A folded residual that binds above
+    # tol is the even step's own rounding floor, which a full step shares.
+    while True:
+        j0, i0 = _fold_origin(init.values.shape, axes)
+        # U's interior holds the unknowns; with no fold U is the whole grid
+        U = U[j0:, i0:].copy()
+        _mirror_ghosts(U, axes)
+        f_int = None if f_full is None else f_full[j0:, i0:]
+        mj, mi = U.shape[0] - 2, U.shape[1] - 2
 
-        alpha = cfg.damping
-        accepted = False
-        while alpha >= _MIN_STEP_FRACTION:
-            U_try = U.copy()
-            U_try[1:-1, 1:-1] += alpha * delta
-            _mirror_ghosts(U_try, axes)
-            F_try = _residual(U_try, h1, h2, f_int)
-            rn_try = float(np.max(np.abs(F_try)))
-            if np.isfinite(rn_try) and rn_try < rn:
-                U, F, rn = U_try, F_try, rn_try
-                accepted = True
-                break
-            alpha *= 0.5
-        iterations += 1
-        if not accepted:
-            notes = "backtracking stalled: no residual decrease along the Newton step"
+        F = _residual(U, h1, h2, f_int)
+        rn = float(np.max(np.abs(F)))
+        if not history:
             history.append(rn)
-            break
-        history.append(rn)
+        notes = ""
 
-    if not notes and not rn <= cfg.tol:
-        notes = f"iteration budget exhausted after {iterations} steps"
-    U = _unfold(init.values, U, axes)
-    rn = float(np.max(np.abs(_residual(U, h1, h2, f_full))))
-    history[-1] = rn
+        pattern = _stencil_pattern(mi, mj) if rn > cfg.tol else None
+        solve = None
+
+        while rn > cfg.tol and iterations < cfg.max_newton_iters:
+            J = _jacobian(U, h1, h2, pattern, axes)
+            rhs = -F.ravel()
+            delta = None
+            if solve is not None:
+                delta = _preconditioned_step(J, rhs, solve, min(1e-2, rn))
+            if delta is None:
+                solve = None  # free the old factor before building the new one
+                solve = _factorize(J)
+                factorizations += 1
+                delta = solve(rhs)
+            if not np.all(np.isfinite(delta)):
+                solve = None
+                if not perturbed:
+                    perturbed = True
+                    U[1:-1, 1:-1] += 1e-8 * _smooth_bump(init.ny, init.nx)[j0 + 1:-1, i0 + 1:-1]
+                    _mirror_ghosts(U, axes)
+                    F = _residual(U, h1, h2, f_int)
+                    rn = float(np.max(np.abs(F)))
+                    notes = "singular Jacobian: iterate perturbed once"
+                    continue
+                raise SolverError(
+                    f"singular Jacobian at iteration {iterations}",
+                    iterate=GridFunction(init.rect, _unfold(init.values, U, axes)))
+            delta = delta.reshape(mj, mi)
+
+            alpha = cfg.damping
+            accepted = False
+            while alpha >= _MIN_STEP_FRACTION:
+                U_try = U.copy()
+                U_try[1:-1, 1:-1] += alpha * delta
+                _mirror_ghosts(U_try, axes)
+                F_try = _residual(U_try, h1, h2, f_int)
+                rn_try = float(np.max(np.abs(F_try)))
+                if np.isfinite(rn_try) and rn_try < rn:
+                    U, F, rn = U_try, F_try, rn_try
+                    accepted = True
+                    break
+                alpha *= 0.5
+            iterations += 1
+            if not accepted:
+                notes = "backtracking stalled: no residual decrease along the Newton step"
+                history.append(rn)
+                break
+            history.append(rn)
+
+        if not axes:
+            break
+        U = _unfold(init.values, U, axes)
+        rn_fold, rn = rn, float(np.max(np.abs(_residual(U, h1, h2, f_full))))
+        history[-1] = rn
+        if rn <= max(cfg.tol, rn_fold):
+            break
+        axes = ()
+
     converged = rn <= cfg.tol
     if not converged and not notes:
-        notes = "the folded residual met tol but the unfolded one does not"
+        notes = f"iteration budget exhausted after {iterations} steps"
     return SolveOutcome(solution=GridFunction(init.rect, U),
                         final_residual=rn, iterations=iterations,
                         converged=converged, history=history,
                         notes="" if converged else notes,
-                        factorizations=factorizations, mirror_axes=axes)
+                        factorizations=factorizations, mirror_axes=mirror_axes)
 
 
 def parabolic_relax(boundary, init: GridFunction, cfg: SolveConfig,
