@@ -15,6 +15,7 @@ such fields must be NaN-aware.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,30 +53,54 @@ class Partials:
 class GeometryFields:
     """Per-node extrinsic geometry of the graph of u.
 
-    W is the area element sqrt(1+|grad u|^2), normal the upward unit normal,
-    H = kappa1 + kappa2 the mean curvature, A2 = kappa1^2 + kappa2^2 the
-    squared norm of the second fundamental form, K the Gauss curvature and
-    pinch the convexity ratio phi(kappa2/kappa1) (NaN where kappa1 <= 0).
-    s11..s22 are the shape operator entries, pdir1/pdir2 unit eigenvectors
-    for kappa1/kappa2 in graph coordinates.
+    W is the area element sqrt(1+|grad u|^2), H = kappa1 + kappa2 the mean
+    curvature, A2 = kappa1^2 + kappa2^2 the squared norm of the second
+    fundamental form and pinch the convexity ratio phi(kappa2/kappa1) (NaN
+    where kappa1 <= 0): the fields the checks read. normal (upward unit), K
+    (Gauss curvature), the shape operator entries s11..s22 and pdir1/pdir2
+    (unit eigenvectors for kappa1/kappa2 in graph coordinates) are computed
+    together, by the same expressions, on the first read of any of them.
     """
 
     grid: GridFunction
     parts: Partials
     W: np.ndarray
-    normal: np.ndarray
     H: np.ndarray
     kappa1: np.ndarray
     kappa2: np.ndarray
     A2: np.ndarray
-    K: np.ndarray
     pinch: np.ndarray
-    s11: np.ndarray
-    s12: np.ndarray
-    s21: np.ndarray
-    s22: np.ndarray
-    pdir1: np.ndarray
-    pdir2: np.ndarray
+
+    @cached_property  # writes the instance __dict__, which frozen allows
+    def _lazy(self) -> dict:
+        u1, u2 = self.parts.u1, self.parts.u2
+        Wsq, W, (h11, h12, h22), (c, s), (a, b, d) = _shape_frame(self.parts)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            out = {"normal": np.stack([-u1 / W, -u2 / W, 1.0 / W], axis=-1),
+                   "K": a * d - b * b}
+            # eigenvectors of the symmetric matrix, mapped back through the
+            # rotation and the diag(1/W, 1) scaling, then normalized
+            theta = 0.5 * np.arctan2(2.0 * b, a - d)
+            for name, (wx, wy) in (("pdir1", (np.cos(theta), np.sin(theta))),
+                                   ("pdir2", (-np.sin(theta), np.cos(theta)))):
+                vx = wx / W
+                gx = c * vx - s * wy
+                gy = s * vx + c * wy
+                n = np.hypot(gx, gy)
+                out[name] = np.stack([gx / n, gy / n], axis=-1)
+            # shape operator S = g^{-1} h with g^{-1} = I - grad grad^T / W^2
+            g11i = 1.0 - u1 * u1 / Wsq
+            g12i = -u1 * u2 / Wsq
+            g22i = 1.0 - u2 * u2 / Wsq
+            out["s11"] = g11i * h11 + g12i * h12
+            out["s12"] = g11i * h12 + g12i * h22
+            out["s21"] = g12i * h11 + g22i * h12
+            out["s22"] = g12i * h12 + g22i * h22
+        return out
+
+
+for _name in ("normal", "K", "s11", "s12", "s21", "s22", "pdir1", "pdir2"):
+    setattr(GeometryFields, _name, property(lambda self, name=_name: self._lazy[name]))
 
 
 def _centered_first(F: np.ndarray, h1: float, h2: float, out: np.ndarray) -> np.ndarray:
@@ -200,22 +225,17 @@ def translator_residual(u: GridFunction, parts: Partials | None = None) -> np.nd
     return quasilinear_residual(p.u1, p.u2, p.u11, p.u12, p.u22)
 
 
-def geometry_fields(u: GridFunction, parts: Partials | None = None) -> GeometryFields:
-    """All extrinsic geometry fields of graph(u).
+def _shape_frame(p: Partials):
+    """W^2, W, h = hess u / W, the rotation (c, s) and (a, b, d).
 
-    The induced metric is g = I + grad u (x) grad u, the second fundamental
-    form (upward normal) is hess u / W, and the shape operator S = g^{-1} h.
-    Eigenvalues are computed from the symmetric congruent matrix obtained by
-    rotating the gradient onto the first axis and scaling by diag(W, 1), so
-    the discriminant is a stable hypot and kappa1 >= kappa2 always.
+    (c, s) turns the gradient onto the first axis; [[a, b], [b, d]] is
+    congruent to the shape operator by that rotation and diag(W, 1).
     """
-    p = parts if parts is not None else partials(u)
     u1, u2 = p.u1, p.u2
     with np.errstate(invalid="ignore", divide="ignore"):
         q2 = u1 * u1 + u2 * u2
         Wsq = 1.0 + q2
         W = np.sqrt(Wsq)
-        normal = np.stack([-u1 / W, -u2 / W, 1.0 / W], axis=-1)
 
         h11 = p.u11 / W
         h12 = p.u12 / W
@@ -234,50 +254,34 @@ def geometry_fields(u: GridFunction, parts: Partials | None = None) -> GeometryF
         a = hp11 / Wsq
         b = hp12 / W
         d = hp22
+    return Wsq, W, (h11, h12, h22), (c, s), (a, b, d)
 
+
+def geometry_fields(u: GridFunction, parts: Partials | None = None) -> GeometryFields:
+    """Extrinsic geometry of graph(u); the fields the checks read are computed now.
+
+    The induced metric is g = I + grad u (x) grad u, the second fundamental
+    form (upward normal) is hess u / W, and the shape operator S = g^{-1} h.
+    Eigenvalues are computed from the symmetric congruent matrix obtained by
+    rotating the gradient onto the first axis and scaling by diag(W, 1), so
+    the discriminant is a stable hypot and kappa1 >= kappa2 always.
+    """
+    p = parts if parts is not None else partials(u)
+    _, W, _, _, (a, b, d) = _shape_frame(p)
+    with np.errstate(invalid="ignore", divide="ignore"):
         m = 0.5 * (a + d)
         rad = np.hypot(0.5 * (a - d), b)
         kappa1 = m + rad
         kappa2 = m - rad
         H = a + d
-        K = a * d - b * b
         A2 = kappa1 * kappa1 + kappa2 * kappa2
 
         pinch = np.where(kappa1 > 0.0, _phi(kappa2 / np.where(kappa1 > 0.0, kappa1, 1.0)), np.nan)
         pinch = np.where(np.isnan(kappa1), np.nan, pinch)
 
-        # eigenvectors of the symmetric matrix, mapped back through the
-        # rotation and the diag(1/W, 1) scaling, then normalized
-        theta = 0.5 * np.arctan2(2.0 * b, a - d)
-        w1 = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-        w2 = np.stack([-np.sin(theta), np.cos(theta)], axis=-1)
-
-        def back(w):
-            vx = w[..., 0] / W
-            vy = w[..., 1]
-            gx = c * vx - s * vy
-            gy = s * vx + c * vy
-            n = np.hypot(gx, gy)
-            return np.stack([gx / n, gy / n], axis=-1)
-
-        pdir1 = back(w1)
-        pdir2 = back(w2)
-
-        # shape operator S = g^{-1} h with g^{-1} = I - grad grad^T / W^2
-        g11i = 1.0 - u1 * u1 / Wsq
-        g12i = -u1 * u2 / Wsq
-        g22i = 1.0 - u2 * u2 / Wsq
-        s11 = g11i * h11 + g12i * h12
-        s12 = g11i * h12 + g12i * h22
-        s21 = g12i * h11 + g22i * h12
-        s22 = g12i * h12 + g22i * h22
-
-    ring = np.isnan(u1)
-    pinch = np.where(ring, np.nan, pinch)
-    return GeometryFields(grid=u, parts=p, W=W, normal=normal, H=H,
-                          kappa1=kappa1, kappa2=kappa2, A2=A2, K=K, pinch=pinch,
-                          s11=s11, s12=s12, s21=s21, s22=s22,
-                          pdir1=pdir1, pdir2=pdir2)
+    pinch = np.where(np.isnan(p.u1), np.nan, pinch)
+    return GeometryFields(grid=u, parts=p, W=W, H=H, kappa1=kappa1, kappa2=kappa2,
+                          A2=A2, pinch=pinch)
 
 
 def _phi(r: np.ndarray) -> np.ndarray:
@@ -285,14 +289,13 @@ def _phi(r: np.ndarray) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     out = np.zeros_like(r)
     neg = r < 0.0
-    if np.any(neg):
-        rn = r[neg]
-        with np.errstate(over="ignore", divide="ignore"):
-            z = np.where(rn > -1e-150, -np.inf, -1.0 / (rn * rn))
-        vals = np.where(z < _EXP_FLUSH, 0.0, rn ** 4 * np.exp(np.maximum(z, _EXP_FLUSH)))
-        out[neg] = vals
-    out = np.where(np.isnan(r), np.nan, out)
-    return out
+    rn = r[neg]
+    with np.errstate(over="ignore", divide="ignore"):
+        z = np.where(rn > -1e-150, -np.inf, -1.0 / (rn * rn))
+    # rounding-level negatives all flush: skip rn ** 4's discarded subnormal work
+    if not np.all(z < _EXP_FLUSH):
+        out[neg] = np.where(z < _EXP_FLUSH, 0.0, rn ** 4 * np.exp(np.maximum(z, _EXP_FLUSH)))
+    return np.where(np.isnan(r), np.nan, out)
 
 
 def pinching_ratio(kappa1: float, kappa2: float) -> float:

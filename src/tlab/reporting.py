@@ -20,17 +20,14 @@ GRID_MAGIC = "TLAB-GRID"
 GRID_VERSION = "v1"
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def format_grid(u: GridFunction) -> str:
-    header = " ".join([GRID_MAGIC, GRID_VERSION, str(u.nx), str(u.ny),
-                       _fmt(u.rect.x1_min), _fmt(u.rect.x1_max),
-                       _fmt(u.rect.x2_min), _fmt(u.rect.x2_max)])
-    lines = [header]
-    for j in range(u.ny):
-        lines.append(" ".join(_fmt(v) for v in u.values[j, :]))
+    # "%.17g" % x is the string format(x, ".17g"); one %-format per row runs
+    # in C, and formatting row by row keeps one row of Python floats alive
+    r = u.rect
+    lines = ["%s %s %d %d %.17g %.17g %.17g %.17g" % (GRID_MAGIC, GRID_VERSION, u.nx, u.ny,
+                                                       r.x1_min, r.x1_max, r.x2_min, r.x2_max)]
+    row = " ".join(["%.17g"] * u.nx)
+    lines += [row % tuple(v.tolist()) for v in u.values]
     return "\n".join(lines) + "\n"
 
 

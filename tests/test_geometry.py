@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -154,6 +155,51 @@ class TestGeometryFields:
             a, b = getattr(fu, name), getattr(fd, name)
             np.testing.assert_allclose(b[1:-1, 1:-1], a[::-1, :][1:-1, 1:-1],
                                        atol=1e-10)
+
+
+# sha256 of each field on a grid with no symmetry, NaNs written as one NaN
+# (the sign of a NaN is platform arithmetic, not geometry)
+_FIELD_SHA256 = {
+    "W": "61f89da320f4db8fe682abe9ff9f5669b5f19f35680a2589480095234c519c4f",
+    "normal": "cfab0ee21a80b066122178fc4af14c2d243d2e167b73f224d1eb0c78e36ad730",
+    "H": "effc610b95c49dde60f2afd1d2435ec151813141531efb07bd446f7071e6fa13",
+    "kappa1": "2c2226d0f3535c7278be27e102e67c51025577fec50b86806f7de79d00015ace",
+    "kappa2": "521d61a031396c7879dc52369225b0b43d2aa86c721219e252f36ba0b5d0d497",
+    "A2": "f9ea8b1ec567f9311459519beab5a6926f93b95f3bfbbbbeedeae87d9e151288",
+    "K": "8d08baa63fc94dc5f612242aa8311edcafe5b66ca89d23165c4e2340233da88f",
+    "pinch": "e62393760b1696f5cd87bfb7a03b75da4dace00060dfbd31fe98665e2f87c996",
+    "s11": "0a053f7f53b951cd534ecd1a7b5c65752444f1eada8070a76103db636bfdbcd5",
+    "s12": "4b82e0304bda703ec5b68da42791231dbd2c9eb5bcf8668ca249098a8b86bdd7",
+    "s21": "828b8644824c1c59510774faaa3a5af968297f99127d92226fbc2aba87ec1592",
+    "s22": "f226a6c5aa59c1539460e24f7e002280c680592e6a8d7e1d6f415ab373370f94",
+    "pdir1": "0b0c9abac5645c3df9f326cb70c5462c7999e0e8edb9d9b59b7eb560b2f9f4b3",
+    "pdir2": "284f53a2b121f068706d560a090169551f4e452c79e14b01b8e3de123fbcfcb4",
+}
+_EAGER_FIELDS = {"grid", "parts", "W", "H", "kappa1", "kappa2", "A2", "pinch"}
+
+
+def _asymmetric_grid():
+    # kappa1 <= 0 at two nodes and kappa2 < 0 < kappa1 at 942, so pinch
+    # takes its NaN, zero and positive branches
+    return _grid(lambda a, b: (np.sin(1.7 * a + 0.4 * b) + 0.3 * a * b * b - 0.2 * b
+                               + 0.05 * a ** 3),
+                 rect=(-1.3, 0.9, -0.4, 1.7), nx=37, ny=29)
+
+
+class TestGeometryFieldsPinned:
+    def test_fields_pinned(self):
+        f = tlab.geometry_fields(_asymmetric_grid())
+        for name, want in _FIELD_SHA256.items():
+            arr = getattr(f, name)
+            arr = np.where(np.isnan(arr), np.nan, arr)
+            assert hashlib.sha256(arr.tobytes()).hexdigest() == want, name
+
+    def test_unread_fields_are_not_computed(self):
+        f = tlab.geometry_fields(_asymmetric_grid())
+        assert set(vars(f)) == _EAGER_FIELDS
+        K = f.K
+        assert f.K is K
+        assert set(vars(f)) > _EAGER_FIELDS
 
 
 class TestTranslatorResidual:

@@ -14,8 +14,8 @@ import pytest
 
 import tlab
 import tlab.cli
-from tlab.geometry import (_residual_and_wsq, first_diffs, interior_partials,
-                           quasilinear_residual, second_diffs)
+from tlab.geometry import (_EXP_FLUSH, _phi, _residual_and_wsq, first_diffs,
+                           interior_partials, quasilinear_residual, second_diffs)
 
 
 def _fields(seed, shape, k=5):
@@ -72,6 +72,53 @@ def test_stencil_matches_the_written_differences():
     for got, full, want in zip(interior_partials(F, h1, h2), ringed, expected):
         assert np.array_equal(got, want)
         assert np.array_equal(full[1:-1, 1:-1], want)
+
+
+def _phi_written(r):
+    # the convexity weight as written before its all-flushed early exit
+    r = np.asarray(r, dtype=float)
+    out = np.zeros_like(r)
+    neg = r < 0.0
+    if np.any(neg):
+        rn = r[neg]
+        with np.errstate(over="ignore", divide="ignore"):
+            z = np.where(rn > -1e-150, -np.inf, -1.0 / (rn * rn))
+        out[neg] = np.where(z < _EXP_FLUSH, 0.0, rn ** 4 * np.exp(np.maximum(z, _EXP_FLUSH)))
+    return np.where(np.isnan(r), np.nan, out)
+
+
+def _around_flush_boundary(ulps=6):
+    # -1/sqrt(745) and its neighbours, where -1/r^2 crosses _EXP_FLUSH
+    edge = -1.0 / np.sqrt(-_EXP_FLUSH)
+    up = down = edge
+    out = [edge]
+    for _ in range(ulps):
+        up, down = np.nextafter(up, 0.0), np.nextafter(down, -np.inf)
+        out += [up, down]
+    return out
+
+
+_TINY_NEGATIVE = [-1e-150, -9.99e-151, -1e-151, -1e-200, -2.2250738585072014e-308,
+                  -2.2250738585072009e-308, -1e-320, -5e-324, -0.0, -2.1e-12]
+_OTHER = [np.nan, -np.nan, 0.0, 5e-324, 1e-3, 0.5, 1.0, 1e300, np.inf,
+          -0.04, -0.5, -1.0, -3.0, -1e10, -1e300, -1.7976931348623157e308, -np.inf]
+
+
+@pytest.mark.parametrize("r", [
+    _around_flush_boundary(),
+    _TINY_NEGATIVE,
+    _OTHER,
+    _TINY_NEGATIVE + [0.0, 0.25, np.nan, -0.01, -0.03],  # every negative flushes
+    _around_flush_boundary() + _TINY_NEGATIVE + _OTHER,
+], ids=["flush-boundary", "tiny-negative", "nan-positive-large", "all-flushed", "mixed"])
+def test_phi_matches_the_written_expression(r):
+    r = np.array(r)
+    with np.errstate(over="ignore"):  # r ** 4 overflows on the largest negatives
+        assert _phi(r).tobytes() == _phi_written(r).tobytes()
+        assert (_phi(r.reshape(1, -1)[:, ::-1]).tobytes()
+                == _phi_written(r[::-1].reshape(1, -1)).tobytes())
+        for x in r:
+            assert _phi(np.asarray(x)).tobytes() == _phi_written(np.asarray(x)).tobytes()
 
 
 def test_bowl_profile_end_values_pinned():

@@ -1,9 +1,12 @@
+import hashlib
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import tlab
 from tlab import reporting
@@ -68,6 +71,53 @@ class TestGridFile:
         back = reporting.parse_grid(reporting.format_grid(u))
         np.testing.assert_array_equal(back.values, u.values)
         assert reporting.format_grid(back) == reporting.format_grid(u)
+
+
+def _format_per_value(u):
+    """The grid text as one format(v, ".17g") call per value builds it."""
+    def fmt(x):
+        return format(float(x), ".17g")
+    r = u.rect
+    lines = [" ".join([reporting.GRID_MAGIC, reporting.GRID_VERSION, str(u.nx), str(u.ny),
+                       fmt(r.x1_min), fmt(r.x1_max), fmt(r.x2_min), fmt(r.x2_max)])]
+    lines += [" ".join(fmt(v) for v in u.values[j, :]) for j in range(u.ny)]
+    return "\n".join(lines) + "\n"
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -2.2250738585072014e-308,
+                1.7976931348623157e308, -1.7976931348623157e308, 1.0 / 3.0, -1e-300, 1e16, 123.0]
+
+
+class TestGridFormat:
+    @given(arrays(np.float64, st.tuples(st.integers(3, 6), st.integers(3, 9)),
+                  elements=st.floats(allow_nan=False, allow_infinity=False, width=64)),
+           st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64),
+                    min_size=2, max_size=2, unique=True).map(sorted),
+           st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64),
+                    min_size=2, max_size=2, unique=True).map(sorted))
+    @example(np.array(_EDGE_FLOATS).reshape(3, 4), [-0.0, 5e-324],
+             [-1.7976931348623157e308, 1.7976931348623157e308])
+    @settings(max_examples=200, deadline=None)
+    def test_rows_match_per_value_format(self, vals, side1, side2):
+        rect = tlab.Rectangle(*side1, *side2)
+        u = tlab.GridFunction(rect, vals)
+        assert reporting.format_grid(u) == _format_per_value(u)
+
+    def test_nonfinite_rows_match_per_value_format(self):
+        # a grid holds finite values only; the row format itself must still
+        # spell nan and inf as format() does
+        vals = np.array([[np.nan, np.inf, -np.inf], [-np.nan, 0.0, -0.0], [1.0, -5e-324, 1e308]])
+        u = SimpleNamespace(rect=tlab.Rectangle(-1.0, 1.0, 0.0, 3.0), nx=3, ny=3, values=vals)
+        assert reporting.format_grid(u) == _format_per_value(u)
+
+    def test_grim_grid_text_pinned(self):
+        p = tlab.GrimParams(2.0)
+        R = p.half_width
+        u = tlab.grim_grid(p, tlab.Rectangle(-0.75 * R, 0.75 * R, -5.0, 5.0), 101, 201)
+        text = reporting.format_grid(u)
+        assert text == _format_per_value(u)
+        assert (hashlib.sha256(text.encode()).hexdigest()
+                == "e4ab142824d1cc1c86dcc917bc966793c7228dc5004d972c8c74bab837b1acfd")
 
 
 def _reports():
