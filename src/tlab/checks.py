@@ -137,14 +137,13 @@ def check_gradient_bounds(u: GridFunction, tol: float,
                    worst, tol, loc, f"binding bound: {which}")
 
 
-def check_soliton_identities(u: GridFunction, g: GeometryFields, tol: float,
-                             residual_gate: float | None = None) -> CheckReport:
+def check_soliton_identities(u: GridFunction, g: GeometryFields, tol: float) -> CheckReport:
     """Drift-operator identities plus |A|^2 W^2 >= 1/2 on a near-solution.
 
     Refuses (NotASolutionError) unless the translator residual of u is
-    below the gate, 10x tol by default.
+    below the gate, 10x tol.
     """
-    gate = residual_gate if residual_gate is not None else 10.0 * tol
+    gate = 10.0 * tol
     res = translator_residual(u, g.parts)
     res_max = float(np.nanmax(np.abs(res)))
     if not res_max <= gate:
@@ -346,15 +345,12 @@ class SuiteConfig:
     identity_tol: float | None = None
     asymptotics_tol: float = 0.05
     symmetry_tol: float | None = None
-    strip_h_tol: float = 0.0
-    halfstrip_tol: float = 0.0
     a_cap: float = 1.0
     window: float = 5.0
     delta: float | None = None
     margin: float | None = None
     harnack_paths: int = 100
     seed: int = 0
-    residual_gate: float | None = None
 
     def resolved(self, u: GridFunction) -> "SuiteConfig":
         h = max(u.h1, u.h2)
@@ -398,7 +394,7 @@ def random_monotone_paths(u: GridFunction, count: int, seed: int = 0) -> list[np
 def _soliton_identities_or_refusal(u, fields, parts_, cfg) -> CheckReport:
     """The identities check, or a failed report when the input is refused."""
     try:
-        return check_soliton_identities(u, fields, cfg.identity_tol, cfg.residual_gate)
+        return check_soliton_identities(u, fields, cfg.identity_tol)
     except NotASolutionError as err:
         res = translator_residual(u, parts_)
         worst = float(np.nanmax(np.abs(res)))
@@ -415,7 +411,7 @@ def _soliton_identities_or_refusal(u, fields, parts_, cfg) -> CheckReport:
 # them in this (canonical) order
 _SUITE = {
     "convexity": lambda u, g, pp, cfg: check_convexity(g, cfg.convexity_tol),
-    "strip_H_bound": lambda u, g, pp, cfg: check_strip_H_bound(g, cfg.grim, cfg.strip_h_tol),
+    "strip_H_bound": lambda u, g, pp, cfg: check_strip_H_bound(g, cfg.grim),
     "harnack": lambda u, g, pp, cfg: check_harnack(
         u, g, random_monotone_paths(u, cfg.harnack_paths, cfg.seed), cfg.harnack_tol),
     "gradient_bounds": lambda u, g, pp, cfg: check_gradient_bounds(u, cfg.gradient_tol, pp),
@@ -427,7 +423,7 @@ _SUITE = {
     "symmetry": lambda u, g, pp, cfg: check_symmetry(u, cfg.symmetry_tol, pp),
     "A_bound": lambda u, g, pp, cfg: check_A_bound(g, cfg.a_cap),
     "halfstrip_W_bound": lambda u, g, pp, cfg: check_halfstrip_W_bound(
-        u, cfg.grim, cfg.delta, cfg.halfstrip_tol, pp),
+        u, cfg.grim, cfg.delta, parts=pp),
 }
 
 CANONICAL_ORDER = tuple(_SUITE)
@@ -443,13 +439,18 @@ def default_suite(grim: GrimParams | None, symmetric: bool) -> tuple[str, ...]:
     return tuple(n for n in CANONICAL_ORDER if n in names)
 
 
-def run_suite(u: GridFunction, names, cfg: SuiteConfig) -> list[CheckReport]:
-    """Run the named checks in canonical order over one solution grid."""
-    requested = list(names)
-    unknown = [n for n in requested if n not in CANONICAL_ORDER]
+def require_known(names) -> None:
+    """Raise ValueError listing (sorted) the names that are not checks."""
+    unknown = sorted(set(names) - set(CANONICAL_ORDER))
     if unknown:
         raise ValueError(f"unknown check name(s) {unknown}; "
                          f"valid names: {', '.join(CANONICAL_ORDER)}")
+
+
+def run_suite(u: GridFunction, names, cfg: SuiteConfig) -> list[CheckReport]:
+    """Run the named checks in canonical order over one solution grid."""
+    requested = list(names)
+    require_known(requested)
     needs_grim = [n for n in requested if n in STRIP_CHECKS]
     cfg = cfg.resolved(u)
     if needs_grim and cfg.grim is None:

@@ -237,11 +237,8 @@ def cmd_check(args) -> int:
         names = list(ck.default_suite(grim, symmetric))
     else:
         names = [n.strip() for n in args.suite.split(",") if n.strip()]
-    skip = {n.strip() for n in args.skip.split(",") if n.strip()}
-    bad_skip = skip - set(ck.CANONICAL_ORDER)
-    if bad_skip:
-        raise ValueError(f"unknown check name(s) {sorted(bad_skip)}; "
-                         f"valid names: {', '.join(ck.CANONICAL_ORDER)}")
+    skip = sorted({n.strip() for n in args.skip.split(",") if n.strip()})
+    ck.require_known(skip)
     names = [n for n in names if n not in skip]
     cfg = ck.SuiteConfig(grim=grim,
                          convexity_tol=args.tol_convexity,
@@ -254,15 +251,10 @@ def cmd_check(args) -> int:
                          delta=args.delta, margin=args.margin,
                          harnack_paths=args.paths, seed=args.seed)
     reports = ck.run_suite(u, names, cfg)
-    inputs = {
-        "solution": str(args.solution), "suite": ",".join(names),
-        "skip": ",".join(sorted(skip)), "lambda": args.lam,
-        "window": args.window, "margin": args.margin, "delta": args.delta,
-        "a_cap": args.a_cap, "paths": args.paths, "seed": args.seed,
-        "tol_convexity": args.tol_convexity, "tol_gradient": args.tol_gradient,
-        "tol_harnack": args.tol_harnack, "tol_identities": args.tol_identities,
-        "tol_asymptotics": args.tol_asymptotics, "tol_symmetry": args.tol_symmetry,
-    }
+    # the flags as given, in parser order, with the suite and skip resolved
+    inputs = {("lambda" if k == "lam" else k): v for k, v in vars(args).items()
+              if k not in ("command", "run_id", "out")}
+    inputs.update(suite=",".join(names), skip=",".join(skip))
     report = rep.report_dict(args.run_id, inputs, reports)
     rep.write_report(args.out, report)
     for r in reports:

@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SolverError
-from .geometry import (_MIRROR_ROUNDING_RTOL, _residual_and_wsq, interior_partials,
-                       quasilinear_residual)
+from .geometry import _MIRROR_ROUNDING_RTOL, _residual_and_wsq, interior_partials
 from .grids import GridFunction, Rectangle
 from .solitons import GrimParams
 
@@ -79,11 +78,12 @@ class SolveOutcome:
     mirror_axes: tuple[str, ...] = ()
 
 
-def _residual(U: np.ndarray, h1: float, h2: float, f_int=None) -> np.ndarray:
-    R = quasilinear_residual(*interior_partials(U, h1, h2))
+def _residual(U: np.ndarray, h1: float, h2: float, f_int=None):
+    """Interior residual minus the forcing, and the W^2 of the same stencil."""
+    R, Wsq = _residual_and_wsq(*interior_partials(U, h1, h2))
     if f_int is not None:
         R -= f_int
-    return R
+    return R, Wsq
 
 
 # Stencil offsets (di, dj) in decreasing order of the flat offset
@@ -123,10 +123,11 @@ def _jacobian(U: np.ndarray, h1: float, h2: float, pattern=None, axes=()):
     coefficients, not just the frozen-coefficient principal part; Dirichlet
     neighbors contribute nothing. pattern is _stencil_pattern of the
     interior, built here when not given; a solve builds it once and only
-    the data is refilled per iteration. axes names the mirror folds of U
-    (see _mirror_ghosts): a ghost neighbour's coefficient is added onto
-    its mirror node's, the x1 fold first, so the corner ghost (-1, -1)
-    lands on (1, 1). Returns a CSC matrix.
+    the data is refilled per iteration. axes names the mirror folds of U,
+    a block cut at _fold_origin whose row and column 0 are ghost lines: a
+    ghost neighbour's coefficient is added onto its mirror node's, the x1
+    fold first, so the corner ghost (-1, -1) lands on (1, 1). Returns a
+    CSC matrix.
     """
     from scipy.sparse import csc_matrix
 
@@ -311,31 +312,15 @@ def _fold_origin(shape, axes):
             nx // 2 - 1 if "x1" in axes else 0)
 
 
-def _mirror_ghosts(V: np.ndarray, axes) -> None:
-    """Refresh V's ghost column (x1) and ghost row (x2) from their mirrors.
-
-    V is a grid cut at _fold_origin: its interior holds the unknowns of the
-    fundamental domain, and row or column 0 mirrors row or column 2 across
-    the centre line at index 1. The rest of V's edge is Dirichlet ring.
-    """
-    if "x1" in axes:
-        V[1:-1, 0] = V[1:-1, 2]
-    if "x2" in axes:
-        i = 0 if "x1" in axes else 1
-        V[0, i:-1] = V[2, i:-1]
-
-
-def _unfold(values: np.ndarray, V: np.ndarray, axes) -> np.ndarray:
-    """values with its interior replaced by the mirror-even extension of V's."""
-    U = values.copy()
-    j0, i0 = _fold_origin(U.shape, axes)
-    U[j0 + 1:-1, i0 + 1:-1] = V[1:-1, 1:-1]
+def _mirror(U: np.ndarray, axes) -> None:
+    """Copy the upper half of U's interior (the fundamental half, centre
+    line included) onto the lower half, in place, along each folded axis;
+    the ring is left alone."""
     ny, nx = U.shape
     if "x1" in axes:
         U[1:-1, 1:nx // 2] = U[1:-1, -2:nx // 2:-1]
     if "x2" in axes:
         U[1:ny // 2, 1:-1] = U[-2:ny // 2:-1, 1:-1]
-    return U
 
 
 def newton_solve(boundary, init: GridFunction, cfg: SolveConfig,
@@ -353,14 +338,14 @@ def newton_solve(boundary, init: GridFunction, cfg: SolveConfig,
     A problem that is mirror-even across the middle column or row (odd
     node count along the axis, and init and forcing even to within a few
     hundred ulps of max|init|) is solved on its fundamental domain: a half
-    or a quarter of the unknowns, padded with one mirror ghost column or
-    row that is refreshed after every step. This is the full Newton step
-    restricted to even grid functions. The result is unfolded into the
-    interior, so the ring is the init's bit for bit and the interior is
-    exactly even. If the unfolded residual then misses tol and binds on
-    the mirror side (the ring's rounding-level asymmetry), the same loop
-    goes on over the full grid from the unfolded iterate. Without a fold
-    the loop runs on the full grid with no ghosts.
+    or a quarter of the unknowns. The iterate stays one full grid, kept
+    exactly even by copying the fundamental half onto the other after
+    every step; the residual and the Jacobian read the block that starts
+    one ghost line before each centre line. This is the full Newton step
+    restricted to even grid functions, and the ring stays the init's bit
+    for bit. If the full-grid residual then misses tol and binds on the
+    mirror side (the ring's rounding-level asymmetry), the same loop goes
+    on over the full grid from the same iterate.
 
     Parameters
     ----------
@@ -395,27 +380,28 @@ def newton_solve(boundary, init: GridFunction, cfg: SolveConfig,
     h1, h2 = init.h1, init.h2
     f_full = _forcing_interior(forcing, init.values.shape)
     mirror_axes = axes = _mirror_axes(init, f_full)
-    U = init.values
+    U = init.values.copy()
     history = []
     perturbed = False
     iterations = 0
     factorizations = 0
 
-    # A folded pass is followed by a pass with no fold from the unfolded
-    # iterate when the unfolded residual misses tol and exceeds the folded
+    # A folded pass is followed by a pass with no fold from the same
+    # iterate when its full-grid residual misses tol and exceeds the folded
     # one, i.e. binds on the mirror side. There the ring's rounding-level
     # asymmetry and the mirrored order of the stencil's floating-point sums
     # act, which no even step can undo. A folded residual that binds above
     # tol is the even step's own rounding floor, which a full step shares.
     while True:
-        j0, i0 = _fold_origin(init.values.shape, axes)
-        # U's interior holds the unknowns; with no fold U is the whole grid
-        U = U[j0:, i0:].copy()
-        _mirror_ghosts(U, axes)
+        _mirror(U, axes)
+        j0, i0 = _fold_origin(U.shape, axes)
+        # views of U: the block's interior holds the unknowns and its row
+        # and column 0 are ghost lines; with no fold the block is all of U
+        block, inner = U[j0:, i0:], U[j0 + 1:-1, i0 + 1:-1]
         f_int = None if f_full is None else f_full[j0:, i0:]
-        mj, mi = U.shape[0] - 2, U.shape[1] - 2
+        mj, mi = inner.shape
 
-        F = _residual(U, h1, h2, f_int)
+        F = _residual(block, h1, h2, f_int)[0]
         rn = float(np.max(np.abs(F)))
         if not history:
             history.append(rn)
@@ -425,7 +411,7 @@ def newton_solve(boundary, init: GridFunction, cfg: SolveConfig,
         solve = None
 
         while rn > cfg.tol and iterations < cfg.max_newton_iters:
-            J = _jacobian(U, h1, h2, pattern, axes)
+            J = _jacobian(block, h1, h2, pattern, axes)
             rhs = -F.ravel()
             delta = None
             if solve is not None:
@@ -439,41 +425,41 @@ def newton_solve(boundary, init: GridFunction, cfg: SolveConfig,
                 solve = None
                 if not perturbed:
                     perturbed = True
-                    U[1:-1, 1:-1] += 1e-8 * _smooth_bump(init.ny, init.nx)[j0 + 1:-1, i0 + 1:-1]
-                    _mirror_ghosts(U, axes)
-                    F = _residual(U, h1, h2, f_int)
+                    inner += 1e-8 * _smooth_bump(init.ny, init.nx)[j0 + 1:-1, i0 + 1:-1]
+                    _mirror(U, axes)
+                    F = _residual(block, h1, h2, f_int)[0]
                     rn = float(np.max(np.abs(F)))
                     notes = "singular Jacobian: iterate perturbed once"
                     continue
-                raise SolverError(
-                    f"singular Jacobian at iteration {iterations}",
-                    iterate=GridFunction(init.rect, _unfold(init.values, U, axes)))
+                raise SolverError(f"singular Jacobian at iteration {iterations}",
+                                  iterate=GridFunction(init.rect, U))
             delta = delta.reshape(mj, mi)
 
+            # trial steps are written into U in place; start restores it
+            start = inner.copy()
             alpha = cfg.damping
             accepted = False
             while alpha >= _MIN_STEP_FRACTION:
-                U_try = U.copy()
-                U_try[1:-1, 1:-1] += alpha * delta
-                _mirror_ghosts(U_try, axes)
-                F_try = _residual(U_try, h1, h2, f_int)
+                np.add(start, alpha * delta, out=inner)
+                _mirror(U, axes)
+                F_try = _residual(block, h1, h2, f_int)[0]
                 rn_try = float(np.max(np.abs(F_try)))
                 if np.isfinite(rn_try) and rn_try < rn:
-                    U, F, rn = U_try, F_try, rn_try
+                    F, rn = F_try, rn_try
                     accepted = True
                     break
                 alpha *= 0.5
             iterations += 1
-            if not accepted:
-                notes = "backtracking stalled: no residual decrease along the Newton step"
-                history.append(rn)
-                break
             history.append(rn)
+            if not accepted:
+                inner[...] = start
+                _mirror(U, axes)
+                notes = "backtracking stalled: no residual decrease along the Newton step"
+                break
 
         if not axes:
             break
-        U = _unfold(init.values, U, axes)
-        rn_fold, rn = rn, float(np.max(np.abs(_residual(U, h1, h2, f_full))))
+        rn_fold, rn = rn, float(np.max(np.abs(_residual(U, h1, h2, f_full)[0])))
         history[-1] = rn
         if rn <= max(cfg.tol, rn_fold):
             break
@@ -510,9 +496,7 @@ def parabolic_relax(boundary, init: GridFunction, cfg: SolveConfig,
 
     # one stencil and one residual evaluation per step: the residual also
     # gives the W^2 of the next step
-    F, Wsq = _residual_and_wsq(*interior_partials(U, h1, h2))
-    if f_int is not None:
-        F -= f_int
+    F, Wsq = _residual(U, h1, h2, f_int)
     rn = float(np.max(np.abs(F)))
     history = [rn]
     growth_streak = 0
@@ -520,9 +504,7 @@ def parabolic_relax(boundary, init: GridFunction, cfg: SolveConfig,
     notes = ""
     while rn > cfg.tol and steps < cfg.max_relax_steps:
         U[1:-1, 1:-1] += dt * F / Wsq
-        F, Wsq = _residual_and_wsq(*interior_partials(U, h1, h2))
-        if f_int is not None:
-            F -= f_int
+        F, Wsq = _residual(U, h1, h2, f_int)
         rn_new = float(np.max(np.abs(F)))
         steps += 1
         if not np.isfinite(rn_new):

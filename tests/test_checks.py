@@ -387,6 +387,12 @@ class TestSuite:
         with pytest.raises(ValueError, match="valid names"):
             tlab.run_suite(u, ["bogus"], tlab.SuiteConfig())
 
+    def test_unknown_names_listed_sorted(self):
+        # the message must not depend on set iteration order
+        with pytest.raises(ValueError, match=r"\['bogus', 'zeta'\]; valid names: convexity,"):
+            tlab.checks.require_known(["zeta", "convexity", "bogus", "zeta"])
+        tlab.checks.require_known(tlab.checks.CANONICAL_ORDER)
+
     def test_refusal_becomes_failed_report(self, saddle_grid):
         reports = tlab.run_suite(saddle_grid, ["convexity", "soliton_identities"],
                                  tlab.SuiteConfig())

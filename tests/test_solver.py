@@ -9,7 +9,7 @@ import scipy.sparse.linalg as spla
 import tlab
 from tlab.errors import SolverError
 from tlab.geometry import interior_partials, quasilinear_residual
-from tlab.solver import (_factorize, _fold_origin, _jacobian, _mirror_ghosts,
+from tlab.solver import (_factorize, _fold_origin, _jacobian, _mirror,
                          _preconditioned_step, _residual)
 
 
@@ -94,6 +94,14 @@ class TestNewton:
             tlab.newton_solve(boundary, init, tlab.SolveConfig(tol=1e-12))
         assert err.value.iterate is not None
         assert calls["n"] == 2  # one retry after the deterministic perturbation
+        # the x1-folded iterate comes back on the full grid: the init's ring,
+        # an exactly even interior
+        U, V = err.value.iterate.values, init.values
+        assert U.shape == V.shape
+        for edge in (np.s_[0, :], np.s_[-1, :], np.s_[:, 0], np.s_[:, -1]):
+            assert U[edge].tobytes() == V[edge].tobytes()
+        inner = U[1:-1, 1:-1]
+        assert np.array_equal(inner, inner[:, ::-1])
 
     def test_exactly_singular_jacobian_gives_nonfinite_step(self):
         # the real factorization must hand Newton a nonfinite step, not raise,
@@ -116,8 +124,8 @@ class TestNewton:
         v[1:-1, 1:-1] = rng.standard_normal((5, 7))
         f_int = np.zeros((5, 7))
         eps = 1e-6
-        fd = (_residual(U + eps * v, sample.h1, sample.h2, f_int)
-              - _residual(U - eps * v, sample.h1, sample.h2, f_int)) / (2.0 * eps)
+        fd = (_residual(U + eps * v, sample.h1, sample.h2, f_int)[0]
+              - _residual(U - eps * v, sample.h1, sample.h2, f_int)[0]) / (2.0 * eps)
         np.testing.assert_allclose(J @ v[1:-1, 1:-1].ravel(), fd.ravel(), rtol=1e-6, atol=1e-6)
 
     def test_preconditioned_step_solves_rhs_once(self):
@@ -128,7 +136,7 @@ class TestNewton:
         solve = _factorize(_jacobian(sample.values, h1, h2))
         U = sample.values + _bump(25, 21, 0.2)
         J = _jacobian(U, h1, h2)
-        rhs = -_residual(U, h1, h2, np.zeros((23, 19))).ravel()
+        rhs = -_residual(U, h1, h2, np.zeros((23, 19)))[0].ravel()
         seen = []
 
         def counted(v):
@@ -236,6 +244,21 @@ def _grim_fill(nx=31, ny=37):
     return boundary, tlab.fill_from_boundary(rect, nx, ny, boundary)
 
 
+def _ring_asymmetric_strip():
+    g, init = _strip_problem()
+    V = init.values.copy()
+    V[init.ny // 2 - 3, 0] += 64 * np.finfo(float).eps * np.max(np.abs(V))
+    return None, init.with_values(V)
+
+
+def _stalled_strip():
+    # lambda = 5 with the CLI's default smoothing: the fold stalls at its
+    # rounding floor, the full-grid pass stalls again
+    g5 = tlab.GrimParams(5.0)
+    rect, g = tlab.strip_boundary_data(g5, 0.25 * g5.half_width, 6.0, 24.0)
+    return g, tlab.fill_from_boundary(rect, 61, 121, g)
+
+
 class TestMirrorFold:
     def test_mirror_axes(self, strip_solution):
         assert strip_solution.mirror_axes == ("x1", "x2")
@@ -295,13 +318,30 @@ class TestMirrorFold:
         res = float(np.nanmax(np.abs(tlab.translator_residual(out.solution))))
         assert out.final_residual == res == out.history[-1]
 
+    def test_stalled_line_search_restores_the_iterate(self, monkeypatch):
+        # every trial of a huge step raises the residual: the trials written
+        # into the iterate are undone, so the solve returns the mirrored init
+        monkeypatch.setattr(tlab.solver, "_MIN_STEP_FRACTION", 0.25)
+        monkeypatch.setattr(tlab.solver, "_factorize",
+                            lambda J: lambda rhs: np.full(np.shape(rhs), 1e3))
+        boundary, init = _strip_problem()
+        out = tlab.newton_solve(boundary, init, tlab.SolveConfig())
+        assert out.mirror_axes == ("x1", "x2")
+        assert not out.converged and out.notes.startswith("backtracking stalled")
+        expected = init.values.copy()
+        _mirror(expected, out.mirror_axes)
+        assert out.solution.values.tobytes() == expected.tobytes()
+        res = float(np.nanmax(np.abs(tlab.translator_residual(out.solution))))
+        assert out.final_residual == res == out.history[-1]
+
     @pytest.mark.parametrize("axes", [("x1",), ("x2",), ("x1", "x2")])
     def test_folded_jacobian_matches_central_differences(self, axes):
         p, rect, boundary, sample = _grim_problem(nx=11, ny=9)
         h1, h2 = sample.h1, sample.h2
         j0, i0 = _fold_origin(sample.values.shape, axes)
-        U = (sample.values + _bump(9, 11, 0.3))[j0:, i0:].copy()
-        _mirror_ghosts(U, axes)
+        full = sample.values + _bump(9, 11, 0.3)
+        _mirror(full, axes)
+        U = full[j0:, i0:]
         J = _jacobian(U, h1, h2, axes=axes)
         assert J.format == "csc" and J.has_sorted_indices
         shape = (U.shape[0] - 2, U.shape[1] - 2)
@@ -309,9 +349,10 @@ class TestMirrorFold:
         v[1:-1, 1:-1] = np.random.default_rng(5).standard_normal(shape)
 
         def folded_residual(W):
-            W = W.copy()
-            _mirror_ghosts(W, axes)
-            return _residual(W, h1, h2)
+            G = full.copy()
+            G[j0:, i0:] = W
+            _mirror(G, axes)
+            return _residual(G[j0:, i0:], h1, h2)[0]
 
         eps = 1e-6
         fd = (folded_residual(U + eps * v) - folded_residual(U - eps * v)) / (2.0 * eps)
@@ -330,6 +371,34 @@ class TestMirrorFold:
         assert out.history[-1].hex() == "0x1.9ea0000000000p-36"
         assert (hashlib.sha256(out.solution.values.tobytes()).hexdigest()
                 == "5641e32fa5cfcbdbcd011dd345aa1907f814f82069ef603813219dcf4b8620bb")
+
+    @pytest.mark.parametrize("problem, tol, axes, counts, digest, history", [
+        (_strip_problem, 1e-10, ("x1", "x2"), (True, 5, 3),
+         "586056d3f677d612d2aa4ba478897b8bca02945f80c7a059df15837e47fd5660",
+         "0x1.0c1b4b166b70ap+2 0x1.0d403b45f0af8p+0 0x1.c2cc2876e44a0p-3 "
+         "0x1.10fc9e74ef800p-7 0x1.14963f1b00000p-17 0x1.7db0000000000p-36"),
+        (_grim_fill, 1e-10, ("x1",), (True, 3, 1),
+         "0a98c9588b452bdbd5ac889875670e93c54be300174352249493b49c8ea0a7c8",
+         "0x1.20a5999e00d00p-3 0x1.10896b4380000p-13 0x1.1914800000000p-31 "
+         "0x1.d800000000000p-40"),
+        (_ring_asymmetric_strip, 1e-12, ("x1", "x2"), (True, 7, 5),
+         "7b8dc89e96747b2fa34c246bbd91ccf7cc0cf64b4b49e1c8fa640036a54addc0",
+         "0x1.0c1b4b166b70ap+2 0x1.0d403b45f0af8p+0 0x1.c2cc2876e44a0p-3 "
+         "0x1.10fc9e74ef800p-7 0x1.14963f1b00000p-17 0x1.7db0000000000p-36 "
+         "0x1.18a0000000000p-38 0x1.2c00000000000p-41"),
+        (_stalled_strip, 1e-10, ("x1", "x2"), (False, 8, 4),
+         "fb18cb8d224636c0dccef6b45aaefdcb4b303ba54af0b2ba77ad93600a587f41",
+         "0x1.eab01661541e8p+3 0x1.0fa934046a400p-1 0x1.8b8695b9b8500p-4 "
+         "0x1.691dd407e8400p-8 0x1.dd2a4cfa00000p-17 0x1.1750000000000p-33 "
+         "0x1.1768000000000p-32 0x1.6a20000000000p-33 0x1.6a20000000000p-33"),
+    ])
+    def test_folded_solves_pinned(self, problem, tol, axes, counts, digest, history):
+        boundary, init = problem()
+        out = tlab.newton_solve(boundary, init, tlab.SolveConfig(tol=tol))
+        assert out.mirror_axes == axes
+        assert (out.converged, out.iterations, out.factorizations) == counts
+        assert hashlib.sha256(out.solution.values.tobytes()).hexdigest() == digest
+        assert " ".join(h.hex() for h in out.history) == history
 
 
 class TestParabolicRelax:
