@@ -41,6 +41,19 @@ def _report(name, ref, worst, tol, loc=None, notes="") -> CheckReport:
                        worst_location=loc, notes=notes)
 
 
+def _binding(terms: dict) -> tuple[float, tuple[int, int], str, dict]:
+    """Worst over several grid-shaped violation fields (NaN where not evaluated).
+
+    Returns (worst, location, binding label, {label: that term's worst});
+    the location follows worst_over's mirror rule, and on a tie between
+    terms the first one binds.
+    """
+    each = {label: worst_over(field) for label, field in terms.items()}
+    label = max(each, key=lambda k: each[k][0])
+    worst, loc = each[label]
+    return worst, loc, label, {k: w for k, (w, _) in each.items()}
+
+
 def check_convexity(g: GeometryFields, tol: float) -> CheckReport:
     """Smallest principal curvature nonnegative (up to tol) everywhere."""
     worst, loc = worst_over(-g.kappa2)
@@ -117,53 +130,46 @@ def check_gradient_bounds(u: GridFunction, tol: float,
         _, w2 = first_diffs(root1, h1, h2)
         v_slope = np.abs(w2) - np.abs(p.u1) * root2
 
-    pieces = {
+    worst, loc, which, _ = _binding({
         "|d/dx1 arctan u1| <= 1": v_arctan1,
         "|d/dx2 arctan u2| <= 1": v_arctan2,
         "u11 <= 1 + u1^2": v_h11,
         "u22 <= 1 + u2^2": v_h22,
         "|u12| <= sqrt(1+u1^2) sqrt(1+u2^2)": v_mixed,
         "|d/dx2 sqrt(1+u1^2)| <= |u1| sqrt(1+u2^2)": v_slope,
-    }
-    worst = -math.inf
-    loc = None
-    which = ""
-    for label, field_arr in pieces.items():
-        w, l = worst_over(field_arr)
-        if w > worst:
-            worst, loc, which = w, l, label
+    })
     return _report("gradient_bounds",
                    "first- and second-derivative bounds for convex strip translators",
                    worst, tol, loc, f"binding bound: {which}")
+
+
+_IDENTITIES_REF = "|grad u|^2 = 1 - H^2, drift identities for H and W, |A|^2 W^2 >= 1/2"
 
 
 def check_soliton_identities(u: GridFunction, g: GeometryFields, tol: float) -> CheckReport:
     """Drift-operator identities plus |A|^2 W^2 >= 1/2 on a near-solution.
 
     Refuses (NotASolutionError) unless the translator residual of u is
-    below the gate, 10x tol.
+    below the gate, 10x tol; the error carries the failed report, whose
+    worst violation is that residual.
     """
     gate = 10.0 * tol
     res = translator_residual(u, g.parts)
     res_max = float(np.nanmax(np.abs(res)))
     if not res_max <= gate:
-        raise NotASolutionError(
-            f"translator residual {res_max:.3e} exceeds the gate {gate:.3e}; "
-            "identities are only meaningful on (near-)solutions")
+        msg = (f"translator residual {res_max:.3e} exceeds the gate {gate:.3e}; "
+               "identities are only meaningful on (near-)solutions")
+        raise NotASolutionError(msg, _report("soliton_identities", _IDENTITIES_REF,
+                                             res_max, tol, notes=f"refused: {msg}"))
     res_a, res_b, res_c = drift_identity_residuals(u, fields=g)
-    wa, la = worst_over(np.abs(res_a))
-    wb, lb = worst_over(np.abs(res_b))
-    wc, lc = worst_over(np.abs(res_c))
-    ineq = 0.5 - g.A2 * g.W * g.W
-    wi, li = worst_over(ineq)
-    worst = max(wa, wb, wc, wi)
-    loc = {wa: la, wb: lb, wc: lc, wi: li}[worst]
-    notes = (f"|grad|^2 identity {wa:.3e}; drift-H identity {wb:.3e}; "
-             f"drift-W identity {wc:.3e}; 1/2 - |A|^2 W^2 worst {wi:.3e}; "
-             f"input residual {res_max:.3e}")
-    return _report("soliton_identities",
-                   "|grad u|^2 = 1 - H^2, drift identities for H and W, |A|^2 W^2 >= 1/2",
-                   worst, tol, loc, notes)
+    worst, loc, _, each = _binding({
+        "|grad|^2 identity": np.abs(res_a),
+        "drift-H identity": np.abs(res_b),
+        "drift-W identity": np.abs(res_c),
+        "1/2 - |A|^2 W^2 worst": 0.5 - g.A2 * g.W * g.W,
+    })
+    notes = "".join(f"{k} {w:.3e}; " for k, w in each.items()) + f"input residual {res_max:.3e}"
+    return _report("soliton_identities", _IDENTITIES_REF, worst, tol, loc, notes)
 
 
 def _nearest_column(u: GridFunction, x1_target: float) -> int:
@@ -199,38 +205,43 @@ def check_strip_asymptotics(u: GridFunction, p: GrimParams, window: float,
     else:
         lo, hi = u.rect.x2_min + 1.0, u.rect.x2_min + window
         L_target = -p.tilt_slope
-    rows = np.where((x2 >= lo - 1e-12) & (x2 <= hi + 1e-12))[0]
-    rows = rows[(rows >= 1) & (rows <= u.ny - 2)]
-    if rows.size == 0:
+    rows = (x2 >= lo - 1e-12) & (x2 <= hi + 1e-12)
+    rows[[0, -1]] = False
+    if not rows.any():
         raise ValueError("window is taller than the grid")
 
     x1 = u.x1()
-    cols = np.where(np.abs(x1) <= p.half_width - eff_margin)[0]
-    cols = cols[(cols >= 1) & (cols <= u.nx - 2)]
-    if cols.size == 0:
+    cols = np.abs(x1) <= p.half_width - eff_margin
+    cols[[0, -1]] = False
+    if not cols.any():
         raise ValueError("margin excludes every interior column")
 
     pp = parts if parts is not None else partials(u)
-    sel = np.ix_(rows, cols)
-    profile_target = (p.lam ** 2) * (-np.log(np.cos(x1[cols] / p.lam)))
+    V = u.values
     i0 = _nearest_column(u, 0.0)
-    prof = u.values[rows][:, cols] - u.values[rows, i0][:, None]
-    # window-shaped defect of each limit, in the order ties are resolved
-    terms = [np.abs(pp.u2[sel] - L_target),
-             np.abs(pp.u1[sel] - p.lam * np.tan(x1[cols] / p.lam)[None, :]),
-             np.abs(prof - profile_target[None, :])]
-    v_tilt, v_slope, v_prof = (float(np.max(t)) for t in terms)
-
-    worst = max(v_tilt, v_slope, v_prof)
-    binding = terms[[v_tilt, v_slope, v_prof].index(worst)]
-    r, c = np.unravel_index(int(np.argmax(binding)), binding.shape)
+    # read only inside the window, where |x1| < R and the log is defined
+    with np.errstate(invalid="ignore", divide="ignore"):
+        profile_target = (p.lam ** 2) * (-np.log(np.cos(x1 / p.lam)))
+    window_nodes = np.outer(rows, cols)
+    # defect of each limit, in the order ties are resolved
+    terms = {"tilt": np.abs(pp.u2 - L_target),
+             "slope": np.abs(pp.u1 - p.lam * np.tan(x1 / p.lam)),
+             "profile": np.abs(V - V[:, i0, None] - profile_target)}
+    worst, loc, _, each = _binding({k: np.where(window_nodes, t, np.nan)
+                                    for k, t in terms.items()})
+    v_tilt, v_slope, v_prof = each.values()
     notes = (f"{side} window x2 in [{lo:.3g}, {hi:.3g}], |x1| <= "
              f"{p.half_width - eff_margin:.3g}: |u_x2 - ({L_target:+.6g})| "
              f"{v_tilt:.3e}; |u_x1 - lam tan| {v_slope:.3e}; profile {v_prof:.3e}")
     return _report(f"strip_asymptotics_{side}",
                    "u_x2 -> +-sqrt(lam^2-1) and row profiles -> lam^2 log sec(x1/lam) "
                    "at the strip ends",
-                   worst, tol, (int(cols[c]), int(rows[r])), notes)
+                   worst, tol, loc, notes)
+
+
+def symmetric_in_x1(u: GridFunction) -> bool:
+    """Whether the grid's x1 range is centred on 0 (to 1e-9 of its width)."""
+    return abs(u.rect.x1_min + u.rect.x1_max) <= 1e-9 * u.rect.width1
 
 
 def check_symmetry(u: GridFunction, tol: float,
@@ -243,29 +254,20 @@ def check_symmetry(u: GridFunction, tol: float,
     _MIRROR_ROUNDING_RTOL of max|u|), no node stands out and worst_location
     is None.
     """
-    span = u.rect.width1
-    if abs(u.rect.x1_min + u.rect.x1_max) > 1e-9 * span:
+    if not symmetric_in_x1(u):
         raise ValueError("grid is not symmetric about x1 = 0")
     V = u.values
-    defect = np.abs(V - V[:, ::-1])
-    v_sym = float(np.max(defect))
     pp = parts if parts is not None else partials(u)
-    x1 = u.x1()
-    pos = np.where(x1 > 0.5 * u.h1)[0]
-    pos = pos[(pos >= 1) & (pos <= u.nx - 2)]
-    sub = pp.u1[1:-1, :][:, pos]
-    v_mono, (ci, cj) = worst_over(-sub)
-    n_bad = int(np.count_nonzero(sub <= 0.0))
-    worst = max(v_sym, v_mono)
-    if v_mono > v_sym:
-        loc = (int(pos[ci]), int(cj) + 1)
-    elif v_sym <= _MIRROR_ROUNDING_RTOL * float(np.max(np.abs(V))):
+    pos = u.x1() > 0.5 * u.h1
+    pos[[0, -1]] = False
+    neg_slope = np.where(pos, -pp.u1, np.nan)
+    neg_slope[[0, -1]] = np.nan
+    worst, loc, which, each = _binding({"symmetry defect": np.abs(V - V[:, ::-1]),
+                                        "worst -u_x1 over x1>0": neg_slope})
+    if which == "symmetry defect" and worst <= _MIRROR_ROUNDING_RTOL * float(np.max(np.abs(V))):
         loc = None
-    else:
-        j, i = np.unravel_index(int(np.argmax(defect)), defect.shape)
-        loc = (int(i), int(j))
-    notes = (f"symmetry defect {v_sym:.3e}; worst -u_x1 over x1>0 {v_mono:.3e}; "
-             f"{n_bad} nodes with u_x1 <= 0")
+    notes = ("".join(f"{k} {w:.3e}; " for k, w in each.items())
+             + f"{np.count_nonzero(neg_slope >= 0.0)} nodes with u_x1 <= 0")
     return _report("symmetry",
                    "u(x1, x2) = u(-x1, x2) and u_x1 > 0 for x1 > 0",
                    worst, tol, loc, notes)
@@ -392,19 +394,11 @@ def random_monotone_paths(u: GridFunction, count: int, seed: int = 0) -> list[np
 
 
 def _soliton_identities_or_refusal(u, fields, parts_, cfg) -> CheckReport:
-    """The identities check, or a failed report when the input is refused."""
+    """The identities check, or its failed report when the input is refused."""
     try:
         return check_soliton_identities(u, fields, cfg.identity_tol)
     except NotASolutionError as err:
-        res = translator_residual(u, parts_)
-        worst = float(np.nanmax(np.abs(res)))
-        return CheckReport(
-            name="soliton_identities",
-            statement_ref="|grad u|^2 = 1 - H^2, drift identities for H and W, "
-                          "|A|^2 W^2 >= 1/2",
-            worst_violation=worst, tolerance=float(cfg.identity_tol),
-            passed=False, worst_location=None,
-            notes=f"refused: {err}")
+        return err.report
 
 
 # check name -> check(u, fields, parts, resolved config); the suite runs

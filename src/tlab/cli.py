@@ -43,6 +43,8 @@ def _add_domain_flags(p, defaults=(None, None, None, None)):
 
 
 def build_parser() -> _Parser:
+    solve_defaults = SolveConfig()
+    suite_defaults = ck.SuiteConfig()
     parser = _Parser(prog="tlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -81,11 +83,10 @@ def build_parser() -> _Parser:
     _add_domain_flags(s)
     s.add_argument("--init", choices=["fill", "file"], default="fill")
     s.add_argument("--init-file", default=None)
-    s.add_argument("--tol", type=float, default=1e-10)
-    s.add_argument("--max-iters", type=int, default=40)
-    s.add_argument("--damping", type=float, default=1.0)
+    s.add_argument("--tol", type=float, default=solve_defaults.tol)
+    s.add_argument("--max-iters", type=int, default=solve_defaults.max_newton_iters)
     s.add_argument("--dt", type=float, default=None)
-    s.add_argument("--max-steps", type=int, default=20000)
+    s.add_argument("--max-steps", type=int, default=solve_defaults.max_relax_steps)
     s.add_argument("--out", required=True)
     s.add_argument("--log", default=None)
 
@@ -96,17 +97,17 @@ def build_parser() -> _Parser:
     c.add_argument("--skip", default="",
                    help="comma-separated check names to drop from the suite")
     c.add_argument("--lambda", dest="lam", type=float, default=None)
-    c.add_argument("--window", type=float, default=5.0)
+    c.add_argument("--window", type=float, default=suite_defaults.window)
     c.add_argument("--margin", type=float, default=None)
     c.add_argument("--delta", type=float, default=None)
-    c.add_argument("--a-cap", type=float, default=1.0)
-    c.add_argument("--paths", type=int, default=100)
-    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--a-cap", type=float, default=suite_defaults.a_cap)
+    c.add_argument("--paths", type=int, default=suite_defaults.harnack_paths)
+    c.add_argument("--seed", type=int, default=suite_defaults.seed)
     c.add_argument("--tol-convexity", type=float, default=None)
     c.add_argument("--tol-gradient", type=float, default=None)
-    c.add_argument("--tol-harnack", type=float, default=1e-8)
+    c.add_argument("--tol-harnack", type=float, default=suite_defaults.harnack_tol)
     c.add_argument("--tol-identities", type=float, default=None)
-    c.add_argument("--tol-asymptotics", type=float, default=0.05)
+    c.add_argument("--tol-asymptotics", type=float, default=suite_defaults.asymptotics_tol)
     c.add_argument("--tol-symmetry", type=float, default=None)
     c.add_argument("--run-id", default="tlab-check")
     c.add_argument("--out", required=True)
@@ -208,8 +209,7 @@ def _solve_problem(args):
 def cmd_solve(args) -> int:
     boundary, init = _solve_problem(args)
     cfg = SolveConfig(tol=args.tol, max_newton_iters=args.max_iters,
-                      damping=args.damping, relax_dt=args.dt,
-                      max_relax_steps=args.max_steps)
+                      relax_dt=args.dt, max_relax_steps=args.max_steps)
     if args.mode == "newton":
         outcome = newton_solve(boundary, init, cfg)
     else:
@@ -232,9 +232,8 @@ def cmd_check(args) -> int:
     grim = None
     if args.lam is not None:
         grim = GrimParams(args.lam)
-    symmetric = abs(u.rect.x1_min + u.rect.x1_max) <= 1e-9 * u.rect.width1
     if args.suite == "default":
-        names = list(ck.default_suite(grim, symmetric))
+        names = list(ck.default_suite(grim, ck.symmetric_in_x1(u)))
     else:
         names = [n.strip() for n in args.suite.split(",") if n.strip()]
     skip = sorted({n.strip() for n in args.skip.split(",") if n.strip()})

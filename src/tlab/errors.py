@@ -17,4 +17,11 @@ class SolverError(RuntimeError):
 
 
 class NotASolutionError(RuntimeError):
-    """Input grid is too far from a translator for solution-only checks."""
+    """Input grid is too far from a translator for solution-only checks.
+
+    Carries the failed check report for the refused input.
+    """
+
+    def __init__(self, message, report=None):
+        super().__init__(message)
+        self.report = report

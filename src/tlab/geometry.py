@@ -276,10 +276,8 @@ def geometry_fields(u: GridFunction, parts: Partials | None = None) -> GeometryF
         H = a + d
         A2 = kappa1 * kappa1 + kappa2 * kappa2
 
+        # kappa1 is NaN wherever a partial is, and NaN fails kappa1 > 0
         pinch = np.where(kappa1 > 0.0, _phi(kappa2 / np.where(kappa1 > 0.0, kappa1, 1.0)), np.nan)
-        pinch = np.where(np.isnan(kappa1), np.nan, pinch)
-
-    pinch = np.where(np.isnan(p.u1), np.nan, pinch)
     return GeometryFields(grid=u, parts=p, W=W, H=H, kappa1=kappa1, kappa2=kappa2,
                           A2=A2, pinch=pinch)
 
@@ -375,24 +373,27 @@ def path_intrinsic_length(u: GridFunction, path) -> float:
 
 
 def worst_over(arr: np.ndarray):
-    """Max over trusted (finite) nodes and its (i, j) location.
+    """Max over trusted (non-NaN) nodes and its (i, j) location.
 
-    Fields of even solutions tie between a node and its mirror images
-    (nx-1-i, j), (i, ny-1-j) and (nx-1-i, ny-1-j). Of those that are
-    trusted and within _MIRROR_TIE_RTOL of the max, the one with the
-    largest (j, i) is reported (x1, x2 >= 0 on a grid centred at the
-    origin), so rounding cannot move the location across an axis. The
-    returned value is always the true max.
+    NaN marks an untrusted node; a value that overflowed to +inf is a
+    violation like any other. Fields of even solutions tie between a node
+    and its mirror images (nx-1-i, j), (i, ny-1-j) and (nx-1-i, ny-1-j).
+    Of those that are trusted and within _MIRROR_TIE_RTOL of the max, the
+    one with the largest (j, i) is reported (x1, x2 >= 0 on a grid centred
+    at the origin), so rounding cannot move the location across an axis.
+    The returned value is always the true max.
     """
-    finite = np.isfinite(arr)
-    if not np.any(finite):
+    trusted = ~np.isnan(arr)
+    if not np.any(trusted):
         raise ValueError("field has no trusted nodes")
-    masked = np.where(finite, arr, -np.inf)
+    masked = np.where(trusted, arr, -np.inf)
     flat = int(np.argmax(masked))
     j, i = np.unravel_index(flat, arr.shape)
     worst = float(arr[j, i])
     ny, nx = arr.shape
     mirrors = [(j, i), (j, nx - 1 - i), (ny - 1 - j, i), (ny - 1 - j, nx - 1 - i)]
-    j, i = max(m for m in mirrors
-               if worst - masked[m] <= _MIRROR_TIE_RTOL * abs(worst))
+    # an infinite max ties only with an equal value
+    gap = _MIRROR_TIE_RTOL * abs(worst) if np.isfinite(worst) else 0.0
+    with np.errstate(invalid="ignore"):  # -inf - -inf beside an all -inf field
+        j, i = max(m for m in mirrors if arr[m] == worst or worst - masked[m] <= gap)
     return worst, (int(i), int(j))

@@ -50,15 +50,12 @@ class SolveConfig:
 
     tol: float = 1e-10
     max_newton_iters: int = 40
-    damping: float = 1.0
     relax_dt: float | None = None
     max_relax_steps: int = 20000
 
     def __post_init__(self):
         if not self.tol > 0.0:
             raise ValueError("tol must be positive")
-        if not (0.0 < self.damping <= 1.0):
-            raise ValueError("damping must lie in (0, 1]")
         if self.relax_dt is not None and not self.relax_dt > 0.0:
             raise ValueError("relax_dt must be positive")
 
@@ -355,9 +352,9 @@ def newton_solve(boundary, init: GridFunction, cfg: SolveConfig,
     init : GridFunction
         Starting iterate; also fixes the domain and resolution (>= 5x5).
     cfg : SolveConfig
-        tol is a max-norm target for the interior residual; damping is the
-        initial step fraction, halved by backtracking until the residual
-        norm decreases.
+        tol is a max-norm target for the interior residual; each step is
+        tried in full, then halved by backtracking until the residual norm
+        decreases.
     forcing : array or None
         Optional manufactured right-hand side; the system solved is
         residual(u) = forcing, which makes any sampled reference solution an
@@ -437,7 +434,7 @@ def newton_solve(boundary, init: GridFunction, cfg: SolveConfig,
 
             # trial steps are written into U in place; start restores it
             start = inner.copy()
-            alpha = cfg.damping
+            alpha = 1.0
             accepted = False
             while alpha >= _MIN_STEP_FRACTION:
                 np.add(start, alpha * delta, out=inner)

@@ -1,11 +1,27 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 import tlab
+from tlab import reporting
 from tlab.errors import NotASolutionError
+
+
+def _readme_grim():
+    # the README example: tlab generate grim --lambda 2 --nx 101 --ny 201
+    p = tlab.GrimParams(2.0)
+    R = p.half_width
+    return p, tlab.grim_grid(p, tlab.Rectangle(-0.75 * R, 0.75 * R, -5.0, 5.0), 101, 201)
+
+
+def _digest_without_locations(reports):
+    report = reporting.report_dict("pin", {}, reports)
+    for entry in report["checks"]:
+        del entry["worst_location"]
+    return hashlib.sha256(reporting.format_report(report).encode()).hexdigest()
 
 
 def _grim_sample(lam=2.0, h=0.02, x2_span=1.0, frac=0.75):
@@ -194,6 +210,13 @@ class TestSolitonIdentities:
         fields = tlab.geometry_fields(u)
         with pytest.raises(NotASolutionError):
             tlab.check_soliton_identities(u, fields, 1e-3)
+        (refused,) = tlab.run_suite(u, ["soliton_identities"],
+                                    tlab.SuiteConfig(identity_tol=1e-3))
+        assert not refused.passed and refused.notes.startswith("refused: ")
+        assert refused.worst_violation == float(np.nanmax(np.abs(tlab.translator_residual(u))))
+        _, grim = _grim_sample()
+        passing = tlab.check_soliton_identities(grim, tlab.geometry_fields(grim), 0.04)
+        assert passing.passed and refused.statement_ref == passing.statement_ref
 
 
 class TestStripAsymptotics:
@@ -223,6 +246,16 @@ class TestStripAsymptotics:
         rep = tlab.check_strip_asymptotics(u, p, 1.5, 1e-10, "top", parts=parts)
         assert rep.worst_violation == pytest.approx(0.3, rel=1e-9)
         assert rep.worst_location == (i_slope, j_slope)
+
+    def test_location_is_stable_under_rounding(self):
+        # the exact sample is even in x1, so the binding node ties with its
+        # mirror; rounding-level changes must not move the report across x1 = 0
+        p, u = _readme_grim()
+        for k in (1, 2, 3, 4):
+            for sign in (1.0, -1.0):
+                v = u.with_values(u.values * (1.0 + sign * k * 2e-16))
+                rep = tlab.check_strip_asymptotics(v, p, 3.0, 0.05, "top")
+                assert rep.worst_location[0] >= u.nx // 2, (k * sign, rep.worst_location)
 
     def test_window_validation(self, grim_setup):
         p, u, _, _ = grim_setup
@@ -295,6 +328,14 @@ class TestSymmetry:
             assert 0.0 < rep.worst_violation < 1e-14 and rep.passed
             locations.append(rep.worst_location)
         assert locations == [None, None]
+
+    def test_overflowing_defect_fails(self):
+        rect = tlab.Rectangle(-1.0, 1.0, -1.0, 1.0)
+        V = tlab.sample_to_grid(lambda a, b: a * a + b, rect, 21, 21).values.copy()
+        V[10, 15], V[10, 5] = 1.7e308, -1.7e308
+        with np.errstate(over="ignore"):
+            rep = tlab.check_symmetry(tlab.GridFunction(rect, V), 1e-9)
+        assert rep.worst_violation == np.inf and not rep.passed
 
     def test_asymmetric_grid_rejected(self):
         rect = tlab.Rectangle(0.0, 1.0, -1.0, 1.0)
@@ -401,6 +442,21 @@ class TestSuite:
         ident = by_name["soliton_identities"]
         assert not ident.passed
         assert "refused" in ident.notes
+
+    # every report field but worst_location, as recorded before the
+    # multi-term checks shared one reduction
+    def test_readme_grim_report_pinned_but_for_locations(self):
+        p, u = _readme_grim()
+        names = [n for n in tlab.default_suite(p, True) if n != "strip_asymptotics_bottom"]
+        reports = tlab.run_suite(u, names, tlab.SuiteConfig(grim=p, window=3.0))
+        assert (_digest_without_locations(reports)
+                == "7c740388ce055fc2edee111eece48fefe060caac55aeaac6bb8594702fda78c3")
+
+    def test_strip_report_pinned_but_for_locations(self, strip_solution, grim2):
+        reports = tlab.run_suite(strip_solution.solution, tlab.default_suite(grim2, True),
+                                 tlab.SuiteConfig(grim=grim2))
+        assert (_digest_without_locations(reports)
+                == "3ad6711faf24c9921938bf140ebf5c54caeec43448ddd76a11dbf190d422bbaf")
 
     def test_strip_checks_need_grim_params(self, grim_setup):
         _, u, _, _ = grim_setup

@@ -384,3 +384,11 @@ class TestWorstOver:
         field = u.values.copy()
         field[4, 2] += 1e-6
         assert worst_over(field) == (float(field[4, 2]), (2, 4))
+
+    def test_overflow_is_a_violation_not_an_untrusted_node(self):
+        field = np.zeros((5, 7))
+        field[0, :] = np.nan
+        field[3, 1] = np.inf
+        field[3, 5] = 1e308  # the mirror of the overflowed node does not tie
+        assert worst_over(field) == (np.inf, (1, 3))
+        assert worst_over(np.full((3, 3), -np.inf)) == (-np.inf, (2, 2))
