@@ -233,12 +233,13 @@ def cmd_check(args) -> int:
     if args.lam is not None:
         grim = GrimParams(args.lam)
     if args.suite == "default":
-        names = list(ck.default_suite(grim, ck.symmetric_in_x1(u)))
+        requested = ck.default_suite(grim, ck.symmetric_in_x1(u))
     else:
-        names = [n.strip() for n in args.suite.split(",") if n.strip()]
+        requested = {n.strip() for n in args.suite.split(",") if n.strip()}
     skip = sorted({n.strip() for n in args.skip.split(",") if n.strip()})
-    ck.require_known(skip)
-    names = [n for n in names if n not in skip]
+    ck.require_known([*skip, *requested])
+    # each check runs once, in canonical order, and the report echoes that
+    names = [n for n in ck.CANONICAL_ORDER if n in requested and n not in skip]
     cfg = ck.SuiteConfig(grim=grim,
                          convexity_tol=args.tol_convexity,
                          gradient_tol=args.tol_gradient,

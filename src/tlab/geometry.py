@@ -1,9 +1,9 @@
 """Discrete differential geometry on height-field grids.
 
 Centered second-order stencils produce gradient and Hessian fields; from
-those come the area element W, the unit normal, the shape operator and its
-principal curvatures, Gauss curvature, the convexity pinching ratio, and the
-drift-operator identity residuals used to certify translator solutions.
+those come the area element W, the principal curvatures of the shape
+operator, the convexity pinching ratio, and the drift-operator identity
+residuals used to certify translator solutions.
 
 Derived fields are full-size arrays whose boundary ring (and, for fields
 built from second differences of derived quantities, a second ring) is NaN:
@@ -15,7 +15,6 @@ such fields must be NaN-aware.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -51,15 +50,12 @@ class Partials:
 
 @dataclass(frozen=True)
 class GeometryFields:
-    """Per-node extrinsic geometry of the graph of u.
+    """Per-node extrinsic geometry of the graph of u: the fields the checks read.
 
     W is the area element sqrt(1+|grad u|^2), H = kappa1 + kappa2 the mean
     curvature, A2 = kappa1^2 + kappa2^2 the squared norm of the second
     fundamental form and pinch the convexity ratio phi(kappa2/kappa1) (NaN
-    where kappa1 <= 0): the fields the checks read. normal (upward unit), K
-    (Gauss curvature), the shape operator entries s11..s22 and pdir1/pdir2
-    (unit eigenvectors for kappa1/kappa2 in graph coordinates) are computed
-    together, by the same expressions, on the first read of any of them.
+    where kappa1 <= 0).
     """
 
     grid: GridFunction
@@ -70,37 +66,6 @@ class GeometryFields:
     kappa2: np.ndarray
     A2: np.ndarray
     pinch: np.ndarray
-
-    @cached_property  # writes the instance __dict__, which frozen allows
-    def _lazy(self) -> dict:
-        u1, u2 = self.parts.u1, self.parts.u2
-        Wsq, W, (h11, h12, h22), (c, s), (a, b, d) = _shape_frame(self.parts)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out = {"normal": np.stack([-u1 / W, -u2 / W, 1.0 / W], axis=-1),
-                   "K": a * d - b * b}
-            # eigenvectors of the symmetric matrix, mapped back through the
-            # rotation and the diag(1/W, 1) scaling, then normalized
-            theta = 0.5 * np.arctan2(2.0 * b, a - d)
-            for name, (wx, wy) in (("pdir1", (np.cos(theta), np.sin(theta))),
-                                   ("pdir2", (-np.sin(theta), np.cos(theta)))):
-                vx = wx / W
-                gx = c * vx - s * wy
-                gy = s * vx + c * wy
-                n = np.hypot(gx, gy)
-                out[name] = np.stack([gx / n, gy / n], axis=-1)
-            # shape operator S = g^{-1} h with g^{-1} = I - grad grad^T / W^2
-            g11i = 1.0 - u1 * u1 / Wsq
-            g12i = -u1 * u2 / Wsq
-            g22i = 1.0 - u2 * u2 / Wsq
-            out["s11"] = g11i * h11 + g12i * h12
-            out["s12"] = g11i * h12 + g12i * h22
-            out["s21"] = g12i * h11 + g22i * h12
-            out["s22"] = g12i * h12 + g22i * h22
-        return out
-
-
-for _name in ("normal", "K", "s11", "s12", "s21", "s22", "pdir1", "pdir2"):
-    setattr(GeometryFields, _name, property(lambda self, name=_name: self._lazy[name]))
 
 
 def _centered_first(F: np.ndarray, h1: float, h2: float, out: np.ndarray) -> np.ndarray:
@@ -225,12 +190,16 @@ def translator_residual(u: GridFunction, parts: Partials | None = None) -> np.nd
     return quasilinear_residual(p.u1, p.u2, p.u11, p.u12, p.u22)
 
 
-def _shape_frame(p: Partials):
-    """W^2, W, h = hess u / W, the rotation (c, s) and (a, b, d).
+def geometry_fields(u: GridFunction, parts: Partials | None = None) -> GeometryFields:
+    """Extrinsic geometry of graph(u): W, H, kappa1, kappa2, A2 and pinch.
 
-    (c, s) turns the gradient onto the first axis; [[a, b], [b, d]] is
-    congruent to the shape operator by that rotation and diag(W, 1).
+    The induced metric is g = I + grad u (x) grad u, the second fundamental
+    form (upward normal) is hess u / W, and the shape operator S = g^{-1} h.
+    Eigenvalues are computed from the symmetric congruent matrix obtained by
+    rotating the gradient onto the first axis and scaling by diag(W, 1), so
+    the discriminant is a stable hypot and kappa1 >= kappa2 always.
     """
+    p = parts if parts is not None else partials(u)
     u1, u2 = p.u1, p.u2
     with np.errstate(invalid="ignore", divide="ignore"):
         q2 = u1 * u1 + u2 * u2
@@ -254,21 +223,10 @@ def _shape_frame(p: Partials):
         a = hp11 / Wsq
         b = hp12 / W
         d = hp22
-    return Wsq, W, (h11, h12, h22), (c, s), (a, b, d)
+        # the eigenvalue stage needs only W and (a, b, d): without this del
+        # a 201x401 call peaks 6 MB higher
+        del q2, Wsq, h11, h12, h22, q, safe, c, s, hp11, hp12
 
-
-def geometry_fields(u: GridFunction, parts: Partials | None = None) -> GeometryFields:
-    """Extrinsic geometry of graph(u); the fields the checks read are computed now.
-
-    The induced metric is g = I + grad u (x) grad u, the second fundamental
-    form (upward normal) is hess u / W, and the shape operator S = g^{-1} h.
-    Eigenvalues are computed from the symmetric congruent matrix obtained by
-    rotating the gradient onto the first axis and scaling by diag(W, 1), so
-    the discriminant is a stable hypot and kappa1 >= kappa2 always.
-    """
-    p = parts if parts is not None else partials(u)
-    _, W, _, _, (a, b, d) = _shape_frame(p)
-    with np.errstate(invalid="ignore", divide="ignore"):
         m = 0.5 * (a + d)
         rad = np.hypot(0.5 * (a - d), b)
         kappa1 = m + rad

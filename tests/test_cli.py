@@ -151,6 +151,20 @@ class TestCheck:
         assert r.returncode == 1
         assert "valid names" in r.stderr
 
+    def test_suite_echo_is_the_checks_that_ran(self, tmp_path):
+        grid = tmp_path / "g.grid"
+        assert run_cli("generate", "grim", "--nx", 21, "--ny", 21,
+                       "--out", grid).returncode == 0
+        given, canonical = tmp_path / "given.json", tmp_path / "canonical.json"
+        assert run_cli("check", grid, "--suite", " A_bound,convexity,A_bound,",
+                       "--out", given).returncode == 0
+        assert run_cli("check", grid, "--suite", "convexity,A_bound",
+                       "--out", canonical).returncode == 0
+        doc = json.loads(given.read_text())
+        assert doc["inputs"]["suite"] == "convexity,A_bound"
+        assert [c["name"] for c in doc["checks"]] == ["convexity", "A_bound"]
+        assert given.read_bytes() == canonical.read_bytes()
+
     def test_report_roundtrip_and_determinism(self, tmp_path):
         grid = tmp_path / "g.grid"
         assert run_cli("generate", "grim", "--nx", 41, "--ny", 41,

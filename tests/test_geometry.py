@@ -84,13 +84,7 @@ class TestGeometryFields:
         assert f.H[j0, i0] == pytest.approx(0.25, abs=2e-3)
         assert f.W[j0, i0] == pytest.approx(4.0, abs=1e-3)
 
-    def test_normal_is_unit(self):
-        u = _grid(lambda a, b: np.sin(a) * np.cos(b))
-        f = tlab.geometry_fields(u)
-        norms = np.linalg.norm(f.normal, axis=-1)
-        assert np.nanmax(np.abs(norms - 1.0)) < 1e-14
-
-    def test_normal_times_W_is_vertical_identity(self):
+    def test_W_squared_is_one_plus_gradient_squared(self):
         # W^2 = 1 + |grad|^2 holds exactly as assembled
         u = _grid(lambda a, b: a * a - 0.3 * a * b)
         f = tlab.geometry_fields(u)
@@ -98,17 +92,25 @@ class TestGeometryFields:
         np.testing.assert_allclose(f.W ** 2, 1 + p.u1 ** 2 + p.u2 ** 2,
                                    rtol=1e-15, equal_nan=True)
 
-    def test_eigenpairs_of_shape_operator(self):
+    def test_curvatures_are_eigenvalues_of_shape_operator(self):
+        # S = g^{-1} h per node, with g = I + grad u grad u^T and h = hess u / W
         u = _grid(lambda a, b: np.sin(1.3 * a) * np.cos(0.7 * b) + 0.2 * a * b)
         f = tlab.geometry_fields(u)
+        p = f.parts
         inner = np.s_[1:-1, 1:-1]
+        grad = np.stack([p.u1[inner], p.u2[inner]], axis=-1)
+        g = np.eye(2) + grad[..., :, None] * grad[..., None, :]
+        hess = np.stack([np.stack([p.u11[inner], p.u12[inner]], axis=-1),
+                         np.stack([p.u12[inner], p.u22[inner]], axis=-1)], axis=-2)
+        S = np.linalg.solve(g, hess / f.W[inner][..., None, None])
+        # S is similar to a symmetric matrix, so its eigenvalues are real
+        eig = np.sort(np.linalg.eigvals(S).real, axis=-1)
         assert np.all(f.kappa1[inner] >= f.kappa2[inner])
-        scale = np.abs(f.kappa1) + np.abs(f.kappa2) + 1.0
-        for kap, vec in ((f.kappa1, f.pdir1), (f.kappa2, f.pdir2)):
-            rx = f.s11 * vec[..., 0] + f.s12 * vec[..., 1] - kap * vec[..., 0]
-            ry = f.s21 * vec[..., 0] + f.s22 * vec[..., 1] - kap * vec[..., 1]
-            rel = np.hypot(rx, ry) / scale
-            assert np.nanmax(rel[inner]) <= 1e-10
+        scale = np.abs(f.kappa1[inner]) + np.abs(f.kappa2[inner]) + 1.0
+        assert np.max(np.abs(eig[..., 1] - f.kappa1[inner]) / scale) <= 1e-12
+        assert np.max(np.abs(eig[..., 0] - f.kappa2[inner]) / scale) <= 1e-12
+        np.testing.assert_allclose(f.A2[inner], f.H[inner] ** 2 - 2.0 * np.linalg.det(S),
+                                   rtol=0.0, atol=1e-12)
 
     def test_trace_matches_divergence_form(self):
         u = _grid(lambda a, b: 0.4 * a * a + np.cos(a + 0.5 * b))
@@ -119,12 +121,6 @@ class TestGeometryFields:
         H_div = div_form / f.W ** 3
         rel = np.abs(f.H - H_div) / (np.abs(H_div) + 1.0)
         assert np.nanmax(rel) <= 1e-10
-
-    def test_A2_equals_H2_minus_2K(self):
-        u = _grid(lambda a, b: np.sin(a) * np.sin(b))
-        f = tlab.geometry_fields(u)
-        diff = f.A2 - (f.H ** 2 - 2.0 * f.K)
-        assert np.nanmax(np.abs(diff)) <= 1e-12
 
     def test_translator_satisfies_HW_equals_one(self):
         # H = <N, e3> = 1/W on any translator, to discretization error
@@ -139,7 +135,7 @@ class TestGeometryFields:
         shifted = u.with_values(u.values + 42.0)
         f0 = tlab.geometry_fields(u)
         f1 = tlab.geometry_fields(shifted)
-        for name in ("W", "H", "kappa1", "kappa2", "A2", "K"):
+        for name in ("W", "H", "kappa1", "kappa2", "A2"):
             np.testing.assert_allclose(getattr(f1, name), getattr(f0, name),
                                        atol=1e-9, equal_nan=True)
 
@@ -156,26 +152,45 @@ class TestGeometryFields:
             np.testing.assert_allclose(b[1:-1, 1:-1], a[::-1, :][1:-1, 1:-1],
                                        atol=1e-10)
 
+    def test_commutes_with_the_x1_x2_transpose(self):
+        # the stencils and the rotation differ from the transposed ones only
+        # in the order of their additions, so the fields agree to rounding.
+        # On this grid h1 != h2: a stencil that uses one axis's step for the
+        # other axis fails here. Swapping h1 and h2 everywhere commutes with
+        # the transpose; the tests against exact fields catch that.
+        u = _asymmetric_grid()
+        r = u.rect
+        t = tlab.GridFunction(tlab.Rectangle(r.x2_min, r.x2_max, r.x1_min, r.x1_max),
+                              u.values.T.copy())
+        f, ft = tlab.geometry_fields(u), tlab.geometry_fields(t)
+        eps = np.finfo(float).eps
+        for name in ("W", "H", "kappa1", "kappa2", "A2", "pinch"):
+            a, b = getattr(f, name), getattr(ft, name).T
+            np.testing.assert_array_equal(np.isnan(a), np.isnan(b), err_msg=name)
+        for name in ("W", "H", "kappa1", "kappa2", "A2"):
+            a, b = getattr(f, name), getattr(ft, name).T
+            assert np.nanmax(np.abs(a - b)) <= 16 * eps * np.nanmax(np.abs(a)), name
+        # pinch = phi(r), r = kappa2/kappa1, magnifies a relative error of r
+        # by 4 + 2/r^2, and r carries the error of kappa1 relative to its
+        # own size, which grows like max|kappa| / kappa1 as kappa1 -> 0+
+        pos = f.pinch > 0.0
+        k1, ratio = f.kappa1[pos], f.kappa2[pos] / f.kappa1[pos]
+        cond = (4.0 + 2.0 / ratio ** 2) * np.nanmax(np.abs(f.kappa1)) / k1
+        rel = np.abs(ft.pinch.T[pos] - f.pinch[pos]) / f.pinch[pos]
+        assert np.all(rel <= 16 * eps * cond)
+        np.testing.assert_array_equal(ft.pinch.T[f.pinch == 0.0], 0.0)
+
 
 # sha256 of each field on a grid with no symmetry, NaNs written as one NaN
 # (the sign of a NaN is platform arithmetic, not geometry)
 _FIELD_SHA256 = {
     "W": "61f89da320f4db8fe682abe9ff9f5669b5f19f35680a2589480095234c519c4f",
-    "normal": "cfab0ee21a80b066122178fc4af14c2d243d2e167b73f224d1eb0c78e36ad730",
     "H": "effc610b95c49dde60f2afd1d2435ec151813141531efb07bd446f7071e6fa13",
     "kappa1": "2c2226d0f3535c7278be27e102e67c51025577fec50b86806f7de79d00015ace",
     "kappa2": "521d61a031396c7879dc52369225b0b43d2aa86c721219e252f36ba0b5d0d497",
     "A2": "f9ea8b1ec567f9311459519beab5a6926f93b95f3bfbbbbeedeae87d9e151288",
-    "K": "8d08baa63fc94dc5f612242aa8311edcafe5b66ca89d23165c4e2340233da88f",
     "pinch": "e62393760b1696f5cd87bfb7a03b75da4dace00060dfbd31fe98665e2f87c996",
-    "s11": "0a053f7f53b951cd534ecd1a7b5c65752444f1eada8070a76103db636bfdbcd5",
-    "s12": "4b82e0304bda703ec5b68da42791231dbd2c9eb5bcf8668ca249098a8b86bdd7",
-    "s21": "828b8644824c1c59510774faaa3a5af968297f99127d92226fbc2aba87ec1592",
-    "s22": "f226a6c5aa59c1539460e24f7e002280c680592e6a8d7e1d6f415ab373370f94",
-    "pdir1": "0b0c9abac5645c3df9f326cb70c5462c7999e0e8edb9d9b59b7eb560b2f9f4b3",
-    "pdir2": "284f53a2b121f068706d560a090169551f4e452c79e14b01b8e3de123fbcfcb4",
 }
-_EAGER_FIELDS = {"grid", "parts", "W", "H", "kappa1", "kappa2", "A2", "pinch"}
 
 
 def _asymmetric_grid():
@@ -193,13 +208,6 @@ class TestGeometryFieldsPinned:
             arr = getattr(f, name)
             arr = np.where(np.isnan(arr), np.nan, arr)
             assert hashlib.sha256(arr.tobytes()).hexdigest() == want, name
-
-    def test_unread_fields_are_not_computed(self):
-        f = tlab.geometry_fields(_asymmetric_grid())
-        assert set(vars(f)) == _EAGER_FIELDS
-        K = f.K
-        assert f.K is K
-        assert set(vars(f)) > _EAGER_FIELDS
 
 
 class TestTranslatorResidual:
