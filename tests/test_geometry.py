@@ -13,6 +13,22 @@ def _grid(fn, rect=(-1.0, 1.0, -1.0, 1.0), nx=41, ny=41):
     return tlab.sample_to_grid(fn, tlab.Rectangle(*rect), nx, ny)
 
 
+def _shape_operator(f):
+    """S = g^{-1} h per node, with g = I + grad u grad u^T and h = hess u / W.
+
+    NaN on the boundary ring, where the partials are untrusted.
+    """
+    p = f.parts
+    grad = np.stack([p.u1, p.u2], axis=-1)
+    g = np.eye(2) + grad[..., :, None] * grad[..., None, :]
+    hess = np.stack([np.stack([p.u11, p.u12], axis=-1),
+                     np.stack([p.u12, p.u22], axis=-1)], axis=-2)
+    inner = np.s_[1:-1, 1:-1]
+    S = np.full(g.shape, np.nan)
+    S[inner] = np.linalg.solve(g[inner], hess[inner] / f.W[inner][..., None, None])
+    return S
+
+
 class TestPartials:
     def test_linear_exact(self):
         # exact up to the rounding of the sampled node coordinates
@@ -92,25 +108,26 @@ class TestGeometryFields:
         np.testing.assert_allclose(f.W ** 2, 1 + p.u1 ** 2 + p.u2 ** 2,
                                    rtol=1e-15, equal_nan=True)
 
-    def test_curvatures_are_eigenvalues_of_shape_operator(self):
-        # S = g^{-1} h per node, with g = I + grad u grad u^T and h = hess u / W
+    def test_eigenpairs_of_shape_operator(self):
         u = _grid(lambda a, b: np.sin(1.3 * a) * np.cos(0.7 * b) + 0.2 * a * b)
         f = tlab.geometry_fields(u)
-        p = f.parts
         inner = np.s_[1:-1, 1:-1]
-        grad = np.stack([p.u1[inner], p.u2[inner]], axis=-1)
-        g = np.eye(2) + grad[..., :, None] * grad[..., None, :]
-        hess = np.stack([np.stack([p.u11[inner], p.u12[inner]], axis=-1),
-                         np.stack([p.u12[inner], p.u22[inner]], axis=-1)], axis=-2)
-        S = np.linalg.solve(g, hess / f.W[inner][..., None, None])
+        S = _shape_operator(f)[inner]
         # S is similar to a symmetric matrix, so its eigenvalues are real
         eig = np.sort(np.linalg.eigvals(S).real, axis=-1)
         assert np.all(f.kappa1[inner] >= f.kappa2[inner])
         scale = np.abs(f.kappa1[inner]) + np.abs(f.kappa2[inner]) + 1.0
         assert np.max(np.abs(eig[..., 1] - f.kappa1[inner]) / scale) <= 1e-12
         assert np.max(np.abs(eig[..., 0] - f.kappa2[inner]) / scale) <= 1e-12
-        np.testing.assert_allclose(f.A2[inner], f.H[inner] ** 2 - 2.0 * np.linalg.det(S),
-                                   rtol=0.0, atol=1e-12)
+
+    def test_A2_equals_H2_minus_2K(self):
+        # K = det S, with S built from the partials independently of the fields
+        u = _grid(lambda a, b: np.sin(a) * np.sin(b))
+        f = tlab.geometry_fields(u)
+        inner = np.s_[1:-1, 1:-1]
+        K = np.linalg.det(_shape_operator(f)[inner])
+        diff = f.A2[inner] - (f.H[inner] ** 2 - 2.0 * K)
+        assert np.max(np.abs(diff)) <= 1e-12
 
     def test_trace_matches_divergence_form(self):
         u = _grid(lambda a, b: 0.4 * a * a + np.cos(a + 0.5 * b))
