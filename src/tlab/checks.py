@@ -4,6 +4,8 @@ Each check measures the worst violation of one quantitative statement over
 the trusted interior of a solution grid and reports it against a tolerance;
 worst_violation <= 0 means the statement holds with margin. Every check has
 a synthetic failing input in the test suite, so none is vacuously true.
+Every check takes one GeometryFields g (the grid g.grid, its partials
+g.parts); run_suite builds it once per solution grid.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NotASolutionError
-from .geometry import (_MIRROR_ROUNDING_RTOL, GeometryFields, Partials,
-                       drift_identity_residuals, first_diffs, geometry_fields, partials,
-                       translator_residual, path_intrinsic_length, worst_over)
+from .geometry import (_MIRROR_ROUNDING_RTOL, GeometryFields,
+                       drift_identity_residuals, first_diffs, geometry_fields,
+                       quasilinear_residual, path_intrinsic_length, worst_over)
 from .grids import GridFunction
 from .solitons import GrimParams
 
@@ -65,7 +67,7 @@ def check_convexity(g: GeometryFields, tol: float) -> CheckReport:
                    worst, tol, loc, notes)
 
 
-def check_strip_H_bound(g: GeometryFields, p: GrimParams, tol: float = 0.0) -> CheckReport:
+def check_strip_H_bound(g: GeometryFields, p: GrimParams) -> CheckReport:
     """Mean curvature bounded by the distance to the strip edge."""
     X1, _ = g.grid.mesh()
     bound = p.half_width - np.abs(X1)
@@ -75,10 +77,10 @@ def check_strip_H_bound(g: GeometryFields, p: GrimParams, tol: float = 0.0) -> C
     notes = f"min H over the grid {min_H:.6e} (strictly positive expected)"
     return _report("strip_H_bound",
                    "H(x1, x2) <= R - |x1| on strip translators",
-                   worst, tol, loc, notes)
+                   worst, 0.0, loc, notes)
 
 
-def check_harnack(u: GridFunction, g: GeometryFields, paths, tol: float) -> CheckReport:
+def check_harnack(g: GeometryFields, paths, tol: float) -> CheckReport:
     """Curvature Harnack bound H(P2) >= exp(-length) H(P1) along grid paths.
 
     Graph path length upper-bounds intrinsic distance, so the tested bound
@@ -89,7 +91,7 @@ def check_harnack(u: GridFunction, g: GeometryFields, paths, tol: float) -> Chec
     if not paths:
         raise ValueError("check_harnack needs at least one path")
     # math.exp, not np.exp: the two can differ in the last place
-    damp = np.array([math.exp(-path_intrinsic_length(u, path)) for path in paths])
+    damp = np.array([math.exp(-path_intrinsic_length(g.grid, path)) for path in paths])
     ends = np.array([(path[0], path[-1]) for path in paths])  # path, end, (i, j)
     H_end = g.H[ends[..., 1], ends[..., 0]]
     untrusted = ~np.isfinite(H_end)
@@ -106,8 +108,7 @@ def check_harnack(u: GridFunction, g: GeometryFields, paths, tol: float) -> Chec
                    f"{len(paths)} paths, both orientations")
 
 
-def check_gradient_bounds(u: GridFunction, tol: float,
-                          parts: Partials | None = None) -> CheckReport:
+def check_gradient_bounds(g: GeometryFields, tol: float) -> CheckReport:
     """Slope-of-arctan and Hessian bounds satisfied by convex translators.
 
     Checks |d/dx_i arctan u_i| <= 1 (by differencing arctan of the slope
@@ -115,8 +116,8 @@ def check_gradient_bounds(u: GridFunction, tol: float,
     |u_12| <= sqrt(1+u_1^2) sqrt(1+u_2^2), and
     |d/dx2 sqrt(1+u_1^2)| <= |u_1| sqrt(1+u_2^2).
     """
-    p = parts if parts is not None else partials(u)
-    h1, h2 = u.h1, u.h2
+    p = g.parts
+    h1, h2 = g.grid.h1, g.grid.h2
     with np.errstate(invalid="ignore"):
         a1_1, _ = first_diffs(np.arctan(p.u1), h1, h2)
         _, a2_2 = first_diffs(np.arctan(p.u2), h1, h2)
@@ -146,22 +147,23 @@ def check_gradient_bounds(u: GridFunction, tol: float,
 _IDENTITIES_REF = "|grad u|^2 = 1 - H^2, drift identities for H and W, |A|^2 W^2 >= 1/2"
 
 
-def check_soliton_identities(u: GridFunction, g: GeometryFields, tol: float) -> CheckReport:
+def check_soliton_identities(g: GeometryFields, tol: float) -> CheckReport:
     """Drift-operator identities plus |A|^2 W^2 >= 1/2 on a near-solution.
 
-    Refuses (NotASolutionError) unless the translator residual of u is
+    Refuses (NotASolutionError) unless the translator residual of g.grid is
     below the gate, 10x tol; the error carries the failed report, whose
     worst violation is that residual.
     """
     gate = 10.0 * tol
-    res = translator_residual(u, g.parts)
+    p = g.parts
+    res = quasilinear_residual(p.u1, p.u2, p.u11, p.u12, p.u22)
     res_max = float(np.nanmax(np.abs(res)))
     if not res_max <= gate:
         msg = (f"translator residual {res_max:.3e} exceeds the gate {gate:.3e}; "
                "identities are only meaningful on (near-)solutions")
         raise NotASolutionError(msg, _report("soliton_identities", _IDENTITIES_REF,
                                              res_max, tol, notes=f"refused: {msg}"))
-    res_a, res_b, res_c = drift_identity_residuals(u, fields=g)
+    res_a, res_b, res_c = drift_identity_residuals(g)
     worst, loc, _, each = _binding({
         "|grad|^2 identity": np.abs(res_a),
         "drift-H identity": np.abs(res_b),
@@ -176,10 +178,9 @@ def _nearest_column(u: GridFunction, x1_target: float) -> int:
     return int(np.argmin(np.abs(u.x1() - x1_target)))
 
 
-def check_strip_asymptotics(u: GridFunction, p: GrimParams, window: float,
+def check_strip_asymptotics(g: GeometryFields, p: GrimParams, window: float,
                             tol: float, side: str = "top",
-                            margin: float | None = None,
-                            parts: Partials | None = None) -> CheckReport:
+                            margin: float | None = None) -> CheckReport:
     """Tilt limits and profile convergence in one far window of the strip.
 
     In the window |x2| in [Y - window, Y - 1] (top: x2 > 0, bottom: x2 < 0)
@@ -191,6 +192,7 @@ def check_strip_asymptotics(u: GridFunction, p: GrimParams, window: float,
         raise ValueError("side must be 'top' or 'bottom'")
     if window <= 1.0:
         raise ValueError("window must exceed 1 (the outermost unit is excluded)")
+    u = g.grid
     if window > u.rect.width2 + 1e-12:
         raise ValueError("window is taller than the grid")
     eps_grid = p.half_width - u.rect.x1_max
@@ -216,7 +218,7 @@ def check_strip_asymptotics(u: GridFunction, p: GrimParams, window: float,
     if not cols.any():
         raise ValueError("margin excludes every interior column")
 
-    pp = parts if parts is not None else partials(u)
+    pp = g.parts
     V = u.values
     i0 = _nearest_column(u, 0.0)
     # read only inside the window, where |x1| < R and the log is defined
@@ -244,8 +246,7 @@ def symmetric_in_x1(u: GridFunction) -> bool:
     return abs(u.rect.x1_min + u.rect.x1_max) <= 1e-9 * u.rect.width1
 
 
-def check_symmetry(u: GridFunction, tol: float,
-                   parts: Partials | None = None) -> CheckReport:
+def check_symmetry(g: GeometryFields, tol: float) -> CheckReport:
     """Evenness in x1 plus strict monotonicity u_x1 > 0 for x1 > 0.
 
     Strictness is tested as u_x1 >= -tol away from the axis, with a census
@@ -254,10 +255,11 @@ def check_symmetry(u: GridFunction, tol: float,
     _MIRROR_ROUNDING_RTOL of max|u|), no node stands out and worst_location
     is None.
     """
+    u = g.grid
     if not symmetric_in_x1(u):
         raise ValueError("grid is not symmetric about x1 = 0")
     V = u.values
-    pp = parts if parts is not None else partials(u)
+    pp = g.parts
     pos = u.x1() > 0.5 * u.h1
     pos[[0, -1]] = False
     neg_slope = np.where(pos, -pp.u1, np.nan)
@@ -283,9 +285,7 @@ def check_A_bound(g: GeometryFields, cap: float = 1.0) -> CheckReport:
                    worst, 0.0, loc, f"cap {cap:g}; observed max |A|^2 = {observed:.6e}")
 
 
-def check_halfstrip_W_bound(u: GridFunction, p: GrimParams, delta: float,
-                            tol: float = 0.0,
-                            parts: Partials | None = None) -> CheckReport:
+def check_halfstrip_W_bound(g: GeometryFields, p: GrimParams, delta: float) -> CheckReport:
     """Interior area-element bound on the upper half-strip.
 
     With C0 = max W on the x2 = 0 row over |x1| <= R - delta and C1 = max W
@@ -295,13 +295,12 @@ def check_halfstrip_W_bound(u: GridFunction, p: GrimParams, delta: float,
     R = p.half_width
     if not (0.0 < delta < R):
         raise ValueError("need 0 < delta < strip half-width")
+    u = g.grid
     if u.rect.x2_min > 0.0 or u.rect.x2_max <= 0.0:
         raise ValueError("grid does not cover the half-strip x2 >= 0 with its base row")
     if u.rect.x1_max < R - delta - 1e-12 or u.rect.x1_min > -(R - delta) + 1e-12:
         raise ValueError("grid does not cover |x1| <= R - delta")
-    pp = parts if parts is not None else partials(u)
-    with np.errstate(invalid="ignore"):
-        W = np.sqrt(1.0 + pp.u1 ** 2 + pp.u2 ** 2)
+    W = g.W
     x1 = u.x1()
     x2 = u.x2()
     j0 = int(np.argmin(np.abs(x2)))
@@ -322,7 +321,7 @@ def check_halfstrip_W_bound(u: GridFunction, p: GrimParams, delta: float,
     notes = f"C0={C0:.6g}, C1={C1:.6g}, bound={bound:.6g}"
     return _report("halfstrip_W_bound",
                    "W <= 2 (R-delta)/delta max(C0, C1) on the half-strip",
-                   worst, tol, loc, notes)
+                   worst, 0.0, loc, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -393,31 +392,30 @@ def random_monotone_paths(u: GridFunction, count: int, seed: int = 0) -> list[np
     return paths
 
 
-def _soliton_identities_or_refusal(u, fields, parts_, cfg) -> CheckReport:
+def _soliton_identities_or_refusal(g, cfg) -> CheckReport:
     """The identities check, or its failed report when the input is refused."""
     try:
-        return check_soliton_identities(u, fields, cfg.identity_tol)
+        return check_soliton_identities(g, cfg.identity_tol)
     except NotASolutionError as err:
         return err.report
 
 
-# check name -> check(u, fields, parts, resolved config); the suite runs
-# them in this (canonical) order
+# check name -> check(fields, resolved config); the suite runs them in this
+# (canonical) order
 _SUITE = {
-    "convexity": lambda u, g, pp, cfg: check_convexity(g, cfg.convexity_tol),
-    "strip_H_bound": lambda u, g, pp, cfg: check_strip_H_bound(g, cfg.grim),
-    "harnack": lambda u, g, pp, cfg: check_harnack(
-        u, g, random_monotone_paths(u, cfg.harnack_paths, cfg.seed), cfg.harnack_tol),
-    "gradient_bounds": lambda u, g, pp, cfg: check_gradient_bounds(u, cfg.gradient_tol, pp),
+    "convexity": lambda g, cfg: check_convexity(g, cfg.convexity_tol),
+    "strip_H_bound": lambda g, cfg: check_strip_H_bound(g, cfg.grim),
+    "harnack": lambda g, cfg: check_harnack(
+        g, random_monotone_paths(g.grid, cfg.harnack_paths, cfg.seed), cfg.harnack_tol),
+    "gradient_bounds": lambda g, cfg: check_gradient_bounds(g, cfg.gradient_tol),
     "soliton_identities": _soliton_identities_or_refusal,
-    "strip_asymptotics_top": lambda u, g, pp, cfg: check_strip_asymptotics(
-        u, cfg.grim, cfg.window, cfg.asymptotics_tol, "top", cfg.margin, pp),
-    "strip_asymptotics_bottom": lambda u, g, pp, cfg: check_strip_asymptotics(
-        u, cfg.grim, cfg.window, cfg.asymptotics_tol, "bottom", cfg.margin, pp),
-    "symmetry": lambda u, g, pp, cfg: check_symmetry(u, cfg.symmetry_tol, pp),
-    "A_bound": lambda u, g, pp, cfg: check_A_bound(g, cfg.a_cap),
-    "halfstrip_W_bound": lambda u, g, pp, cfg: check_halfstrip_W_bound(
-        u, cfg.grim, cfg.delta, parts=pp),
+    "strip_asymptotics_top": lambda g, cfg: check_strip_asymptotics(
+        g, cfg.grim, cfg.window, cfg.asymptotics_tol, "top", cfg.margin),
+    "strip_asymptotics_bottom": lambda g, cfg: check_strip_asymptotics(
+        g, cfg.grim, cfg.window, cfg.asymptotics_tol, "bottom", cfg.margin),
+    "symmetry": lambda g, cfg: check_symmetry(g, cfg.symmetry_tol),
+    "A_bound": lambda g, cfg: check_A_bound(g, cfg.a_cap),
+    "halfstrip_W_bound": lambda g, cfg: check_halfstrip_W_bound(g, cfg.grim, cfg.delta),
 }
 
 CANONICAL_ORDER = tuple(_SUITE)
@@ -442,15 +440,15 @@ def require_known(names) -> None:
 
 
 def run_suite(u: GridFunction, names, cfg: SuiteConfig) -> list[CheckReport]:
-    """Run the named checks in canonical order over one solution grid."""
+    """Run the named checks (at least one) in canonical order over one grid."""
     requested = list(names)
     require_known(requested)
+    if not requested:
+        raise ValueError("no checks to run: the suite is empty")
     needs_grim = [n for n in requested if n in STRIP_CHECKS]
     cfg = cfg.resolved(u)
     if needs_grim and cfg.grim is None:
         raise ValueError(f"checks {needs_grim} need grim-family parameters")
 
-    parts_ = partials(u)
-    fields = geometry_fields(u, parts_)
-    return [_SUITE[name](u, fields, parts_, cfg)
-            for name in CANONICAL_ORDER if name in requested]
+    g = geometry_fields(u)
+    return [_SUITE[name](g, cfg) for name in CANONICAL_ORDER if name in requested]

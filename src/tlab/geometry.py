@@ -184,9 +184,9 @@ def _residual_and_wsq(u1, u2, u11, u12, u22):
     return R, Wsq
 
 
-def translator_residual(u: GridFunction, parts: Partials | None = None) -> np.ndarray:
+def translator_residual(u: GridFunction) -> np.ndarray:
     """Residual grid of the translator equation; NaN on the boundary ring."""
-    p = parts if parts is not None else partials(u)
+    p = partials(u)
     return quasilinear_residual(p.u1, p.u2, p.u11, p.u12, p.u22)
 
 
@@ -265,9 +265,8 @@ def pinching_ratio(kappa1: float, kappa2: float) -> float:
     return float(_phi(np.asarray(kappa2 / kappa1)))
 
 
-def drift_identity_residuals(u: GridFunction, parts: Partials | None = None,
-                             fields: GeometryFields | None = None):
-    """Residual grids of three translator identities.
+def drift_identity_residuals(g: GeometryFields):
+    """Residual grids of three translator identities on the graph of g.grid.
 
     (a) |grad u|^2 / W^2 - (1 - 1/W^2): an algebraic identity, zero to
         rounding; a consistency check of the field assembly.
@@ -282,9 +281,8 @@ def drift_identity_residuals(u: GridFunction, parts: Partials | None = None,
     (b) and (c) difference derived fields, so their trusted region is two
     rings deep; all three are O(h^2) on exactly sampled translators.
     """
-    g = fields if fields is not None else geometry_fields(u, parts)
     p = g.parts
-    h1, h2 = u.h1, u.h2
+    h1, h2 = g.grid.h1, g.grid.h2
     with np.errstate(invalid="ignore"):
         Wsq = g.W * g.W
         res_a = (p.u1 * p.u1 + p.u2 * p.u2) / Wsq - (1.0 - 1.0 / Wsq)

@@ -472,8 +472,7 @@ def newton_solve(boundary, init: GridFunction, cfg: SolveConfig,
                         factorizations=factorizations, mirror_axes=mirror_axes)
 
 
-def parabolic_relax(boundary, init: GridFunction, cfg: SolveConfig,
-                    forcing=None) -> SolveOutcome:
+def parabolic_relax(boundary, init: GridFunction, cfg: SolveConfig) -> SolveOutcome:
     """Explicit pseudo-time stepping toward the translator equation.
 
     Steps u += dt * residual / W^2: the W^2 normalization makes the
@@ -489,11 +488,10 @@ def parabolic_relax(boundary, init: GridFunction, cfg: SolveConfig,
     h1, h2 = init.h1, init.h2
     dt = cfg.relax_dt if cfg.relax_dt is not None else 0.2 * min(h1, h2) ** 2
     U = init.values.copy()
-    f_int = _forcing_interior(forcing, U.shape)
 
     # one stencil and one residual evaluation per step: the residual also
     # gives the W^2 of the next step
-    F, Wsq = _residual(U, h1, h2, f_int)
+    F, Wsq = _residual(U, h1, h2)
     rn = float(np.max(np.abs(F)))
     history = [rn]
     growth_streak = 0
@@ -501,7 +499,7 @@ def parabolic_relax(boundary, init: GridFunction, cfg: SolveConfig,
     notes = ""
     while rn > cfg.tol and steps < cfg.max_relax_steps:
         U[1:-1, 1:-1] += dt * F / Wsq
-        F, Wsq = _residual(U, h1, h2, f_int)
+        F, Wsq = _residual(U, h1, h2)
         rn_new = float(np.max(np.abs(F)))
         steps += 1
         if not np.isfinite(rn_new):

@@ -101,14 +101,14 @@ def test_criterion_5_inequality_suite(bowl_solves, strip_solution, grim2):
     """Convexity, H bound, gradient bounds, Harnack, |A|^2 <= 1 on all solutions."""
     failures = []
 
-    def run(label, u, fields, parts, grim, grad_tol, strip_like):
+    def run(label, fields, grim, grad_tol, strip_like):
         reps = [tlab.check_convexity(fields, 1e-6),
-                tlab.check_gradient_bounds(u, grad_tol, parts),
-                tlab.check_harnack(u, fields,
-                                   tlab.random_monotone_paths(u, 100, seed=0), 1e-8),
+                tlab.check_gradient_bounds(fields, grad_tol),
+                tlab.check_harnack(fields,
+                                   tlab.random_monotone_paths(fields.grid, 100, seed=0), 1e-8),
                 tlab.check_A_bound(fields, 1.0)]
         if strip_like:
-            reps.append(tlab.check_strip_H_bound(fields, grim, 0.0))
+            reps.append(tlab.check_strip_H_bound(fields, grim))
         for rep in reps:
             if not rep.passed:
                 failures.append(f"{label}/{rep.name} worst={rep.worst_violation:.3e}")
@@ -117,18 +117,14 @@ def test_criterion_5_inequality_suite(bowl_solves, strip_solution, grim2):
         p, u = _grim_sample(lam)
         parts = tlab.grim_partials(p, u)
         fields = tlab.geometry_fields(u, parts)
-        run(f"exact lam={lam}", u, fields, parts, p, 1e-8, strip_like=True)
+        run(f"exact lam={lam}", fields, p, 1e-8, strip_like=True)
 
     bowl_out, _ = bowl_solves[0.05]
     ub = bowl_out.solution
-    pb = tlab.partials(ub)
-    run("bowl solve", ub, tlab.geometry_fields(ub, pb), pb, None, 1e-4,
-        strip_like=False)
+    run("bowl solve", tlab.geometry_fields(ub), None, 1e-4, strip_like=False)
 
     us = strip_solution.solution
-    ps = tlab.partials(us)
-    run("strip solve", us, tlab.geometry_fields(us, ps), ps, grim2, 1e-4,
-        strip_like=True)
+    run("strip solve", tlab.geometry_fields(us), grim2, 1e-4, strip_like=True)
 
     ok = not failures
     assert _verdict(5, ok, "all inequality checks passed on exact, bowl and strip "
@@ -147,7 +143,7 @@ def test_criterion_6_identity_suite():
         ny = int(round(0.2 / h)) + 1
         u = tlab.grim_grid(p, rect, nx, ny)
         parts = tlab.grim_partials(p, u)
-        res_a, res_b, res_c = tlab.drift_identity_residuals(u, parts=parts)
+        res_a, res_b, res_c = tlab.drift_identity_residuals(tlab.geometry_fields(u, parts))
         rounding_worst = max(rounding_worst, float(np.nanmax(np.abs(res_a))))
         worst[h] = (float(np.nanmax(np.abs(res_b))), float(np.nanmax(np.abs(res_c))))
     orders["drift_H"] = math.log2(worst[0.01][0] / worst[0.005][0])
@@ -162,11 +158,11 @@ def test_criterion_6_identity_suite():
 def test_criterion_7_strip_asymptotics_and_symmetry(strip_solution, grim2):
     """Two-ended strip solve passes both windows at 0.05 and symmetry."""
     u = strip_solution.solution
-    parts = tlab.partials(u)
-    top = tlab.check_strip_asymptotics(u, grim2, 5.0, 0.05, "top", parts=parts)
-    bottom = tlab.check_strip_asymptotics(u, grim2, 5.0, 0.05, "bottom", parts=parts)
+    fields = tlab.geometry_fields(u)
+    top = tlab.check_strip_asymptotics(fields, grim2, 5.0, 0.05, "top")
+    bottom = tlab.check_strip_asymptotics(fields, grim2, 5.0, 0.05, "bottom")
     sym_tol = 1e-6 * float(np.max(np.abs(u.values)))
-    sym = tlab.check_symmetry(u, sym_tol, parts)
+    sym = tlab.check_symmetry(fields, sym_tol)
     ok = top.passed and bottom.passed and sym.passed
     assert _verdict(7, ok,
                     f"top worst {top.worst_violation:.3e}, bottom worst "
@@ -186,7 +182,7 @@ def test_criterion_8_harness_falsifiability(saddle_grid):
     p1, u1 = _grim_sample(1.0, h=0.02, x2_span=0.5)
     fields1 = tlab.geometry_fields(u1)
     inflated = dataclasses.replace(fields1, H=3.0 * fields1.H)
-    rep = tlab.check_strip_H_bound(inflated, p1, 0.0)
+    rep = tlab.check_strip_H_bound(inflated, p1)
     results.append(("inflated H strip bound", not rep.passed and rep.worst_violation > 0))
 
     p, u = _grim_sample(2.0, h=0.05)
@@ -196,16 +192,16 @@ def test_criterion_8_harness_falsifiability(saddle_grid):
     H = fields.H.copy()
     H[7, 7] *= 10.0
     jumpy = dataclasses.replace(fields, H=H)
-    rep = tlab.check_harnack(u, jumpy, [[(7, 7), (8, 7)]], 1e-8)
+    rep = tlab.check_harnack(jumpy, [[(7, 7), (8, 7)]], 1e-8)
     results.append(("H jump harnack", not rep.passed and rep.worst_violation > 0))
 
     rect = tlab.Rectangle(-1.0, 1.0, -1.0, 1.0)
     sheared = tlab.sample_to_grid(lambda a, b: a + b, rect, 21, 21)
-    rep = tlab.check_symmetry(sheared, 1e-9)
+    rep = tlab.check_symmetry(tlab.geometry_fields(sheared), 1e-9)
     results.append(("asymmetric u symmetry", not rep.passed and rep.worst_violation > 0))
 
     para = tlab.sample_to_grid(lambda a, b: a * a + 0.0 * b, rect, 21, 21)
-    rep = tlab.check_gradient_bounds(para, 1e-6)
+    rep = tlab.check_gradient_bounds(tlab.geometry_fields(para), 1e-6)
     results.append(("parabola gradient bound", not rep.passed and rep.worst_violation > 0))
 
     bad = [name for name, good in results if not good]

@@ -97,14 +97,14 @@ class TestStripHBound:
 class TestHarnack:
     def test_zero_length_path_is_equality(self, grim_setup):
         _, u, _, fields = grim_setup
-        rep = tlab.check_harnack(u, fields, [[(5, 5)]], 0.0)
+        rep = tlab.check_harnack(fields, [[(5, 5)]], 0.0)
         assert rep.passed
         assert rep.worst_violation == 0.0
 
     def test_random_paths_pass_with_margin(self, grim_setup):
         _, u, _, fields = grim_setup
         paths = tlab.random_monotone_paths(u, 100, seed=0)
-        rep = tlab.check_harnack(u, fields, paths, 1e-8)
+        rep = tlab.check_harnack(fields, paths, 1e-8)
         assert rep.passed
         assert rep.worst_violation < 0.0
 
@@ -113,33 +113,33 @@ class TestHarnack:
         H = fields.H.copy()
         H[10, 10] *= 10.0
         fake = dataclasses.replace(fields, H=H)
-        rep = tlab.check_harnack(u, fake, [[(10, 10), (11, 10)]], 1e-8)
+        rep = tlab.check_harnack(fake, [[(10, 10), (11, 10)]], 1e-8)
         assert not rep.passed
         assert rep.worst_violation > 0.0
 
     def test_invalid_path_rejected(self, grim_setup):
         _, u, _, fields = grim_setup
         with pytest.raises(ValueError):
-            tlab.check_harnack(u, fields, [[(1, 1), (4, 1)]], 0.0)
+            tlab.check_harnack(fields, [[(1, 1), (4, 1)]], 0.0)
 
     def test_empty_path_list_rejected(self, grim_setup):
         _, u, _, fields = grim_setup
         with pytest.raises(ValueError, match="at least one path"):
-            tlab.check_harnack(u, fields, [], 0.0)
+            tlab.check_harnack(fields, [], 0.0)
 
     def test_path_ending_on_the_ring_rejected(self, grim_setup):
         _, u, _, fields = grim_setup
         with pytest.raises(ValueError, match=r"\(2, 0\) is not a trusted"):
-            tlab.check_harnack(u, fields, [[(2, 2), (2, 1), (2, 0)]], 0.0)
+            tlab.check_harnack(fields, [[(2, 2), (2, 1), (2, 0)]], 0.0)
 
     def test_location_is_the_far_end_of_the_worst_orientation(self, grim_setup):
         _, u, _, fields = grim_setup
         H = fields.H.copy()
         H[10, 10] *= 10.0
         fake = dataclasses.replace(fields, H=H)
-        rep = tlab.check_harnack(u, fake, [[(12, 10), (11, 10)], [(10, 10), (11, 10)]], 1e-8)
+        rep = tlab.check_harnack(fake, [[(12, 10), (11, 10)], [(10, 10), (11, 10)]], 1e-8)
         assert rep.worst_location == (11, 10)
-        rep = tlab.check_harnack(u, fake, [[(11, 10), (10, 10)]], 1e-8)
+        rep = tlab.check_harnack(fake, [[(11, 10), (10, 10)]], 1e-8)
         assert rep.worst_location == (11, 10)
 
 
@@ -169,20 +169,21 @@ class TestRandomPaths:
 class TestGradientBounds:
     def test_exact_grim_analytic_fields(self, grim_setup):
         p, u, _, _ = grim_setup
-        rep = tlab.check_gradient_bounds(u, 1e-8, tlab.grim_partials(p, u))
+        exact = tlab.geometry_fields(u, tlab.grim_partials(p, u))
+        rep = tlab.check_gradient_bounds(exact, 1e-8)
         assert rep.passed
 
     def test_plane_has_unit_margin(self):
         rect = tlab.Rectangle(-1.0, 1.0, -1.0, 1.0)
         u = tlab.sample_to_grid(lambda a, b: 5.0 * a, rect, 21, 21)
-        rep = tlab.check_gradient_bounds(u, 0.0)
+        rep = tlab.check_gradient_bounds(tlab.geometry_fields(u), 0.0)
         assert rep.passed
         assert rep.worst_violation == pytest.approx(-1.0, abs=1e-12)
 
     def test_parabola_violates_hessian_bound(self):
         rect = tlab.Rectangle(-2.0, 2.0, -1.0, 1.0)
         u = tlab.sample_to_grid(lambda a, b: a * a + 0.0 * b, rect, 41, 21)
-        rep = tlab.check_gradient_bounds(u, 1e-6)
+        rep = tlab.check_gradient_bounds(tlab.geometry_fields(u), 1e-6)
         assert not rep.passed
         assert rep.worst_violation == pytest.approx(1.0, abs=1e-6)  # 2 > 1 at the axis
 
@@ -191,7 +192,7 @@ class TestSolitonIdentities:
     def test_exact_grim_passes(self, grim_setup):
         _, u, _, fields = grim_setup
         h = max(u.h1, u.h2)
-        rep = tlab.check_soliton_identities(u, fields, 100.0 * h * h)
+        rep = tlab.check_soliton_identities(fields, 100.0 * h * h)
         assert rep.passed
 
     def test_bowl_apex_is_umbilic_equality(self, bowl_profile_fine):
@@ -209,13 +210,13 @@ class TestSolitonIdentities:
         u = tlab.sample_to_grid(lambda a, b: np.zeros_like(a), rect, 21, 21)
         fields = tlab.geometry_fields(u)
         with pytest.raises(NotASolutionError):
-            tlab.check_soliton_identities(u, fields, 1e-3)
+            tlab.check_soliton_identities(fields, 1e-3)
         (refused,) = tlab.run_suite(u, ["soliton_identities"],
                                     tlab.SuiteConfig(identity_tol=1e-3))
         assert not refused.passed and refused.notes.startswith("refused: ")
         assert refused.worst_violation == float(np.nanmax(np.abs(tlab.translator_residual(u))))
         _, grim = _grim_sample()
-        passing = tlab.check_soliton_identities(grim, tlab.geometry_fields(grim), 0.04)
+        passing = tlab.check_soliton_identities(tlab.geometry_fields(grim), 0.04)
         assert passing.passed and refused.statement_ref == passing.statement_ref
 
 
@@ -225,8 +226,9 @@ class TestStripAsymptotics:
         # while the bottom window must report the 2L tilt mismatch
         p, u, _, _ = grim_setup
         exact = tlab.grim_partials(p, u)
-        top = tlab.check_strip_asymptotics(u, p, 1.5, 1e-10, "top", parts=exact)
-        bottom = tlab.check_strip_asymptotics(u, p, 1.5, 1e-10, "bottom", parts=exact)
+        top = tlab.check_strip_asymptotics(tlab.geometry_fields(u, exact), p, 1.5, 1e-10, "top")
+        bottom = tlab.check_strip_asymptotics(tlab.geometry_fields(u, exact), p, 1.5, 1e-10,
+                                              "bottom")
         assert top.passed
         assert not bottom.passed  # single tilt is not the two-ended soliton
         assert bottom.worst_violation == pytest.approx(2 * p.tilt_slope, rel=1e-6)
@@ -243,7 +245,7 @@ class TestStripAsymptotics:
         u2[j_tilt, i_tilt] += 0.1
         u1[j_slope, i_slope] += 0.3
         parts = dataclasses.replace(exact, u1=u1, u2=u2)
-        rep = tlab.check_strip_asymptotics(u, p, 1.5, 1e-10, "top", parts=parts)
+        rep = tlab.check_strip_asymptotics(tlab.geometry_fields(u, parts), p, 1.5, 1e-10, "top")
         assert rep.worst_violation == pytest.approx(0.3, rel=1e-9)
         assert rep.worst_location == (i_slope, j_slope)
 
@@ -254,20 +256,20 @@ class TestStripAsymptotics:
         for k in (1, 2, 3, 4):
             for sign in (1.0, -1.0):
                 v = u.with_values(u.values * (1.0 + sign * k * 2e-16))
-                rep = tlab.check_strip_asymptotics(v, p, 3.0, 0.05, "top")
+                rep = tlab.check_strip_asymptotics(tlab.geometry_fields(v), p, 3.0, 0.05, "top")
                 assert rep.worst_location[0] >= u.nx // 2, (k * sign, rep.worst_location)
 
     def test_window_validation(self, grim_setup):
-        p, u, _, _ = grim_setup
+        p, _, _, fields = grim_setup
         with pytest.raises(ValueError):
-            tlab.check_strip_asymptotics(u, p, 0.5, 0.05)
+            tlab.check_strip_asymptotics(fields, p, 0.5, 0.05)
         with pytest.raises(ValueError):
-            tlab.check_strip_asymptotics(u, p, 100.0, 0.05)
+            tlab.check_strip_asymptotics(fields, p, 100.0, 0.05)
 
     def test_solver_strip_passes_both_windows(self, strip_solution, grim2):
-        u = strip_solution.solution
+        fields = tlab.geometry_fields(strip_solution.solution)
         for side in ("top", "bottom"):
-            rep = tlab.check_strip_asymptotics(u, grim2, 5.0, 0.05, side)
+            rep = tlab.check_strip_asymptotics(fields, grim2, 5.0, 0.05, side)
             assert rep.passed, rep.notes
 
     def test_tilt_monotone_and_bounded(self, strip_solution, grim2):
@@ -282,20 +284,21 @@ class TestStripAsymptotics:
 
 class TestSymmetry:
     def test_exact_grim_symmetric(self, grim_setup):
-        _, u, parts, _ = grim_setup
-        rep = tlab.check_symmetry(u, 1e-10, parts)
+        _, _, _, fields = grim_setup
+        rep = tlab.check_symmetry(fields, 1e-10)
         assert rep.passed
         assert "0 nodes" in rep.notes
 
     def test_solver_strip_symmetric(self, strip_solution):
         u = strip_solution.solution
-        rep = tlab.check_symmetry(u, 1e-6 * float(np.max(np.abs(u.values))))
+        rep = tlab.check_symmetry(tlab.geometry_fields(u),
+                                  1e-6 * float(np.max(np.abs(u.values))))
         assert rep.passed
 
     def test_sheared_plane_fails(self):
         rect = tlab.Rectangle(-1.0, 1.0, -1.0, 1.0)
         u = tlab.sample_to_grid(lambda a, b: a + b, rect, 21, 21)
-        rep = tlab.check_symmetry(u, 1e-9)
+        rep = tlab.check_symmetry(tlab.geometry_fields(u), 1e-9)
         assert not rep.passed
         assert rep.worst_violation > 0.0
 
@@ -306,13 +309,13 @@ class TestSymmetry:
         u = tlab.sample_to_grid(lambda a, b: a * a + b, rect, 21, 21)
         bumped = u.values.copy()
         bumped[7, 14] += 1e-3
-        rep = tlab.check_symmetry(u.with_values(bumped), 1e-9)
+        rep = tlab.check_symmetry(tlab.geometry_fields(u.with_values(bumped)), 1e-9)
         assert rep.worst_violation == pytest.approx(1e-3, rel=1e-6)
         assert rep.worst_location in ((14, 7), (6, 7))
         # even but decreasing for x1 > 0: monotonicity binds, at the steepest
         # descent next to the right edge
         u = tlab.sample_to_grid(lambda a, b: -a * a + b, rect, 21, 21)
-        rep = tlab.check_symmetry(u, 1e-9)
+        rep = tlab.check_symmetry(tlab.geometry_fields(u), 1e-9)
         assert rep.worst_violation > 1.0
         assert rep.worst_location[0] == 19
 
@@ -324,7 +327,7 @@ class TestSymmetry:
         for j, i in ((7, 14), (15, 3)):
             V = u.values.copy()
             V[j, i] = np.nextafter(np.nextafter(V[j, i], np.inf), np.inf)
-            rep = tlab.check_symmetry(u.with_values(V), 1e-9)
+            rep = tlab.check_symmetry(tlab.geometry_fields(u.with_values(V)), 1e-9)
             assert 0.0 < rep.worst_violation < 1e-14 and rep.passed
             locations.append(rep.worst_location)
         assert locations == [None, None]
@@ -334,14 +337,14 @@ class TestSymmetry:
         V = tlab.sample_to_grid(lambda a, b: a * a + b, rect, 21, 21).values.copy()
         V[10, 15], V[10, 5] = 1.7e308, -1.7e308
         with np.errstate(over="ignore"):
-            rep = tlab.check_symmetry(tlab.GridFunction(rect, V), 1e-9)
+            rep = tlab.check_symmetry(tlab.geometry_fields(tlab.GridFunction(rect, V)), 1e-9)
         assert rep.worst_violation == np.inf and not rep.passed
 
     def test_asymmetric_grid_rejected(self):
         rect = tlab.Rectangle(0.0, 1.0, -1.0, 1.0)
         u = tlab.sample_to_grid(lambda a, b: a, rect, 21, 21)
         with pytest.raises(ValueError):
-            tlab.check_symmetry(u, 1e-9)
+            tlab.check_symmetry(tlab.geometry_fields(u), 1e-9)
 
 
 class TestABound:
@@ -369,15 +372,16 @@ class TestABound:
 
 class TestHalfstripWBound:
     def test_exact_grim_passes(self, grim_setup):
-        p, u, parts, _ = grim_setup
+        p, _, _, fields = grim_setup
         delta = 0.3 * p.half_width
-        rep = tlab.check_halfstrip_W_bound(u, p, delta, parts=parts)
+        rep = tlab.check_halfstrip_W_bound(fields, p, delta)
         assert rep.passed
         assert rep.worst_violation < 0.0
 
     def test_solver_strip_passes(self, strip_solution, grim2):
         u = strip_solution.solution
-        rep = tlab.check_halfstrip_W_bound(u, grim2, 0.3 * grim2.half_width)
+        rep = tlab.check_halfstrip_W_bound(tlab.geometry_fields(u), grim2,
+                                           0.3 * grim2.half_width)
         assert rep.passed
 
     def test_inflated_W_fails(self, grim_setup):
@@ -388,7 +392,7 @@ class TestHalfstripWBound:
         u1 = parts.u1.copy()
         u1[u.ny // 2 + 2, i_spot] = 10.0 * np.nanmax(np.abs(parts.u1)) + 50.0
         doctored = dataclasses.replace(parts, u1=u1)
-        rep = tlab.check_halfstrip_W_bound(u, p, delta, parts=doctored)
+        rep = tlab.check_halfstrip_W_bound(tlab.geometry_fields(u, doctored), p, delta)
         assert not rep.passed
         assert rep.worst_violation > 0.0
 
@@ -397,7 +401,7 @@ class TestHalfstripWBound:
         rect = tlab.Rectangle(-0.5, 0.5, -1.0, 1.0)
         small = tlab.sample_to_grid(lambda a, b: a * a, rect, 11, 11)
         with pytest.raises(ValueError):
-            tlab.check_halfstrip_W_bound(small, p, 0.3 * p.half_width)
+            tlab.check_halfstrip_W_bound(tlab.geometry_fields(small), p, 0.3 * p.half_width)
 
 
 class TestSuite:
@@ -427,6 +431,31 @@ class TestSuite:
         _, u, _, _ = grim_setup
         with pytest.raises(ValueError, match="valid names"):
             tlab.run_suite(u, ["bogus"], tlab.SuiteConfig())
+
+    def test_empty_suite_rejected(self, grim_setup):
+        _, u, _, _ = grim_setup
+        with pytest.raises(ValueError, match="empty"):
+            tlab.run_suite(u, [], tlab.SuiteConfig())
+
+    def test_partials_and_fields_computed_once_per_suite(self, monkeypatch, strip_solution,
+                                                         grim2):
+        calls = {"partials": 0, "geometry_fields": 0}
+
+        def count(module, name):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+
+        count(tlab.geometry, "partials")
+        count(tlab.checks, "geometry_fields")
+        names = tlab.default_suite(grim2, symmetric=True)
+        reports = tlab.run_suite(strip_solution.solution, names,
+                                 tlab.SuiteConfig(grim=grim2, harnack_paths=25))
+        assert [r.name for r in reports] == list(tlab.checks.CANONICAL_ORDER)
+        assert calls == {"partials": 1, "geometry_fields": 1}
 
     def test_unknown_names_listed_sorted(self):
         # the message must not depend on set iteration order
@@ -468,7 +497,7 @@ class TestSuite:
         worsts = []
         for h in (0.02, 0.01):
             _, u = _grim_sample(lam=1.0, h=h, x2_span=0.2)
-            rep = tlab.check_gradient_bounds(u, 1.0)
+            rep = tlab.check_gradient_bounds(tlab.geometry_fields(u), 1.0)
             worsts.append(rep.worst_violation)
         assert worsts[0] > 0.0  # discretization-limited (positive) violation
         assert worsts[0] / worsts[1] >= 3.0

@@ -151,6 +151,17 @@ class TestCheck:
         assert r.returncode == 1
         assert "valid names" in r.stderr
 
+    def test_empty_suite_is_a_usage_error(self, tmp_path):
+        grid = tmp_path / "g.grid"
+        assert run_cli("generate", "grim", "--nx", 21, "--ny", 21,
+                       "--out", grid).returncode == 0
+        report = tmp_path / "r.json"
+        for flags in (["--suite", ""], ["--suite", "convexity", "--skip", "convexity"]):
+            r = run_cli("check", grid, *flags, "--out", report)
+            assert r.returncode == 1, flags
+            assert "suite is empty" in r.stderr
+            assert not report.exists()
+
     def test_suite_echo_is_the_checks_that_ran(self, tmp_path):
         grid = tmp_path / "g.grid"
         assert run_cli("generate", "grim", "--nx", 21, "--ny", 21,

@@ -261,13 +261,13 @@ class TestDriftIdentities:
     def test_gradient_identity_is_rounding_level(self, grim2):
         rect = tlab.Rectangle(-2.0, 2.0, -0.2, 0.2)
         u = tlab.grim_grid(grim2, rect, 201, 21)
-        res_a, _, _ = tlab.drift_identity_residuals(u)
+        res_a, _, _ = tlab.drift_identity_residuals(tlab.geometry_fields(u))
         assert np.nanmax(np.abs(res_a)) <= 1e-13
 
     def test_fd_magnitudes(self, grim2):
         rect = tlab.Rectangle(-2.0, 2.0, -0.1, 0.1)
         u = tlab.grim_grid(grim2, rect, 801, 41)  # h = 0.005
-        _, res_b, res_c = tlab.drift_identity_residuals(u)
+        _, res_b, res_c = tlab.drift_identity_residuals(tlab.geometry_fields(u))
         assert np.nanmax(np.abs(res_b)) <= 1e-3
         assert np.nanmax(np.abs(res_c)) <= 1e-1
 
@@ -279,7 +279,7 @@ class TestDriftIdentities:
             ny = int(round(0.2 / h)) + 1
             u = tlab.grim_grid(grim2, rect, nx, ny)
             parts = tlab.grim_partials(grim2, u)
-            _, res_b, res_c = tlab.drift_identity_residuals(u, parts=parts)
+            _, res_b, res_c = tlab.drift_identity_residuals(tlab.geometry_fields(u, parts))
             worst[h] = (np.nanmax(np.abs(res_b)), np.nanmax(np.abs(res_c)))
         order_b = math.log2(worst[0.01][0] / worst[0.005][0])
         order_c = math.log2(worst[0.01][1] / worst[0.005][1])
