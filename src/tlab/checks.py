@@ -69,8 +69,7 @@ def check_convexity(g: GeometryFields, tol: float) -> CheckReport:
 
 def check_strip_H_bound(g: GeometryFields, p: GrimParams) -> CheckReport:
     """Mean curvature bounded by the distance to the strip edge."""
-    X1, _ = g.grid.mesh()
-    bound = p.half_width - np.abs(X1)
+    bound = p.half_width - np.abs(g.grid.x1())
     worst, loc = worst_over(g.H - bound)
     finite = np.isfinite(g.H)
     min_H = float(np.min(g.H[finite]))
@@ -260,10 +259,8 @@ def check_symmetry(g: GeometryFields, tol: float) -> CheckReport:
         raise ValueError("grid is not symmetric about x1 = 0")
     V = u.values
     pp = g.parts
-    pos = u.x1() > 0.5 * u.h1
-    pos[[0, -1]] = False
-    neg_slope = np.where(pos, -pp.u1, np.nan)
-    neg_slope[[0, -1]] = np.nan
+    # u1 is NaN on the ring, so neg_slope is too
+    neg_slope = np.where(u.x1() > 0.5 * u.h1, -pp.u1, np.nan)
     worst, loc, which, each = _binding({"symmetry defect": np.abs(V - V[:, ::-1]),
                                         "worst -u_x1 over x1>0": neg_slope})
     if which == "symmetry defect" and worst <= _MIRROR_ROUNDING_RTOL * float(np.max(np.abs(V))):
@@ -314,8 +311,7 @@ def check_halfstrip_W_bound(g: GeometryFields, p: GrimParams, delta: float) -> C
     C1 = float(np.nanmax(col))
     bound = 2.0 * (R - delta) / delta * max(C0, C1)
 
-    region = np.zeros_like(W, dtype=bool)
-    region[np.ix_(x2 >= 0.0, np.abs(x1) <= R - 1.5 * delta)] = True
+    region = np.outer(x2 >= 0.0, np.abs(x1) <= R - 1.5 * delta)
     vals = np.where(region, W - bound, np.nan)
     worst, loc = worst_over(vals)
     notes = f"C0={C0:.6g}, C1={C1:.6g}, bound={bound:.6g}"

@@ -64,21 +64,21 @@ class CylinderParams:
             raise ValueError("cylinder radius must be positive")
 
 
-def _first_bad_index(bad: np.ndarray):
+def _refuse_where(bad: np.ndarray, values: np.ndarray, message) -> None:
+    """Raise DomainError if bad holds anywhere: message(value) at the first
+    bad node, followed by that node's index when the input is an array."""
+    if not np.any(bad):
+        return
     if bad.ndim == 0:
-        return None
-    return tuple(int(k) for k in np.unravel_index(int(np.argmax(bad)), bad.shape))
+        raise DomainError(message(float(values)))
+    idx = tuple(int(k) for k in np.unravel_index(int(np.argmax(bad)), bad.shape))
+    raise DomainError(f"{message(float(values[idx]))} at node index {idx}")
 
 
 def _require_strip(x1, half_width: float):
     x1a = np.asarray(x1, dtype=float)
-    bad = np.abs(x1a) > half_width - EDGE_MARGIN
-    if np.any(bad):
-        idx = _first_bad_index(bad)
-        val = float(x1a[idx]) if idx is not None else float(x1a)
-        where = f" at node index {idx}" if idx else ""
-        raise DomainError(
-            f"x1 = {val!r} is outside the open strip |x1| < {half_width!r}{where}")
+    _refuse_where(np.abs(x1a) > half_width - EDGE_MARGIN, x1a,
+                  lambda v: f"x1 = {v!r} is outside the open strip |x1| < {half_width!r}")
     return x1a
 
 
@@ -97,13 +97,12 @@ def grim_cylinder_value(p: GrimParams, x1, x2):
 
 
 def grim_cylinder_gradient(p: GrimParams, x1, x2):
-    """Gradient (lam tan(x1/lam), tilt * sqrt(lam^2-1))."""
+    """Gradient (lam tan(x1/lam), tilt * sqrt(lam^2-1)); the constant u2
+    has the broadcast shape of x1 and x2."""
     x1a = _require_strip(x1, p.half_width)
-    x2a = np.asarray(x2, dtype=float)
     g1 = p.lam * np.tan(x1a / p.lam)
-    g2 = np.broadcast_to(np.asarray(p.tilt_sign * p.tilt_slope), x2a.shape).copy() \
-        if x2a.ndim else p.tilt_sign * p.tilt_slope
-    return g1, g2
+    g2 = np.full(np.broadcast_shapes(x1a.shape, np.shape(x2)), p.tilt_sign * p.tilt_slope)
+    return g1, g2[()]
 
 
 def grim_cylinder_hessian(p: GrimParams, x1):
@@ -122,9 +121,7 @@ def grim_cylinder_hessian(p: GrimParams, x1):
 def grim_cylinder_residual(p: GrimParams, x1, x2):
     """Translator residual of the grim cylinder from its analytic fields."""
     g1, g2 = grim_cylinder_gradient(p, x1, x2)
-    u11, u12, u22 = grim_cylinder_hessian(p, x1)
-    g2a = np.broadcast_to(np.asarray(g2, dtype=float), np.shape(u11))
-    return quasilinear_residual(g1, g2a, u11, u12, u22)
+    return quasilinear_residual(g1, g2, *grim_cylinder_hessian(p, x1))
 
 
 def grim_partials(p: GrimParams, u: GridFunction) -> Partials:
@@ -133,10 +130,8 @@ def grim_partials(p: GrimParams, u: GridFunction) -> Partials:
     The boundary ring is NaN to match the finite-difference convention.
     """
     X1, X2 = u.mesh()
-    g1, g2 = grim_cylinder_gradient(p, X1, X2)
-    u11, u12, u22 = grim_cylinder_hessian(p, X1)
-    g2 = np.broadcast_to(np.asarray(g2, dtype=float), X1.shape).copy()
-    fields = [np.array(f, dtype=float) for f in (g1, g2, u11, u12, u22)]
+    fields = [np.array(f, dtype=float) for f in (*grim_cylinder_gradient(p, X1, X2),
+                                                  *grim_cylinder_hessian(p, X1))]
     for f in fields:
         f[0, :] = f[-1, :] = np.nan
         f[:, 0] = f[:, -1] = np.nan
@@ -146,12 +141,8 @@ def grim_partials(p: GrimParams, u: GridFunction) -> Partials:
 def tilted_cylinder_value(c: CylinderParams, x1, x2):
     """Height -sqrt(1+t^2) sqrt(R^2 - x1^2) + t (x2 - offset), |x1| <= R."""
     x1a = np.asarray(x1, dtype=float)
-    bad = np.abs(x1a) > c.radius
-    if np.any(bad):
-        idx = _first_bad_index(bad)
-        val = float(x1a[idx]) if idx is not None else float(x1a)
-        where = f" at node index {idx}" if idx else ""
-        raise DomainError(f"x1 = {val!r} is outside |x1| <= {c.radius!r}{where}")
+    _refuse_where(np.abs(x1a) > c.radius, x1a,
+                  lambda v: f"x1 = {v!r} is outside |x1| <= {c.radius!r}")
     x2a = np.asarray(x2, dtype=float)
     root = np.sqrt(np.maximum(c.radius * c.radius - x1a * x1a, 0.0))
     return -math.sqrt(1.0 + c.tilt * c.tilt) * root + c.tilt * (x2a - c.offset)
@@ -274,12 +265,8 @@ def bowl_radial_function(profile: BowlProfile):
 
     def fn(x1, x2):
         rr = np.hypot(np.asarray(x1, dtype=float), np.asarray(x2, dtype=float))
-        bad = rr > r_max * (1.0 + 1e-12)
-        if np.any(bad):
-            idx = _first_bad_index(bad)
-            where = f" at node index {idx}" if idx else ""
-            raise DomainError(f"radius {float(np.max(rr))!r} exceeds the profile "
-                              f"extent {r_max!r}{where}")
+        _refuse_where(rr > r_max * (1.0 + 1e-12), rr,
+                      lambda v: f"radius {v!r} exceeds the profile extent {r_max!r}")
         return interp(np.minimum(rr, r_max))
 
     return fn

@@ -204,51 +204,51 @@ def _preconditioned_step(J, rhs: np.ndarray, solve, rtol: float):
     return x if info == 0 else None
 
 
-def boundary_ring_values(boundary, u: GridFunction):
-    """Boundary data on the four sides of u's grid.
+def _ring(V: np.ndarray):
+    return V[0, :], V[-1, :], V[:, 0], V[:, -1]
 
-    boundary may be a callable g(x1, x2), a GridFunction on the same grid,
-    or None (reuse u's own ring). Returns (bottom, top, left, right).
+
+def boundary_ring_values(boundary, rect: Rectangle, nx: int, ny: int):
+    """Boundary data on the four sides of the nx x ny grid on rect.
+
+    boundary is a vectorized callable g(x1, x2) or a GridFunction on that
+    grid. Returns (bottom, top, left, right).
     """
-    x1 = u.x1()
-    x2 = u.x2()
-    if boundary is None:
-        V = u.values
-        return V[0, :].copy(), V[-1, :].copy(), V[:, 0].copy(), V[:, -1].copy()
     if isinstance(boundary, GridFunction):
-        if boundary.values.shape != u.values.shape or boundary.rect != u.rect:
+        if boundary.values.shape != (ny, nx) or boundary.rect != rect:
             raise ValueError("boundary grid does not match the solve grid")
-        V = boundary.values
-        return V[0, :].copy(), V[-1, :].copy(), V[:, 0].copy(), V[:, -1].copy()
-    g = boundary
-    bottom = np.asarray(g(x1, np.full_like(x1, u.rect.x2_min)), dtype=float)
-    top = np.asarray(g(x1, np.full_like(x1, u.rect.x2_max)), dtype=float)
-    left = np.asarray(g(np.full_like(x2, u.rect.x1_min), x2), dtype=float)
-    right = np.asarray(g(np.full_like(x2, u.rect.x1_max), x2), dtype=float)
-    return bottom, top, left, right
+        return _ring(boundary.values)
+    x1 = np.linspace(rect.x1_min, rect.x1_max, nx)
+    x2 = np.linspace(rect.x2_min, rect.x2_max, ny)
+    sides = ((x1, np.full_like(x1, rect.x2_min)), (x1, np.full_like(x1, rect.x2_max)),
+             (np.full_like(x2, rect.x1_min), x2), (np.full_like(x2, rect.x1_max), x2))
+    return tuple(np.broadcast_to(np.asarray(boundary(a, b), dtype=float), a.shape)
+                 for a, b in sides)
 
 
-def _check_ring(init: GridFunction, ring) -> None:
-    bottom, top, left, right = ring
-    V = init.values
-    scale = 1.0 + max(float(np.max(np.abs(b))) for b in ring)
-    worst = max(
-        float(np.max(np.abs(V[0, :] - bottom))),
-        float(np.max(np.abs(V[-1, :] - top))),
-        float(np.max(np.abs(V[:, 0] - left))),
-        float(np.max(np.abs(V[:, -1] - right))),
-    )
-    if worst > 1e-9 * scale:
+def _dirichlet_start(boundary, init: GridFunction, solver: str) -> np.ndarray:
+    """A copy of init's values, the start of a Dirichlet solve.
+
+    Refuses a grid under 5x5, nonfinite boundary data, and an init whose
+    ring is off the data by more than 1e-9 (1 + max|data|).
+    """
+    if init.nx < 5 or init.ny < 5:
+        raise ValueError(f"{solver} needs at least a 5x5 grid")
+    data = np.concatenate(boundary_ring_values(boundary, init.rect, init.nx, init.ny))
+    if not np.all(np.isfinite(data)):
+        raise ValueError("boundary data is not finite on the ring")
+    worst = float(np.max(np.abs(np.concatenate(_ring(init.values)) - data)))
+    if worst > 1e-9 * (1.0 + float(np.max(np.abs(data)))):
         raise ValueError(f"init does not match the boundary data on the ring "
                          f"(max mismatch {worst:.3e})")
+    return init.values.copy()
 
 
 def fill_from_boundary(rect: Rectangle, nx: int, ny: int, boundary) -> GridFunction:
     """Transfinite (bilinear blend) fill of the four boundary traces."""
     if nx < 3 or ny < 3:
         raise ValueError("fill needs nx, ny >= 3")
-    probe = GridFunction(rect, np.zeros((ny, nx)))
-    bottom, top, left, right = boundary_ring_values(boundary, probe)
+    bottom, top, left, right = boundary_ring_values(boundary, rect, nx, ny)
     s = np.linspace(0.0, 1.0, nx)[None, :]
     t = np.linspace(0.0, 1.0, ny)[:, None]
     c00, c10 = bottom[0], bottom[-1]
@@ -346,9 +346,9 @@ def newton_solve(boundary, init: GridFunction, cfg: SolveConfig,
 
     Parameters
     ----------
-    boundary : callable, GridFunction or None
-        Dirichlet data on all four sides; init must already match it on the
-        boundary ring.
+    boundary : callable or GridFunction
+        Dirichlet data on all four sides, finite; init must already match it
+        on the boundary ring.
     init : GridFunction
         Starting iterate; also fixes the domain and resolution (>= 5x5).
     cfg : SolveConfig
@@ -370,14 +370,10 @@ def newton_solve(boundary, init: GridFunction, cfg: SolveConfig,
         are fold-domain residuals. A singular Jacobian raises SolverError
         after one deterministic smooth re-perturbation of the iterate.
     """
-    if init.nx < 5 or init.ny < 5:
-        raise ValueError("newton_solve needs at least a 5x5 grid")
-    ring = boundary_ring_values(boundary, init)
-    _check_ring(init, ring)
+    U = _dirichlet_start(boundary, init, "newton_solve")
     h1, h2 = init.h1, init.h2
     f_full = _forcing_interior(forcing, init.values.shape)
     mirror_axes = axes = _mirror_axes(init, f_full)
-    U = init.values.copy()
     history = []
     perturbed = False
     iterations = 0
@@ -479,15 +475,13 @@ def parabolic_relax(boundary, init: GridFunction, cfg: SolveConfig) -> SolveOutc
     linearized operator uniformly parabolic with unit-bounded coefficients,
     so the usual explicit stability bound dt <~ min(h1,h2)^2/4 applies.
     Residual growth over 50 consecutive steps (or a nonfinite iterate) is
-    reported as instability via converged=False.
+    reported as instability via converged=False. boundary is a callable or
+    a GridFunction of finite Dirichlet data, which init (>= 5x5) must
+    already match on its ring, as for newton_solve.
     """
-    if init.nx < 5 or init.ny < 5:
-        raise ValueError("parabolic_relax needs at least a 5x5 grid")
-    ring = boundary_ring_values(boundary, init)
-    _check_ring(init, ring)
+    U = _dirichlet_start(boundary, init, "parabolic_relax")
     h1, h2 = init.h1, init.h2
     dt = cfg.relax_dt if cfg.relax_dt is not None else 0.2 * min(h1, h2) ** 2
-    U = init.values.copy()
 
     # one stencil and one residual evaluation per step: the residual also
     # gives the W^2 of the next step

@@ -208,6 +208,24 @@ class TestSampling:
         with pytest.raises(DomainError, match="node"):
             tlab.grim_grid(grim2, rect, 11, 5)
 
+    def test_domain_errors_name_the_value_at_the_first_bad_node(self, grim2):
+        x1 = np.array([0.0, 3.5, 5.0])
+        bowl = tlab.bowl_radial_function(tlab.bowl_profile_solve(2.0, 0.1))
+        refusals = [
+            (lambda: tlab.grim_cylinder_value(grim2, x1, 0.0),
+             f"x1 = 3.5 is outside the open strip |x1| < {grim2.half_width!r} at node index (1,)"),
+            (lambda: tlab.grim_cylinder_value(grim2, 5.0, 0.0),
+             f"x1 = 5.0 is outside the open strip |x1| < {grim2.half_width!r}"),
+            (lambda: tlab.tilted_cylinder_value(tlab.CylinderParams(2.0), x1, 0.0),
+             "x1 = 3.5 is outside |x1| <= 2.0 at node index (1,)"),
+            (lambda: bowl(x1, np.zeros(3)),
+             "radius 3.5 exceeds the profile extent 2.0 at node index (1,)"),
+        ]
+        for refused, message in refusals:
+            with pytest.raises(DomainError) as err:
+                refused()
+            assert str(err.value) == message
+
     def test_too_few_nodes(self):
         rect = tlab.Rectangle(0.0, 1.0, 0.0, 1.0)
         with pytest.raises(ValueError):

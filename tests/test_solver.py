@@ -226,6 +226,16 @@ class TestNewton:
             assert out.final_residual <= 1e-10
 
 
+@pytest.mark.parametrize("solver", [tlab.newton_solve, tlab.parabolic_relax])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_boundary_data_rejected(solver, bad):
+    # NaN and inf compare false against any ring-mismatch bound
+    p, rect, boundary, sample = _grim_problem(nx=21, ny=21)
+    nonfinite = lambda a, b: np.full(np.broadcast_shapes(np.shape(a), np.shape(b)), bad)
+    with pytest.raises(ValueError, match="not finite"):
+        solver(nonfinite, sample, tlab.SolveConfig())
+
+
 def _strip_problem(nx=21, ny=41):
     g2 = tlab.GrimParams(2.0)
     rect, g = tlab.strip_boundary_data(g2, 0.25 * g2.half_width, 6.0, 3.0)
@@ -248,7 +258,7 @@ def _ring_asymmetric_strip():
     g, init = _strip_problem()
     V = init.values.copy()
     V[init.ny // 2 - 3, 0] += 64 * np.finfo(float).eps * np.max(np.abs(V))
-    return None, init.with_values(V)
+    return g, init.with_values(V)
 
 
 def _stalled_strip():
@@ -289,12 +299,12 @@ class TestMirrorFold:
         cfg = tlab.SolveConfig(tol=1e-12)
         V = init.values.copy()
         V[init.ny // 2 - 3, 0] += 64 * np.finfo(float).eps * np.max(np.abs(V))
-        even = tlab.newton_solve(None, init, cfg).solution.values.copy()
+        even = tlab.newton_solve(g, init, cfg).solution.values.copy()
         even[:, 0] = V[:, 0]
         even_res = np.nanmax(np.abs(tlab.translator_residual(init.with_values(even))))
         assert even_res > 2.0 * cfg.tol
-        out = tlab.newton_solve(None, init.with_values(V), cfg)
-        full = tlab.newton_solve(None, _one_sided(init.with_values(V)), cfg)
+        out = tlab.newton_solve(g, init.with_values(V), cfg)
+        full = tlab.newton_solve(g, _one_sided(init.with_values(V)), cfg)
         assert out.mirror_axes == ("x1", "x2") and full.mirror_axes == ()
         assert out.converged and full.converged
         res = float(np.nanmax(np.abs(tlab.translator_residual(out.solution))))
@@ -401,6 +411,74 @@ class TestMirrorFold:
         assert " ".join(h.hex() for h in out.history) == history
 
 
+def _grim_box(nx, ny):
+    # the CLI's default grim domain: both solves of each pair end well below
+    # tol after the same number of steps
+    R = tlab.GrimParams(2.0).half_width
+    p, rect, boundary, sample = _grim_problem(rect=(-0.75 * R, 0.75 * R, -3.0, 3.0),
+                                              nx=nx, ny=ny)
+    return boundary, tlab.fill_from_boundary(rect, nx, ny, boundary)
+
+
+def _bowl_box():
+    fn = tlab.bowl_radial_function(tlab.bowl_profile_solve(6.0, 0.01))
+    rect = tlab.Rectangle(-3.0, 4.0, -2.5, 3.5)
+    return fn, tlab.fill_from_boundary(rect, 41, 33, fn)
+
+
+# each symmetry maps the rectangle, the boundary data, grid values and
+# mirror axes onto their images
+_SWAP = {"x1": "x2", "x2": "x1"}
+_SYMMETRIES = {
+    "transpose": (lambda r: tlab.Rectangle(r.x2_min, r.x2_max, r.x1_min, r.x1_max),
+                  lambda g: lambda a, b: g(b, a),
+                  lambda V: V.T,
+                  lambda axes: tuple(sorted(_SWAP[a] for a in axes))),
+    "x2 reflection": (lambda r: tlab.Rectangle(r.x1_min, r.x1_max, -r.x2_max, -r.x2_min),
+                      lambda g: lambda a, b: g(a, -b),
+                      lambda V: V[::-1, :],
+                      lambda axes: axes),
+    "shift by 100": (lambda r: r,
+                     lambda g: lambda a, b: g(a, b) + 100.0,
+                     lambda V: V + 100.0,
+                     lambda axes: axes),
+}
+# problem: (boundary and init, the axes Newton folds it across)
+_SYMMETRY_PROBLEMS = {
+    "grim 41x57": (lambda: _grim_box(41, 57), ("x1",)),
+    "grim 40x57": (lambda: _grim_box(40, 57), ()),
+    "strip 31x61": (lambda: _strip_problem(31, 61), ("x1", "x2")),
+    "bowl 41x33": (_bowl_box, ()),
+}
+
+
+class TestSymmetries:
+    """Newton commutes with the translator's symmetries to rounding.
+
+    The discrete system maps onto itself under the x1 <-> x2 swap, a
+    reflection and u -> u + c, so these catch an h1/h2 or orientation slip
+    that bit pins recorded from the code itself cannot see.
+    """
+
+    @pytest.mark.parametrize("name", _SYMMETRIES)
+    @pytest.mark.parametrize("problem", _SYMMETRY_PROBLEMS)
+    def test_newton_commutes(self, problem, name):
+        make, axes = _SYMMETRY_PROBLEMS[problem]
+        rect_map, data_map, grid_map, axes_map = _SYMMETRIES[name]
+        cfg = tlab.SolveConfig(tol=1e-10)
+        boundary, init = make()
+        out = tlab.newton_solve(boundary, init, cfg)
+        image = tlab.newton_solve(data_map(boundary),
+                                  tlab.GridFunction(rect_map(init.rect), grid_map(init.values)),
+                                  cfg)
+        expected = grid_map(out.solution.values)
+        assert out.mirror_axes == axes
+        assert image.mirror_axes == axes_map(axes)
+        assert image.converged == out.converged
+        scale = np.finfo(float).eps * np.max(np.abs(expected))
+        assert np.max(np.abs(image.solution.values - expected)) <= 16.0 * scale
+
+
 class TestParabolicRelax:
     def test_exact_sample_is_fixed_point(self):
         p, rect, boundary, sample = _grim_problem(rect=(-2.0, 2.0, -1.0, 1.0),
@@ -498,6 +576,12 @@ class TestFill:
         np.testing.assert_allclose(filled.values[-1, :], sample.values[-1, :], rtol=1e-15)
         np.testing.assert_allclose(filled.values[:, 0], sample.values[:, 0], rtol=1e-15)
         np.testing.assert_allclose(filled.values[:, -1], sample.values[:, -1], rtol=1e-15)
+
+    def test_constant_callable_is_broadcast_along_each_side(self):
+        rect = tlab.Rectangle(-1.0, 1.0, -1.0, 1.0)
+        filled = tlab.fill_from_boundary(rect, 9, 9, lambda a, b: 2.0)
+        assert np.all(filled.values == 2.0)
+        assert tlab.newton_solve(lambda a, b: 2.0, filled, tlab.SolveConfig()).converged
 
 
 @pytest.mark.slow
