@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -166,6 +165,8 @@ class BowlProfile:
         self.fp = np.asarray(self.fp, dtype=float)
         if not (self.r.shape == self.f.shape == self.fp.shape) or self.r.ndim != 1:
             raise ValueError("profile arrays must be 1-D and congruent")
+        if self.r.size < 2:
+            raise ValueError("a profile needs at least 2 samples")
         if self.r[0] != 0.0 or np.any(np.diff(self.r) <= 0.0):
             raise ValueError("r must increase strictly from 0")
 
@@ -176,13 +177,6 @@ class BowlProfile:
     @property
     def step(self) -> float:
         return float(self.r[1] - self.r[0])
-
-    @cached_property
-    def interpolant(self):
-        # monotone cubic keeps the sampled convexity; scipy.interpolate is
-        # imported here so that commands that never sample the bowl skip it
-        from scipy.interpolate import PchipInterpolator
-        return PchipInterpolator(self.r, self.f)
 
     def second_derivative_at_origin(self) -> float:
         """f''(0) estimated from the first interior slope sample."""
@@ -258,16 +252,73 @@ def bowl_asymptote_gap(profile: BowlProfile, r_lo: float, r_hi: float) -> float:
     return float(np.max(g) - np.min(g))
 
 
+def _pchip_end_slope(h0, h1, m0, m1):
+    # one-sided three-point estimate, kept monotone by Moler's rule
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Power-basis coefficients c[k, i] of the monotone cubic through (x, y).
+
+    On [x[i], x[i+1]] the cubic is sum_k c[k, i] (t - x[i])^(3-k). The node
+    slopes are Fritsch-Butland weighted harmonic means (zero at a local
+    extremum or a flat segment) with Moler's one-sided end slopes; two
+    samples give the line. Every operation follows scipy 1.17's
+    PchipInterpolator in order, so the coefficients agree bit for bit.
+    """
+    hk = np.diff(x)
+    mk = np.diff(y) / hk
+    d = np.empty_like(y)
+    if len(x) == 2:
+        d[:] = mk[0]
+    else:
+        w1 = 2.0 * hk[1:] + hk[:-1]
+        w2 = hk[1:] + 2.0 * hk[:-1]
+        flat = (np.sign(mk[1:]) != np.sign(mk[:-1])) | (mk[1:] == 0.0) | (mk[:-1] == 0.0)
+        # a division by a zero slope lands only where flat discards it
+        with np.errstate(divide="ignore", invalid="ignore"):
+            whmean = (w1 / mk[:-1] + w2 / mk[1:]) / (w1 + w2)
+            d[1:-1] = np.where(flat, 0.0, 1.0 / whmean)
+        d[0] = _pchip_end_slope(hk[0], hk[1], mk[0], mk[1])
+        d[-1] = _pchip_end_slope(hk[-1], hk[-2], mk[-1], mk[-2])
+    t = (d[:-1] + d[1:] - 2.0 * mk) / hk
+    return np.stack((t / hk, (mk - d[:-1]) / hk - t, d[:-1], y[:-1]))
+
+
+def _piecewise_cubic(x: np.ndarray, c: np.ndarray, v) -> np.ndarray:
+    """Evaluate the cubic of _pchip_coefficients at v, extrapolating past
+    either end from the outermost interval; NaN stays NaN."""
+    # the interval holding v: x[i] <= v < x[i+1], clamped to the first and
+    # last, and the last for v == x[-1] or NaN
+    i = np.searchsorted(x[1:-1], v, side="right")
+    s = v - x[i]
+    # accumulated as scipy's evaluate_poly1 does: constant term first, the
+    # powers of s built up one multiplication at a time
+    out = 0.0 + c[3][i]
+    out += c[2][i] * s
+    s2 = s * s
+    out += c[1][i] * s2
+    out += c[0][i] * (s2 * s)
+    return out
+
+
 def bowl_radial_function(profile: BowlProfile):
-    """Radialization u(x1, x2) = f(sqrt(x1^2 + x2^2)) by monotone cubic."""
-    interp = profile.interpolant
+    """Radialization u(x1, x2) = f(sqrt(x1^2 + x2^2)) by a monotone cubic,
+    which keeps the sampled convexity of f."""
+    r = profile.r
+    c = _pchip_coefficients(r, profile.f)
     r_max = profile.r_max
 
     def fn(x1, x2):
         rr = np.hypot(np.asarray(x1, dtype=float), np.asarray(x2, dtype=float))
         _refuse_where(rr > r_max * (1.0 + 1e-12), rr,
                       lambda v: f"radius {v!r} exceeds the profile extent {r_max!r}")
-        return interp(np.minimum(rr, r_max))
+        return _piecewise_cubic(r, c, np.minimum(rr, r_max))
 
     return fn
 

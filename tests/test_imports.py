@@ -16,7 +16,8 @@ def _fresh(code, *args):
 
 
 def test_import_leaves_scipy_interpolate_unloaded():
-    # only bowl sampling needs scipy.interpolate; it is imported on first use
+    # bowl sampling uses tlab's own monotone cubic; no tlab code imports
+    # scipy.interpolate
     code = "import sys, tlab, tlab.cli; print('scipy.interpolate' in sys.modules)"
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
@@ -42,6 +43,25 @@ loaded.append('scipy.sparse' in sys.modules)
 print(loaded)
 """
     assert _fresh(code, tmp_path) == str([False] * 4 + [True])
+
+
+def test_bowl_commands_load_no_scipy(tmp_path):
+    # sampling, certifying and exporting the bowl need numpy alone; a bowl
+    # Newton solve loads scipy.sparse for its LU and still no interpolation
+    code = """
+import os, sys, tlab, tlab.cli
+os.chdir(sys.argv[1])
+scipy = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')
+bowl = ['--nx', '21', '--ny', '21']
+for argv in (['generate', 'bowl', *bowl, '--out', 'b.grid'],
+             ['check', 'b.grid', '--out', 'b.json'],
+             ['profile-export', '--rmax', '5', '--step', '0.01', '--out', 'b.csv']):
+    assert tlab.cli.main(argv) == 0, argv
+    assert scipy() == [], (argv, scipy())
+assert tlab.cli.main(['solve', 'newton', '--boundary', 'bowl', *bowl, '--out', 's.grid']) == 0
+print(['scipy.sparse' in scipy(), 'scipy.interpolate' in scipy()])
+"""
+    assert _fresh(code, tmp_path) == str([True, False])
 
 
 def test_solver_spla_is_scipy_sparse_linalg():

@@ -3,7 +3,8 @@
 The stencil, the residual and the bowl ODE loop are written for speed (in
 place, on Python floats); these pins hold them to the plain expressions and
 to values recorded from those expressions, so a later rewrite cannot drift
-by a rounding.
+by a rounding. The bowl's monotone cubic is held to scipy's
+PchipInterpolator, which only the tests import.
 """
 
 import hashlib
@@ -11,11 +12,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 
 import tlab
 import tlab.cli
 from tlab.geometry import (_EXP_FLUSH, _phi, _residual_and_wsq, first_diffs,
                            interior_partials, quasilinear_residual, second_diffs)
+from tlab.solitons import _pchip_coefficients, _piecewise_cubic
 
 
 def _fields(seed, shape, k=5):
@@ -126,6 +129,104 @@ def test_bowl_profile_end_values_pinned():
     assert len(p.r) == 5801
     assert float(p.f[-1]).hex() == "0x1.ce2917e61bd0ap+3"
     assert float(p.fp[-1]).hex() == "0x1.675c8f5730e6bp+2"
+
+
+@pytest.mark.parametrize("n, digest", [
+    (81, "a18bc24a8255d643a5e6e3bbf0fe6834254a9c77ebdce13d7ab02719d17589be"),
+    (161, "39afd0aa31b641176ec7c952a70653c69ffee4f8435b96f4dd6810251995eb45"),
+])
+def test_bowl_grid_pinned(bowl_profile_fine, n, digest):
+    # the oracle grids of the Dirichlet bowl solves, recorded from
+    # scipy.interpolate.PchipInterpolator
+    rect = tlab.Rectangle(-4.0, 4.0, -4.0, 4.0)
+    u = tlab.bowl_grid(bowl_profile_fine, rect, n, n)
+    assert hashlib.sha256(u.values.tobytes()).hexdigest() == digest
+
+
+def _cli_bowl_profile():
+    # the profile `tlab generate bowl` samples with its default flags
+    args = tlab.cli.build_parser().parse_args(["generate", "bowl", "--out", "unused"])
+    rect = tlab.cli._domain_from(args, tlab.cli._default_domain(args))
+    return tlab.cli._bowl_profile(args, rect)
+
+
+@pytest.mark.parametrize("make", [
+    lambda request: request.getfixturevalue("bowl_profile_fine"),
+    lambda request: request.getfixturevalue("bowl_profile_long"),
+    lambda request: _cli_bowl_profile(),
+    lambda request: tlab.bowl_profile_solve(6.0, 0.01),
+    lambda request: tlab.bowl_profile_solve(2.0, 0.1),
+], ids=["fine-5.8", "long-80", "cli-default", "6-0.01", "2-0.1"])
+def test_bowl_samples_are_scipy_pchip(request, make):
+    p = make(request)
+    oracle = PchipInterpolator(p.r, p.f)
+    assert np.array_equal(_pchip_coefficients(p.r, p.f), oracle.c)
+    fn = tlab.bowl_radial_function(p)
+    rr = np.concatenate([p.r, [0.0, p.r_max, np.nan]])
+    assert np.array_equal(fn(rr, np.zeros_like(rr)), oracle(rr), equal_nan=True)
+    rng = np.random.default_rng(7)
+    radius = p.r_max * np.sqrt(rng.uniform(0.0, 1.0, 20000))
+    angle = rng.uniform(0.0, 2.0 * np.pi, 20000)
+    x1, x2 = radius * np.cos(angle), radius * np.sin(angle)
+    assert np.array_equal(fn(x1, x2), oracle(np.hypot(x1, x2)))
+    half = p.r_max / 1.5
+    rect = tlab.Rectangle(-half, half, -half, half)
+    u = tlab.bowl_grid(p, rect, 41, 41)
+    assert np.array_equal(u.values, oracle(np.hypot(*u.mesh())))
+
+
+_X = np.array([0.0, 0.1, 0.5, 0.6, 2.0, 3.5, 3.6, 5.0])
+
+
+@pytest.mark.parametrize("x, y", [
+    (_X, np.array([0.0, 0.3, 0.4, 1.5, 1.6, 4.0, 7.0, 7.1])),
+    (_X, np.array([0.0, 1.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0])),
+    (_X, np.array([0.0, 2.0, -1.0, 3.0, -1.0, 0.5, 0.5, -2.0])),
+    (np.array([0.0, 0.7]), np.array([1.0, -2.0])),
+], ids=["monotone", "zero-slopes", "sign-changes", "two-samples"])
+def test_pchip_is_scipy_on_non_uniform_data(x, y):
+    oracle = PchipInterpolator(x, y)
+    c = _pchip_coefficients(x, y)
+    assert np.array_equal(c, oracle.c)
+    mid = 0.5 * (x[:-1] + x[1:])
+    v = np.concatenate([x, mid, np.linspace(x[0] - 1.0, x[-1] + 1.0, 997), [np.nan]])
+    assert np.array_equal(_piecewise_cubic(x, c, v), oracle(v), equal_nan=True)
+
+
+@pytest.mark.parametrize("y, d0", [
+    # slopes 1, 5: the three-point estimate -1 has the wrong sign, so 0
+    ([0.0, 1.0, 6.0, 7.0, 7.5], 0.0),
+    # slopes 1, -10: the estimate 6.5 overshoots 3*m0, so Moler's 3*m0
+    ([0.0, 1.0, -9.0, -9.5, -12.0], 3.0),
+    # slopes 1, 2: the estimate 0.5 stands
+    ([0.0, 1.0, 3.0, 3.5, 4.0], 0.5),
+], ids=["zeroed", "three-m0", "one-sided"])
+def test_pchip_end_slopes_are_scipy(y, d0):
+    x = np.arange(5.0)
+    y = np.array(y)
+    assert _pchip_coefficients(x, y)[2, 0] == d0
+    # the mirror image -y(4 - x) takes the same branch at its last node
+    v = np.linspace(-1.0, 5.0, 601)
+    for ys in (y, -y[::-1]):
+        oracle = PchipInterpolator(x, ys)
+        c = _pchip_coefficients(x, ys)
+        assert np.array_equal(c, oracle.c)
+        assert np.array_equal(_piecewise_cubic(x, c, v), oracle(v))
+
+
+def test_pchip_is_scipy_on_random_non_monotone_data():
+    rng = np.random.default_rng(11)
+    for k in range(300):
+        n = int(rng.integers(2, 30))
+        x = np.cumsum(rng.uniform(0.01, 2.0, n))
+        y = rng.standard_normal(n)
+        if k % 3 == 0:
+            y[rng.integers(0, n, n // 2)] = 0.0
+        oracle = PchipInterpolator(x, y)
+        c = _pchip_coefficients(x, y)
+        assert np.array_equal(c, oracle.c)
+        v = np.concatenate([x, rng.uniform(x[0] - 1.0, x[-1] + 1.0, 200)])
+        assert np.array_equal(_piecewise_cubic(x, c, v), oracle(v))
 
 
 def test_relax_on_a_small_strip_pinned():

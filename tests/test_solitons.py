@@ -167,6 +167,20 @@ class TestBowlProfile:
         with pytest.raises(ValueError):
             tlab.bowl_profile_solve(10.0, 0.0)
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_samples_rejected(self, n):
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            tlab.BowlProfile(r=np.zeros(n), f=np.zeros(n), fp=np.zeros(n))
+
+    def test_two_samples_sample_the_line(self):
+        p = tlab.BowlProfile(r=[0.0, 2.0], f=[0.0, 1.0], fp=[0.0, 1.0])
+        assert p.step == 2.0
+        assert p.second_derivative_at_origin() == 0.5
+        assert p.ode_residual().size == 0
+        r = np.array([0.0, 0.5, 1.0, 1.5, 2.0])
+        got = tlab.bowl_radial_function(p)(r, np.zeros_like(r))
+        assert np.array_equal(got, 0.5 * r)
+
     def test_asymptote_gap_of_shifted_exact_asymptote_is_zero(self):
         # f = r^2/2 - log r + const has gap 0 up to float cancellation
         r = np.linspace(0.0, 80.0, 8001)
