@@ -1,8 +1,7 @@
 """Numerical laboratory for graphical translating solitons in R^3."""
 
-from .errors import DomainError, NotASolutionError, SolverError
 from .grids import GridFunction, Rectangle
-from .solitons import (BowlProfile, CylinderParams, GrimParams,
+from .solitons import (BowlProfile, CylinderParams, DomainError, GrimParams,
                        bowl_asymptote_gap, bowl_grid, bowl_profile_solve,
                        bowl_radial_function, grim_cylinder_gradient,
                        grim_cylinder_residual, grim_cylinder_value, grim_grid,

@@ -1,8 +1,11 @@
 """Command-line surface: generate / solve / check / profile-export.
 
 Exit codes: 0 success or all checks passing, 1 usage or file errors,
-2 solver non-convergence, 3 check failures. Runs are deterministic: the
-same command line produces byte-identical output files.
+2 solver non-convergence, 3 check failures. An unconverged solve, a
+singular Newton step included, still writes its last iterate and its log.
+A refused identities check is a failed report that the check returns.
+Runs are deterministic: the same command line produces byte-identical
+output files.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ import numpy as np
 
 from . import checks as ck
 from . import reporting as rep
-from .errors import DomainError, SolverError
 from .grids import Rectangle
 from .geometry import translator_residual
 from .solitons import (CylinderParams, GrimParams, bowl_grid, bowl_profile_solve,
@@ -287,12 +289,9 @@ def main(argv=None) -> int:
     except CliUsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1
-    except (DomainError, ValueError, OSError) as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except SolverError as err:
-        print(f"solver error: {err}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -14,9 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
 from .geometry import Partials, quasilinear_residual
 from .grids import GridFunction, Rectangle
+
+
+class DomainError(ValueError):
+    """Evaluation was requested outside a formula's domain of definition."""
+
 
 # evaluation is refused within this distance of the strip edge, where
 # log sec diverges

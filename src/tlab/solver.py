@@ -8,13 +8,10 @@ guesses, plus the boundary-data generator for truncated-strip experiments.
 
 from __future__ import annotations
 
-import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SolverError
 from .geometry import _MIRROR_ROUNDING_RTOL, _residual_and_wsq, interior_partials
 from .grids import GridFunction, Rectangle
 from .solitons import GrimParams
@@ -167,8 +164,8 @@ def _factorize(J):
 
     Minimum-degree ordering on J^T + J suits the 9-point stencil: at the
     sizes the lab solves it fills in far less than the default COLAMD. An
-    exactly singular J emits MatrixRankWarning and gives a solve that
-    returns NaNs, not an error, so Newton can perturb and retry.
+    exactly singular J gives a solve that returns NaNs, not an error:
+    Newton then ends its pass unconverged, as on an overflowed step.
     """
     spla = _linalg()
     try:
@@ -176,8 +173,6 @@ def _factorize(J):
     except RuntimeError as exc:
         if "singular" not in str(exc):
             raise
-        warnings.warn("Matrix is exactly singular", spla.MatrixRankWarning,
-                      stacklevel=2)
         return lambda rhs: np.full(np.shape(rhs), np.nan)
     return lu.solve
 
@@ -277,12 +272,6 @@ def _forcing_interior(forcing, shape):
     return f
 
 
-def _smooth_bump(ny: int, nx: int) -> np.ndarray:
-    t = np.linspace(0.0, 1.0, ny)[:, None]
-    s = np.linspace(0.0, 1.0, nx)[None, :]
-    return np.sin(math.pi * s) * np.sin(math.pi * t)
-
-
 def _mirror_axes(init: GridFunction, f_int) -> tuple[str, ...]:
     """The axes across which the discrete problem is mirror-even.
 
@@ -363,19 +352,19 @@ def newton_solve(boundary, init: GridFunction, cfg: SolveConfig,
     Returns
     -------
     SolveOutcome
-        converged=False (not an exception) on stagnation or iteration
-        exhaustion; factorizations counts the LUs built; mirror_axes names
-        the folds. final_residual, converged and the last history entry are
+        converged=False (not an exception) on stagnation, a nonfinite
+        Newton step (a singular Jacobian or an overflow) or iteration
+        exhaustion; notes says which, and the solution is the last accepted
+        iterate. factorizations counts the LUs built; mirror_axes names the
+        folds. final_residual, converged and the last history entry are
         those of the returned full grid; earlier entries of a folded solve
-        are fold-domain residuals. A singular Jacobian raises SolverError
-        after one deterministic smooth re-perturbation of the iterate.
+        are fold-domain residuals.
     """
     U = _dirichlet_start(boundary, init, "newton_solve")
     h1, h2 = init.h1, init.h2
     f_full = _forcing_interior(forcing, init.values.shape)
     mirror_axes = axes = _mirror_axes(init, f_full)
     history = []
-    perturbed = False
     iterations = 0
     factorizations = 0
 
@@ -415,17 +404,8 @@ def newton_solve(boundary, init: GridFunction, cfg: SolveConfig,
                 factorizations += 1
                 delta = solve(rhs)
             if not np.all(np.isfinite(delta)):
-                solve = None
-                if not perturbed:
-                    perturbed = True
-                    inner += 1e-8 * _smooth_bump(init.ny, init.nx)[j0 + 1:-1, i0 + 1:-1]
-                    _mirror(U, axes)
-                    F = _residual(block, h1, h2, f_int)[0]
-                    rn = float(np.max(np.abs(F)))
-                    notes = "singular Jacobian: iterate perturbed once"
-                    continue
-                raise SolverError(f"singular Jacobian at iteration {iterations}",
-                                  iterate=GridFunction(init.rect, U))
+                notes = f"singular Jacobian at iteration {iterations}"
+                break
             delta = delta.reshape(mj, mi)
 
             # trial steps are written into U in place; start restores it

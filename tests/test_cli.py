@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import tlab
+import tlab.cli
 from tlab import reporting
 
 
@@ -113,6 +114,18 @@ class TestSolve:
                     "--out", tmp_path / "x.grid")
         assert r.returncode == 2
         assert "not-converged" in r.stdout
+
+    def test_singular_jacobian_writes_grid_and_log(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(tlab.solver, "_factorize",
+                            lambda J: lambda rhs: np.full(np.shape(rhs), np.nan))
+        out = tmp_path / "x.grid"
+        code = tlab.cli.main(["solve", "newton", "--boundary", "grim", "--lambda", "2",
+                              "--nx", "11", "--ny", "11", "--out", str(out)])
+        assert code == 2
+        assert "not-converged" in capsys.readouterr().out
+        assert reporting.read_grid(out).values.shape == (11, 11)
+        last = (tmp_path / "x.grid.log").read_text().splitlines()[-1]
+        assert last.startswith("# not converged: singular Jacobian at iteration 0; ")
 
 
 class TestCheck:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import tlab
-from tlab.errors import DomainError
+from tlab import DomainError
 
 
 class TestGrimReaper:
