@@ -103,8 +103,8 @@ def build_parser() -> _Parser:
     c.add_argument("--margin", type=float, default=None)
     c.add_argument("--delta", type=float, default=None)
     c.add_argument("--a-cap", type=float, default=suite_defaults.a_cap)
-    c.add_argument("--paths", type=int, default=suite_defaults.harnack_paths)
-    c.add_argument("--seed", type=int, default=suite_defaults.seed)
+    c.add_argument("--seed", type=int, default=suite_defaults.seed,
+                   help="has no effect: no check samples at random")
     c.add_argument("--tol-convexity", type=float, default=None)
     c.add_argument("--tol-gradient", type=float, default=None)
     c.add_argument("--tol-harnack", type=float, default=suite_defaults.harnack_tol)
@@ -165,8 +165,9 @@ def cmd_generate(args) -> int:
                            rect, args.nx, args.ny)
     else:
         u = bowl_grid(_bowl_profile(args, rect), rect, args.nx, args.ny)
-    rep.write_grid(args.out, u)
+    # before writing: a grid too small for the residual is refused with no file
     res = translator_residual(u)
+    rep.write_grid(args.out, u)
     print(f"max_interior_residual {np.nanmax(np.abs(res)):.17g}")
     return 0
 
@@ -250,8 +251,7 @@ def cmd_check(args) -> int:
                          asymptotics_tol=args.tol_asymptotics,
                          symmetry_tol=args.tol_symmetry,
                          a_cap=args.a_cap, window=args.window,
-                         delta=args.delta, margin=args.margin,
-                         harnack_paths=args.paths, seed=args.seed)
+                         delta=args.delta, margin=args.margin)
     reports = ck.run_suite(u, names, cfg)
     # the flags as given, in parser order, with the suite and skip resolved
     inputs = {("lambda" if k == "lam" else k): v for k, v in vars(args).items()

@@ -163,13 +163,16 @@ def _factorize(J):
     """Sparse LU of J; returns the solve callable of the factor.
 
     Minimum-degree ordering on J^T + J suits the 9-point stencil: at the
-    sizes the lab solves it fills in far less than the default COLAMD. An
-    exactly singular J gives a solve that returns NaNs, not an error:
-    Newton then ends its pass unconverged, as on an overflowed step.
+    sizes the lab solves it fills in far less than the default COLAMD.
+    diag_pivot_thresh=0 keeps each nonzero diagonal pivot and so the
+    ordering's fill on rough iterates (partial pivoting gave a noisy 61x67
+    grim 18x the smooth fill). An exactly singular J gives a solve that
+    returns NaNs, not an error: Newton then ends its pass unconverged, as
+    on an overflowed step.
     """
     spla = _linalg()
     try:
-        lu = spla.splu(J.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        lu = spla.splu(J.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0)
     except RuntimeError as exc:
         if "singular" not in str(exc):
             raise

@@ -50,6 +50,14 @@ class TestGenerate:
         r = run_cli("generate", "grim")
         assert r.returncode == 1
 
+    @pytest.mark.parametrize("nx, ny", [(3, 3), (5, 4)])
+    def test_grid_too_small_writes_nothing(self, tmp_path, nx, ny):
+        out = tmp_path / "small.grid"
+        r = run_cli("generate", "grim", "--nx", nx, "--ny", ny, "--out", out)
+        assert r.returncode == 1
+        assert "nx, ny >= 5" in r.stderr
+        assert not out.exists()
+
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a.grid", tmp_path / "b.grid"
         for out in (a, b):
@@ -174,6 +182,18 @@ class TestCheck:
             assert r.returncode == 1, flags
             assert "suite is empty" in r.stderr
             assert not report.exists()
+
+    def test_seed_changes_only_its_echo(self, tmp_path):
+        grid = tmp_path / "g.grid"
+        assert run_cli("generate", "grim", "--nx", 21, "--ny", 21,
+                       "--out", grid).returncode == 0
+        docs = []
+        for seed in (0, 12345):
+            report = tmp_path / f"r{seed}.json"
+            assert run_cli("check", grid, "--seed", seed, "--out", report).returncode == 0
+            docs.append(json.loads(report.read_text()))
+        assert [d["inputs"].pop("seed") for d in docs] == [0, 12345]
+        assert docs[0] == docs[1]
 
     def test_suite_echo_is_the_checks_that_ran(self, tmp_path):
         grid = tmp_path / "g.grid"
