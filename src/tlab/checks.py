@@ -10,7 +10,7 @@ g.parts); run_suite builds it once per solution grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -194,14 +194,14 @@ def _nearest_column(u: GridFunction, x1_target: float) -> int:
 
 
 def check_strip_asymptotics(g: GeometryFields, p: GrimParams, window: float,
-                            tol: float, side: str = "top",
-                            margin: float | None = None) -> CheckReport:
+                            tol: float, side: str = "top") -> CheckReport:
     """Tilt limits and profile convergence in one far window of the strip.
 
     In the window |x2| in [Y - window, Y - 1] (top: x2 > 0, bottom: x2 < 0)
     the slope u_x2 must approach +L (top) or -L (bottom), u_x1 must approach
     lam tan(x1/lam), and row profiles u(x1, A) - u(0, A) must approach
-    lam^2 log sec(x1/lam), all uniformly over |x1| <= R - margin.
+    lam^2 log sec(x1/lam), all uniformly over |x1| <= R - margin, where
+    margin = 2 max(R - x1_max, 0) is twice the grid's truncation of the strip.
     """
     if side not in ("top", "bottom"):
         raise ValueError("side must be 'top' or 'bottom'")
@@ -210,9 +210,8 @@ def check_strip_asymptotics(g: GeometryFields, p: GrimParams, window: float,
     u = g.grid
     if window > u.rect.width2 + 1e-12:
         raise ValueError("window is taller than the grid")
-    eps_grid = p.half_width - u.rect.x1_max
-    eff_margin = margin if margin is not None else 2.0 * max(eps_grid, 0.0)
-    if eff_margin >= p.half_width:
+    margin = 2.0 * max(p.half_width - u.rect.x1_max, 0.0)
+    if margin >= p.half_width:
         raise ValueError("margin leaves no strip interior")
 
     x2 = u.x2()
@@ -228,7 +227,7 @@ def check_strip_asymptotics(g: GeometryFields, p: GrimParams, window: float,
         raise ValueError("window is taller than the grid")
 
     x1 = u.x1()
-    cols = np.abs(x1) <= p.half_width - eff_margin
+    cols = np.abs(x1) <= p.half_width - margin
     cols[[0, -1]] = False
     if not cols.any():
         raise ValueError("margin excludes every interior column")
@@ -248,7 +247,7 @@ def check_strip_asymptotics(g: GeometryFields, p: GrimParams, window: float,
                                     for k, t in terms.items()})
     v_tilt, v_slope, v_prof = each.values()
     notes = (f"{side} window x2 in [{lo:.3g}, {hi:.3g}], |x1| <= "
-             f"{p.half_width - eff_margin:.3g}: |u_x2 - ({L_target:+.6g})| "
+             f"{p.half_width - margin:.3g}: |u_x2 - ({L_target:+.6g})| "
              f"{v_tilt:.3e}; |u_x1 - lam tan| {v_slope:.3e}; profile {v_prof:.3e}")
     return _report(f"strip_asymptotics_{side}",
                    "u_x2 -> +-sqrt(lam^2-1) and row profiles -> lam^2 log sec(x1/lam) "
@@ -343,60 +342,39 @@ STRIP_CHECKS = ("strip_H_bound", "strip_asymptotics_top",
                 "strip_asymptotics_bottom", "halfstrip_W_bound")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SuiteConfig:
-    """Tolerances and parameters for a full certification run.
+    """What a certification run needs beyond the grid.
 
-    Tolerances left as None default to scales appropriate for second-order
-    stencils at the grid's spacing. Only a Harnack worst <= 0 certifies
-    every grid path, whatever harnack_tol passes. seed has no effect: no
-    check samples at random.
+    grim names the strip family the strip checks compare against (None runs
+    none of them), and window is the height of each far window of the strip
+    asymptotics. Every tolerance and region is set from the grid by the
+    suite table, _SUITE. seed has no effect: no check samples at random.
     """
 
     grim: GrimParams | None = None
-    convexity_tol: float | None = None
-    gradient_tol: float | None = None
-    harnack_tol: float = 1e-8
-    identity_tol: float | None = None
-    asymptotics_tol: float = 0.05
-    symmetry_tol: float | None = None
-    a_cap: float = 1.0
     window: float = 5.0
-    delta: float | None = None
-    margin: float | None = None
     seed: int = 0
 
-    def resolved(self, u: GridFunction) -> "SuiteConfig":
-        h = max(u.h1, u.h2)
-        out = replace(self)
-        if out.convexity_tol is None:
-            out.convexity_tol = max(1e-10, 0.01 * h * h)
-        if out.gradient_tol is None:
-            out.gradient_tol = 10.0 * h * h
-        if out.identity_tol is None:
-            out.identity_tol = 100.0 * h * h
-        if out.symmetry_tol is None:
-            out.symmetry_tol = 1e-6 * max(1.0, float(np.max(np.abs(u.values))))
-        if out.delta is None and out.grim is not None:
-            out.delta = 1.2 * (out.grim.half_width - u.rect.x1_max)
-        return out
 
-
-# check name -> check(fields, resolved config); the suite runs them in this
-# (canonical) order
+# check name -> check(fields, h, config) with h = max(h1, h2): each entry
+# sets its tolerance and region from the grid. The suite runs them in this
+# (canonical) order. Only a Harnack worst <= 0 certifies every grid path.
 _SUITE = {
-    "convexity": lambda g, cfg: check_convexity(g, cfg.convexity_tol),
-    "strip_H_bound": lambda g, cfg: check_strip_H_bound(g, cfg.grim),
-    "harnack": lambda g, cfg: check_harnack(g, cfg.harnack_tol),
-    "gradient_bounds": lambda g, cfg: check_gradient_bounds(g, cfg.gradient_tol),
-    "soliton_identities": lambda g, cfg: check_soliton_identities(g, cfg.identity_tol),
-    "strip_asymptotics_top": lambda g, cfg: check_strip_asymptotics(
-        g, cfg.grim, cfg.window, cfg.asymptotics_tol, "top", cfg.margin),
-    "strip_asymptotics_bottom": lambda g, cfg: check_strip_asymptotics(
-        g, cfg.grim, cfg.window, cfg.asymptotics_tol, "bottom", cfg.margin),
-    "symmetry": lambda g, cfg: check_symmetry(g, cfg.symmetry_tol),
-    "A_bound": lambda g, cfg: check_A_bound(g, cfg.a_cap),
-    "halfstrip_W_bound": lambda g, cfg: check_halfstrip_W_bound(g, cfg.grim, cfg.delta),
+    "convexity": lambda g, h, cfg: check_convexity(g, max(1e-10, 0.01 * h * h)),
+    "strip_H_bound": lambda g, h, cfg: check_strip_H_bound(g, cfg.grim),
+    "harnack": lambda g, h, cfg: check_harnack(g, 1e-8),
+    "gradient_bounds": lambda g, h, cfg: check_gradient_bounds(g, 10.0 * h * h),
+    "soliton_identities": lambda g, h, cfg: check_soliton_identities(g, 100.0 * h * h),
+    "strip_asymptotics_top": lambda g, h, cfg: check_strip_asymptotics(
+        g, cfg.grim, cfg.window, 0.05, "top"),
+    "strip_asymptotics_bottom": lambda g, h, cfg: check_strip_asymptotics(
+        g, cfg.grim, cfg.window, 0.05, "bottom"),
+    "symmetry": lambda g, h, cfg: check_symmetry(
+        g, 1e-6 * max(1.0, float(np.max(np.abs(g.grid.values))))),
+    "A_bound": lambda g, h, cfg: check_A_bound(g, 1.0),
+    "halfstrip_W_bound": lambda g, h, cfg: check_halfstrip_W_bound(
+        g, cfg.grim, 1.2 * (cfg.grim.half_width - g.grid.rect.x1_max)),
 }
 
 CANONICAL_ORDER = tuple(_SUITE)
@@ -427,9 +405,19 @@ def run_suite(u: GridFunction, names, cfg: SuiteConfig) -> list[CheckReport]:
     if not requested:
         raise ValueError("no checks to run: the suite is empty")
     needs_grim = [n for n in requested if n in STRIP_CHECKS]
-    cfg = cfg.resolved(u)
-    if needs_grim and cfg.grim is None:
-        raise ValueError(f"checks {needs_grim} need grim-family parameters")
+    if needs_grim:
+        if cfg.grim is None:
+            raise ValueError(f"checks {needs_grim} need grim-family parameters")
+        # a strip solution truncated in the outer half of the strip: then
+        # the asymptotics margin 2 (R - x1_max) and the half-strip delta
+        # 1.2 (R - x1_max) both leave a region to check
+        R, rect = cfg.grim.half_width, u.rect
+        if not 0.0 < 2.0 * (R - rect.x1_max) < R:
+            raise ValueError(
+                f"strip checks need R/2 < x1_max < R: the grid's x1 extent "
+                f"[{rect.x1_min:.6g}, {rect.x1_max:.6g}] does not fit lambda "
+                f"{cfg.grim.lam:g}, whose strip half-width is R = {R:.6g}")
 
     g = geometry_fields(u)
-    return [_SUITE[name](g, cfg) for name in CANONICAL_ORDER if name in requested]
+    h = max(u.h1, u.h2)
+    return [_SUITE[name](g, h, cfg) for name in CANONICAL_ORDER if name in requested]

@@ -1,11 +1,13 @@
 """Command-line surface: generate / solve / check / profile-export.
 
-Exit codes: 0 success or all checks passing, 1 usage or file errors,
-2 solver non-convergence, 3 check failures. An unconverged solve, a
-singular Newton step included, still writes its last iterate and its log.
-A refused identities check is a failed report that the check returns.
-Runs are deterministic: the same command line produces byte-identical
-output files.
+check certifies at the suite's own tolerances and regions, which follow
+from the grid (its step, its x1 extent and, for the strip checks,
+--lambda); no flag sets or loosens them. Exit codes: 0 success or all
+checks passing, 1 usage or file errors, 2 solver non-convergence, 3 check
+failures. An unconverged solve, a singular Newton step included, still
+writes its last iterate and its log. A refused identities check is a
+failed report that the check returns. Runs are deterministic: the same
+command line produces byte-identical output files.
 """
 
 from __future__ import annotations
@@ -100,17 +102,8 @@ def build_parser() -> _Parser:
                    help="comma-separated check names to drop from the suite")
     c.add_argument("--lambda", dest="lam", type=float, default=None)
     c.add_argument("--window", type=float, default=suite_defaults.window)
-    c.add_argument("--margin", type=float, default=None)
-    c.add_argument("--delta", type=float, default=None)
-    c.add_argument("--a-cap", type=float, default=suite_defaults.a_cap)
     c.add_argument("--seed", type=int, default=suite_defaults.seed,
                    help="has no effect: no check samples at random")
-    c.add_argument("--tol-convexity", type=float, default=None)
-    c.add_argument("--tol-gradient", type=float, default=None)
-    c.add_argument("--tol-harnack", type=float, default=suite_defaults.harnack_tol)
-    c.add_argument("--tol-identities", type=float, default=None)
-    c.add_argument("--tol-asymptotics", type=float, default=suite_defaults.asymptotics_tol)
-    c.add_argument("--tol-symmetry", type=float, default=None)
     c.add_argument("--run-id", default="tlab-check")
     c.add_argument("--out", required=True)
 
@@ -243,16 +236,7 @@ def cmd_check(args) -> int:
     ck.require_known([*skip, *requested])
     # each check runs once, in canonical order, and the report echoes that
     names = [n for n in ck.CANONICAL_ORDER if n in requested and n not in skip]
-    cfg = ck.SuiteConfig(grim=grim,
-                         convexity_tol=args.tol_convexity,
-                         gradient_tol=args.tol_gradient,
-                         harnack_tol=args.tol_harnack,
-                         identity_tol=args.tol_identities,
-                         asymptotics_tol=args.tol_asymptotics,
-                         symmetry_tol=args.tol_symmetry,
-                         a_cap=args.a_cap, window=args.window,
-                         delta=args.delta, margin=args.margin)
-    reports = ck.run_suite(u, names, cfg)
+    reports = ck.run_suite(u, names, ck.SuiteConfig(grim=grim, window=args.window))
     # the flags as given, in parser order, with the suite and skip resolved
     inputs = {("lambda" if k == "lam" else k): v for k, v in vars(args).items()
               if k not in ("command", "run_id", "out")}

@@ -136,6 +136,14 @@ class TestSolve:
         assert last.startswith("# not converged: singular Jacobian at iteration 0; ")
 
 
+@pytest.fixture(scope="module")
+def readme_bowl(tmp_path_factory):
+    """The README's bowl grid, 101x101 on [-4, 4]^2."""
+    grid = tmp_path_factory.mktemp("bowl") / "bowl.grid"
+    assert run_cli("generate", "bowl", "--nx", 101, "--ny", 101, "--out", grid).returncode == 0
+    return grid
+
+
 class TestCheck:
     def test_exact_grim_full_suite_minus_bottom(self, tmp_path):
         grid = tmp_path / "grim.grid"
@@ -208,6 +216,45 @@ class TestCheck:
         assert doc["inputs"]["suite"] == "convexity,A_bound"
         assert [c["name"] for c in doc["checks"]] == ["convexity", "A_bound"]
         assert given.read_bytes() == canonical.read_bytes()
+
+    def test_readme_bowl_tolerances_follow_the_grid(self, tmp_path, readme_bowl):
+        report = tmp_path / "bowl-report.json"
+        assert run_cli("check", readme_bowl, "--out", report).returncode == 0
+        u = reporting.read_grid(readme_bowl)
+        h = max(u.h1, u.h2)
+        documented = {"convexity": max(1e-10, 0.01 * h * h), "harnack": 1e-8,
+                      "gradient_bounds": 10.0 * h * h, "soliton_identities": 100.0 * h * h,
+                      "symmetry": 1e-6 * max(1.0, float(np.max(np.abs(u.values)))),
+                      "A_bound": 0.0}
+        doc = json.loads(report.read_text())
+        assert {c["name"]: c["tolerance"] for c in doc["checks"]} == documented
+
+    @pytest.mark.parametrize("flag", ["--tol-identities", "--margin"])
+    def test_no_flag_sets_a_tolerance_or_region(self, tmp_path, flag):
+        grid = tmp_path / "g.grid"
+        assert run_cli("generate", "grim", "--nx", 21, "--ny", 21,
+                       "--out", grid).returncode == 0
+        report = tmp_path / "r.json"
+        r = run_cli("check", grid, "--lambda", 2, flag, 1, "--out", report)
+        assert r.returncode == 1
+        assert "usage error" in r.stderr and flag in r.stderr
+        assert not report.exists()
+
+    # the README bowl grid is wider than the lambda = 2 strip; the README
+    # lambda = 2 grim grid ends at x1 = R/2 of the lambda = 3 strip
+    @pytest.mark.parametrize("family, lam", [("bowl", 2), ("grim", 3)])
+    def test_grid_off_the_strip_refused_in_its_own_terms(self, tmp_path, readme_bowl,
+                                                         family, lam):
+        grid = readme_bowl
+        if family == "grim":
+            grid = tmp_path / "grim.grid"
+            assert run_cli("generate", "grim", "--lambda", 2, "--nx", 101, "--ny", 201,
+                           "--out", grid).returncode == 0
+        report = tmp_path / "r.json"
+        r = run_cli("check", grid, "--lambda", lam, "--out", report)
+        assert r.returncode == 1
+        assert "lambda" in r.stderr and "x1 extent" in r.stderr
+        assert not report.exists()
 
     def test_report_roundtrip_and_determinism(self, tmp_path):
         grid = tmp_path / "g.grid"
