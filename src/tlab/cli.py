@@ -203,9 +203,9 @@ def _solve_problem(args):
 
 
 def cmd_solve(args) -> int:
-    boundary, init = _solve_problem(args)
     cfg = SolveConfig(tol=args.tol, max_newton_iters=args.max_iters,
                       relax_dt=args.dt, max_relax_steps=args.max_steps)
+    boundary, init = _solve_problem(args)
     if args.mode == "newton":
         outcome = newton_solve(boundary, init, cfg)
     else:

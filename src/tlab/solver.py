@@ -55,6 +55,10 @@ class SolveConfig:
             raise ValueError("tol must be positive")
         if self.relax_dt is not None and not self.relax_dt > 0.0:
             raise ValueError("relax_dt must be positive")
+        # a budget of 0 evaluates the start only
+        for name in ("max_newton_iters", "max_relax_steps"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
 
 
 @dataclass

@@ -123,6 +123,19 @@ class TestSolve:
         assert r.returncode == 2
         assert "not-converged" in r.stdout
 
+    @pytest.mark.parametrize("mode, flag, field", [
+        ("newton", "--max-iters", "max_newton_iters"),
+        ("relax", "--max-steps", "max_relax_steps"),
+    ])
+    def test_negative_budget_writes_nothing(self, tmp_path, mode, flag, field):
+        out = tmp_path / "g.grid"
+        r = run_cli("solve", mode, "--boundary", "grim", "--nx", 21, "--ny", 21,
+                    flag, -3, "--out", out)
+        assert r.returncode == 1
+        assert f"{field} must be >= 0" in r.stderr
+        assert not out.exists()
+        assert not (tmp_path / "g.grid.log").exists()
+
     def test_singular_jacobian_writes_grid_and_log(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(tlab.solver, "_factorize",
                             lambda J: lambda rhs: np.full(np.shape(rhs), np.nan))

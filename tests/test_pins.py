@@ -131,6 +131,57 @@ def test_bowl_profile_end_values_pinned():
     assert float(p.fp[-1]).hex() == "0x1.675c8f5730e6bp+2"
 
 
+@pytest.mark.parametrize("fixture, n, f_digest, fp_digest", [
+    ("bowl_profile_fine", 58001,
+     "7eed22d6a1f1c7a56c83baa87e195adca9c2170455c47e6b4cb2a44a56bb521a",
+     "436f5ada084a612eae3cbbc5e9f09672d4f0fa64a65dc52ee49dac30f83394c6"),
+    ("bowl_profile_long", 80001,
+     "b9cf3da58a93fe1239ff357530895bc2c47f2a3b6131f79867a72bc1741fa85b",
+     "2abda82eb205458fa7e002b2526f5af53c66f53935bc5d3c232f3f2d1d64b919"),
+], ids=["fine-5.8", "long-80"])
+def test_bowl_profile_samples_pinned(request, fixture, n, f_digest, fp_digest):
+    # every sample of (5.8, 1e-4) and (80, 1e-3), recorded from the plain
+    # RK4 loop: one slope-rate call per stage, f and f' stepped together
+    p = request.getfixturevalue(fixture)
+    assert len(p.r) == n
+    assert hashlib.sha256(p.f.tobytes()).hexdigest() == f_digest
+    assert hashlib.sha256(p.fp.tobytes()).hexdigest() == fp_digest
+
+
+def _bowl_written(r_max, step):
+    # the RK4 loop as written before its stages were fused and f moved to
+    # whole arrays
+    rate = lambda r, s: (1.0 + s * s) * (1.0 - s / r)
+    n = int(round(r_max / step))
+    h = float(r_max) / n
+    y, yp = 0.25 * h * h, 0.5 * h
+    f, fp = [0.0, y], [0.0, yp]
+    for rk in np.linspace(0.0, r_max, n + 1).tolist()[1:n]:
+        k1 = rate(rk, yp)
+        s2 = yp + 0.5 * h * k1
+        k2 = rate(rk + 0.5 * h, s2)
+        s3 = yp + 0.5 * h * k2
+        k3 = rate(rk + 0.5 * h, s3)
+        s4 = yp + h * k3
+        k4 = rate(rk + h, s4)
+        y += (h / 6.0) * (yp + 2.0 * s2 + 2.0 * s3 + s4)
+        yp += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        f.append(y)
+        fp.append(yp)
+    return np.array(f), np.array(fp)
+
+
+@pytest.mark.parametrize("r_max, step", [(2.0, 0.1), (6.0, 0.01), (12.345, 0.0017),
+                                         (60.0, 0.01), (1000.0, 0.37)])
+def test_bowl_profile_matches_the_written_loop(r_max, step):
+    # at (1000, 0.37) the step is too coarse and f' overflows to inf and
+    # NaN; the NaNs keep their bits and no warning escapes
+    p = tlab.bowl_profile_solve(r_max, step)
+    f, fp = _bowl_written(r_max, step)
+    assert p.f.tobytes() == f.tobytes()
+    assert p.fp.tobytes() == fp.tobytes()
+
+
 @pytest.mark.parametrize("n, digest", [
     (81, "a18bc24a8255d643a5e6e3bbf0fe6834254a9c77ebdce13d7ab02719d17589be"),
     (161, "39afd0aa31b641176ec7c952a70653c69ffee4f8435b96f4dd6810251995eb45"),

@@ -248,6 +248,26 @@ def test_nonfinite_boundary_data_rejected(solver, bad):
         solver(nonfinite, sample, tlab.SolveConfig())
 
 
+@pytest.mark.parametrize("budget", ["max_newton_iters", "max_relax_steps"])
+def test_negative_budget_rejected(budget):
+    for bad in (-1, -3):
+        with pytest.raises(ValueError, match=f"{budget} must be >= 0"):
+            tlab.SolveConfig(**{budget: bad})
+
+
+@pytest.mark.parametrize("solver, budget", [(tlab.newton_solve, "max_newton_iters"),
+                                            (tlab.parabolic_relax, "max_relax_steps")])
+def test_zero_budget_evaluates_the_start_only(solver, budget):
+    p, rect, boundary, sample = _grim_problem(nx=21, ny=21)
+    init = tlab.fill_from_boundary(rect, 21, 21, boundary)
+    out = solver(boundary, init, tlab.SolveConfig(**{budget: 0}))
+    assert out.iterations == 0 and not out.converged
+    assert out.history == [out.final_residual]
+    # Newton's fold may mirror the start, which moves it by rounding only
+    scale = np.max(np.abs(init.values))
+    assert np.max(np.abs(out.solution.values - init.values)) <= 16 * np.finfo(float).eps * scale
+
+
 def _strip_problem(nx=21, ny=41):
     g2 = tlab.GrimParams(2.0)
     rect, g = tlab.strip_boundary_data(g2, 0.25 * g2.half_width, 6.0, 3.0)
