@@ -151,6 +151,10 @@ def tilted_cylinder_value(c: CylinderParams, x1, x2):
     return -math.sqrt(1.0 + c.tilt * c.tilt) * root + c.tilt * (x2a - c.offset)
 
 
+# RK4's stability interval on the negative real axis ends at about -2.785
+RK4_STABILITY_LIMIT = 2.785
+
+
 @dataclass
 class BowlProfile:
     """Radial samples (r, f, f') of the rotationally symmetric translator.
@@ -204,7 +208,9 @@ def bowl_profile_solve(r_max: float, step: float) -> BowlProfile:
 
     The axis singularity of f'/r is removed by starting one step out with
     the series f = r^2/4, f' = r/2. The requested step is rounded so the
-    grid divides [0, r_max] exactly.
+    grid divides [0, r_max] exactly. Far out the slope rate's derivative in
+    f' is about -r, and RK4 is stable on the negative real axis only down
+    to about -2.785, so a step with step * r_max above 2.785 is refused.
     """
     if not (np.isfinite(r_max) and r_max > 0.0):
         raise ValueError("r_max must be positive")
@@ -214,6 +220,9 @@ def bowl_profile_solve(r_max: float, step: float) -> BowlProfile:
     if n < 4:
         raise ValueError("step too coarse for r_max")
     h = float(r_max) / n
+    if h * r_max > RK4_STABILITY_LIMIT:
+        raise ValueError(f"step {step!r} is too coarse for r_max {r_max!r}: RK4 is "
+                         f"stable only for steps up to {RK4_STABILITY_LIMIT / r_max:.6g}")
     r = np.linspace(0.0, r_max, n + 1)
     # the slope steps run on Python floats: numpy scalars round the same but
     # cost several times more per operation. The slope rate
@@ -247,14 +256,11 @@ def bowl_profile_solve(r_max: float, step: float) -> BowlProfile:
     f[:2] = 0.0, 0.25 * h * h
     f[2:] = q
     s, inc = q, f[2:]
-    # a step too coarse for r_max overflows f' to inf and NaN; that passes
-    # without a warning, as it does on Python floats
-    with np.errstate(over="ignore", invalid="ignore"):
-        for rs, c, w in ((rk, hh, 2.0), (rm, hh, 2.0), (rm, h, 1.0)):
-            s = q + c * ((1.0 + s * s) * (1.0 - s / rs))
-            inc += w * s
-        inc *= h6
-        np.cumsum(f, out=f)
+    for rs, c, w in ((rk, hh, 2.0), (rm, hh, 2.0), (rm, h, 1.0)):
+        s = q + c * ((1.0 + s * s) * (1.0 - s / rs))
+        inc += w * s
+    inc *= h6
+    np.cumsum(f, out=f)
     return BowlProfile(r=r, f=f, fp=fp)
 
 
@@ -274,46 +280,22 @@ def bowl_asymptote_gap(profile: BowlProfile, r_lo: float, r_hi: float) -> float:
     return float(np.max(g) - np.min(g))
 
 
-def _pchip_end_slope(h0, h1, m0, m1):
-    # one-sided three-point estimate, kept monotone by Moler's rule
-    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
-        return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
-        return 3.0 * m0
-    return d
+def _hermite_coefficients(x: np.ndarray, y: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Power-basis coefficients c[k, i] of the cubic Hermite interpolant of
+    values y and slopes d at x.
 
-
-def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Power-basis coefficients c[k, i] of the monotone cubic through (x, y).
-
-    On [x[i], x[i+1]] the cubic is sum_k c[k, i] (t - x[i])^(3-k). The node
-    slopes are Fritsch-Butland weighted harmonic means (zero at a local
-    extremum or a flat segment) with Moler's one-sided end slopes; two
-    samples give the line. Every operation follows scipy 1.17's
-    PchipInterpolator in order, so the coefficients agree bit for bit.
+    On [x[i], x[i+1]] the cubic is sum_k c[k, i] (t - x[i])^(3-k). Every
+    operation follows scipy 1.17's CubicHermiteSpline in order, so the
+    coefficients agree bit for bit.
     """
     hk = np.diff(x)
     mk = np.diff(y) / hk
-    d = np.empty_like(y)
-    if len(x) == 2:
-        d[:] = mk[0]
-    else:
-        w1 = 2.0 * hk[1:] + hk[:-1]
-        w2 = hk[1:] + 2.0 * hk[:-1]
-        flat = (np.sign(mk[1:]) != np.sign(mk[:-1])) | (mk[1:] == 0.0) | (mk[:-1] == 0.0)
-        # a division by a zero slope lands only where flat discards it
-        with np.errstate(divide="ignore", invalid="ignore"):
-            whmean = (w1 / mk[:-1] + w2 / mk[1:]) / (w1 + w2)
-            d[1:-1] = np.where(flat, 0.0, 1.0 / whmean)
-        d[0] = _pchip_end_slope(hk[0], hk[1], mk[0], mk[1])
-        d[-1] = _pchip_end_slope(hk[-1], hk[-2], mk[-1], mk[-2])
     t = (d[:-1] + d[1:] - 2.0 * mk) / hk
     return np.stack((t / hk, (mk - d[:-1]) / hk - t, d[:-1], y[:-1]))
 
 
 def _piecewise_cubic(x: np.ndarray, c: np.ndarray, v) -> np.ndarray:
-    """Evaluate the cubic of _pchip_coefficients at v, extrapolating past
+    """Evaluate the cubic of _hermite_coefficients at v, extrapolating past
     either end from the outermost interval; NaN stays NaN."""
     # the interval holding v: x[i] <= v < x[i+1], clamped to the first and
     # last, and the last for v == x[-1] or NaN
@@ -330,10 +312,12 @@ def _piecewise_cubic(x: np.ndarray, c: np.ndarray, v) -> np.ndarray:
 
 
 def bowl_radial_function(profile: BowlProfile):
-    """Radialization u(x1, x2) = f(sqrt(x1^2 + x2^2)) by a monotone cubic,
-    which keeps the sampled convexity of f."""
+    """Radialization u(x1, x2) = f(sqrt(x1^2 + x2^2)) by the cubic Hermite
+    interpolant of the profile's values f and its RK4 slopes f'. f'' is
+    linear on each interval, so where it is >= 0 at both ends the cubic is
+    convex there; tests check this on the profiles the lab samples."""
     r = profile.r
-    c = _pchip_coefficients(r, profile.f)
+    c = _hermite_coefficients(r, profile.f, profile.fp)
     r_max = profile.r_max
 
     def fn(x1, x2):

@@ -35,16 +35,20 @@ class TestGenerate:
                     "--out", tmp_path / "x.grid")
         assert r.returncode == 0, r.stderr
 
-    def test_bowl_residual_shrinks_with_step(self, tmp_path):
-        res = {}
-        for step in (0.4, 0.1, 0.02):
+    def test_bowl_sampling_error_shrinks_with_step(self, tmp_path):
+        # each ODE step against the grid at step 1e-4: the cubic Hermite
+        # samples follow RK4's own error, so each refinement gains >= 100x
+        grids = {}
+        for step in (0.4, 0.1, 0.02, 1e-4):
             out = tmp_path / f"bowl{step}.grid"
             r = run_cli("generate", "bowl", "--step", step, "--nx", 41, "--ny", 41,
                         "--x1-min", -2, "--x1-max", 2, "--x2-min", -2, "--x2-max", 2,
                         "--out", out)
             assert r.returncode == 0, r.stderr
-            res[step] = float(r.stdout.split()[-1])
-        assert res[0.4] > res[0.1] > res[0.02]
+            grids[step] = reporting.read_grid(out).values
+        err = {step: np.max(np.abs(grids[step] - grids[1e-4])) for step in (0.4, 0.1, 0.02)}
+        assert err[0.4] > 100.0 * err[0.1]
+        assert err[0.1] > 100.0 * err[0.02]
 
     def test_missing_out_flag_is_usage_error(self):
         r = run_cli("generate", "grim")
@@ -313,3 +317,22 @@ class TestProfileExport:
     def test_bad_step(self, tmp_path):
         r = run_cli("profile-export", "--step", -1, "--out", tmp_path / "p.csv")
         assert r.returncode == 1
+
+
+@pytest.mark.parametrize("command", [
+    ["profile-export"],
+    ["generate", "bowl", "--nx", "11", "--ny", "11"],
+    ["solve", "newton", "--boundary", "bowl", "--nx", "11", "--ny", "11"],
+], ids=["profile-export", "generate", "solve"])
+@pytest.mark.parametrize("rmax, step, stable", [("40", "0.1", "0.069625"),
+                                                ("1000", "0.37", "0.002785")])
+def test_bowl_step_rk4_cannot_integrate_is_refused(tmp_path, capsys, command, rmax,
+                                                   step, stable):
+    # far out RK4's step * r_max must stay below 2.785: (40, 0.1) gives a
+    # finite but wrong profile, (1000, 0.37) one of inf and NaN
+    out = tmp_path / "out"
+    assert tlab.cli.main([*command, "--rmax", rmax, "--step", step, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"step {step} is too coarse for r_max {rmax}" in err
+    assert f"stable only for steps up to {stable}" in err
+    assert list(tmp_path.iterdir()) == []

@@ -245,8 +245,8 @@ class TestTranslatorResidual:
         assert 3.5 <= maxima[0.02] / maxima[0.01] <= 4.5
 
     def test_bowl_joint_refinement(self):
-        # ODE step refined with h^2 so the monotone-cubic kinks stay below
-        # the stencil's own truncation error
+        # ODE step refined with h^2 so the profile's and its cubic Hermite
+        # samples' errors stay below the stencil's own truncation error
         rect = tlab.Rectangle(-1.0, 1.0, -1.0, 1.0)
         worst = []
         for step, n in [(0.01, 21), (0.0025, 41), (0.000625, 81)]:

@@ -16,8 +16,8 @@ def _fresh(code, *args):
 
 
 def test_import_leaves_scipy_interpolate_unloaded():
-    # bowl sampling uses tlab's own monotone cubic; no tlab code imports
-    # scipy.interpolate
+    # bowl sampling uses tlab's own cubic Hermite interpolant; no tlab code
+    # imports scipy.interpolate
     code = "import sys, tlab, tlab.cli; print('scipy.interpolate' in sys.modules)"
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr

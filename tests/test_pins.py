@@ -3,8 +3,9 @@
 The stencil, the residual and the bowl ODE loop are written for speed (in
 place, on Python floats); these pins hold them to the plain expressions and
 to values recorded from those expressions, so a later rewrite cannot drift
-by a rounding. The bowl's monotone cubic is held to scipy's
-PchipInterpolator, which only the tests import.
+by a rounding. The bowl's cubic Hermite interpolant (on the profile's own
+RK4 slopes) is held to scipy's CubicHermiteSpline, which only the tests
+import.
 """
 
 import hashlib
@@ -12,13 +13,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import CubicHermiteSpline
 
 import tlab
 import tlab.cli
 from tlab.geometry import (_EXP_FLUSH, _phi, _residual_and_wsq, first_diffs,
                            interior_partials, quasilinear_residual, second_diffs)
-from tlab.solitons import _pchip_coefficients, _piecewise_cubic
+from tlab.solitons import RK4_STABILITY_LIMIT, _hermite_coefficients, _piecewise_cubic
 
 
 def _fields(seed, shape, k=5):
@@ -174,21 +175,26 @@ def _bowl_written(r_max, step):
 @pytest.mark.parametrize("r_max, step", [(2.0, 0.1), (6.0, 0.01), (12.345, 0.0017),
                                          (60.0, 0.01), (1000.0, 0.37)])
 def test_bowl_profile_matches_the_written_loop(r_max, step):
-    # at (1000, 0.37) the step is too coarse and f' overflows to inf and
-    # NaN; the NaNs keep their bits and no warning escapes
-    p = tlab.bowl_profile_solve(r_max, step)
     f, fp = _bowl_written(r_max, step)
+    if step * r_max > RK4_STABILITY_LIMIT:
+        # at (1000, 0.37) the step is too coarse: the written loop overflows
+        # f' to inf and NaN, and the solve refuses the step instead
+        assert not np.all(np.isfinite(fp))
+        with pytest.raises(ValueError, match="too coarse for r_max 1000"):
+            tlab.bowl_profile_solve(r_max, step)
+        return
+    p = tlab.bowl_profile_solve(r_max, step)
     assert p.f.tobytes() == f.tobytes()
     assert p.fp.tobytes() == fp.tobytes()
 
 
 @pytest.mark.parametrize("n, digest", [
-    (81, "a18bc24a8255d643a5e6e3bbf0fe6834254a9c77ebdce13d7ab02719d17589be"),
-    (161, "39afd0aa31b641176ec7c952a70653c69ffee4f8435b96f4dd6810251995eb45"),
+    (81, "c90041080599136057e3525eaf5e1f457ff3669e9513464dcbbb3c9f1b1d815a"),
+    (161, "551223d4c064e849018263cbb7407f39dd089d9ba27ee193499c18b6914ed015"),
 ])
 def test_bowl_grid_pinned(bowl_profile_fine, n, digest):
     # the oracle grids of the Dirichlet bowl solves, recorded from
-    # scipy.interpolate.PchipInterpolator
+    # scipy.interpolate.CubicHermiteSpline(r, f, fp)
     rect = tlab.Rectangle(-4.0, 4.0, -4.0, 4.0)
     u = tlab.bowl_grid(bowl_profile_fine, rect, n, n)
     assert hashlib.sha256(u.values.tobytes()).hexdigest() == digest
@@ -201,17 +207,26 @@ def _cli_bowl_profile():
     return tlab.cli._bowl_profile(args, rect)
 
 
-@pytest.mark.parametrize("make", [
+# certify_sweep's profile, the README's profile-export, the CLI default
+# (the README's generate bowl), two that the solver and sampling tests use,
+# and the coarsest the tests sample (generate bowl at step 0.4)
+_PROFILES = pytest.mark.parametrize("make", [
     lambda request: request.getfixturevalue("bowl_profile_fine"),
     lambda request: request.getfixturevalue("bowl_profile_long"),
     lambda request: _cli_bowl_profile(),
     lambda request: tlab.bowl_profile_solve(6.0, 0.01),
     lambda request: tlab.bowl_profile_solve(2.0, 0.1),
-], ids=["fine-5.8", "long-80", "cli-default", "6-0.01", "2-0.1"])
+    lambda request: tlab.bowl_profile_solve(3.2, 0.4),
+], ids=["fine-5.8", "long-80", "cli-default", "6-0.01", "2-0.1", "3.2-0.4"])
+
+
+@_PROFILES
 def test_bowl_samples_are_scipy_pchip(request, make):
+    # PCHIP read as the acronym: the piecewise cubic Hermite interpolant,
+    # here on the profile's own slopes
     p = make(request)
-    oracle = PchipInterpolator(p.r, p.f)
-    assert np.array_equal(_pchip_coefficients(p.r, p.f), oracle.c)
+    oracle = CubicHermiteSpline(p.r, p.f, p.fp)
+    assert np.array_equal(_hermite_coefficients(p.r, p.f, p.fp), oracle.c)
     fn = tlab.bowl_radial_function(p)
     rr = np.concatenate([p.r, [0.0, p.r_max, np.nan]])
     assert np.array_equal(fn(rr, np.zeros_like(rr)), oracle(rr), equal_nan=True)
@@ -226,6 +241,18 @@ def test_bowl_samples_are_scipy_pchip(request, make):
     assert np.array_equal(u.values, oracle(np.hypot(*u.mesh())))
 
 
+@_PROFILES
+def test_sampled_bowl_is_convex(request, make):
+    # f'' is linear on each interval, so f'' >= 0 at both ends makes every
+    # interval's cubic convex; the cubics share their slopes at the nodes,
+    # so the whole sampled profile is convex
+    p = make(request)
+    c = _hermite_coefficients(p.r, p.f, p.fp)
+    h = np.diff(p.r)
+    assert np.all(2.0 * c[1] >= 0.0)
+    assert np.all(6.0 * c[0] * h + 2.0 * c[1] >= 0.0)
+
+
 _X = np.array([0.0, 0.1, 0.5, 0.6, 2.0, 3.5, 3.6, 5.0])
 
 
@@ -236,33 +263,14 @@ _X = np.array([0.0, 0.1, 0.5, 0.6, 2.0, 3.5, 3.6, 5.0])
     (np.array([0.0, 0.7]), np.array([1.0, -2.0])),
 ], ids=["monotone", "zero-slopes", "sign-changes", "two-samples"])
 def test_pchip_is_scipy_on_non_uniform_data(x, y):
-    oracle = PchipInterpolator(x, y)
-    c = _pchip_coefficients(x, y)
+    # the given slopes are the data's own difference quotients
+    d = np.gradient(y, x)
+    oracle = CubicHermiteSpline(x, y, d)
+    c = _hermite_coefficients(x, y, d)
     assert np.array_equal(c, oracle.c)
     mid = 0.5 * (x[:-1] + x[1:])
     v = np.concatenate([x, mid, np.linspace(x[0] - 1.0, x[-1] + 1.0, 997), [np.nan]])
     assert np.array_equal(_piecewise_cubic(x, c, v), oracle(v), equal_nan=True)
-
-
-@pytest.mark.parametrize("y, d0", [
-    # slopes 1, 5: the three-point estimate -1 has the wrong sign, so 0
-    ([0.0, 1.0, 6.0, 7.0, 7.5], 0.0),
-    # slopes 1, -10: the estimate 6.5 overshoots 3*m0, so Moler's 3*m0
-    ([0.0, 1.0, -9.0, -9.5, -12.0], 3.0),
-    # slopes 1, 2: the estimate 0.5 stands
-    ([0.0, 1.0, 3.0, 3.5, 4.0], 0.5),
-], ids=["zeroed", "three-m0", "one-sided"])
-def test_pchip_end_slopes_are_scipy(y, d0):
-    x = np.arange(5.0)
-    y = np.array(y)
-    assert _pchip_coefficients(x, y)[2, 0] == d0
-    # the mirror image -y(4 - x) takes the same branch at its last node
-    v = np.linspace(-1.0, 5.0, 601)
-    for ys in (y, -y[::-1]):
-        oracle = PchipInterpolator(x, ys)
-        c = _pchip_coefficients(x, ys)
-        assert np.array_equal(c, oracle.c)
-        assert np.array_equal(_piecewise_cubic(x, c, v), oracle(v))
 
 
 def test_pchip_is_scipy_on_random_non_monotone_data():
@@ -273,8 +281,9 @@ def test_pchip_is_scipy_on_random_non_monotone_data():
         y = rng.standard_normal(n)
         if k % 3 == 0:
             y[rng.integers(0, n, n // 2)] = 0.0
-        oracle = PchipInterpolator(x, y)
-        c = _pchip_coefficients(x, y)
+        d = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 3)
+        oracle = CubicHermiteSpline(x, y, d)
+        c = _hermite_coefficients(x, y, d)
         assert np.array_equal(c, oracle.c)
         v = np.concatenate([x, rng.uniform(x[0] - 1.0, x[-1] + 1.0, 200)])
         assert np.array_equal(_piecewise_cubic(x, c, v), oracle(v))

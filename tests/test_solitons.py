@@ -167,15 +167,26 @@ class TestBowlProfile:
         with pytest.raises(ValueError):
             tlab.bowl_profile_solve(10.0, 0.0)
 
+    @pytest.mark.parametrize("r_max", [5.0, 20.0, 100.0])
+    def test_steps_at_the_rk4_limit(self, r_max):
+        # just inside step * r_max <= 2.785 the profile stays finite and
+        # strictly convex; a tenth outside (after rounding the step to divide
+        # r_max), the step is refused
+        limit = tlab.solitons.RK4_STABILITY_LIMIT / r_max
+        p = tlab.bowl_profile_solve(r_max, 0.999 * limit)
+        assert np.all(np.isfinite(p.f)) and np.all(np.diff(p.fp) > 0.0)
+        with pytest.raises(ValueError, match="RK4 is stable only"):
+            tlab.bowl_profile_solve(r_max, 1.1 * limit)
+
     @pytest.mark.parametrize("n", [0, 1])
     def test_fewer_than_two_samples_rejected(self, n):
         with pytest.raises(ValueError, match="at least 2 samples"):
             tlab.BowlProfile(r=np.zeros(n), f=np.zeros(n), fp=np.zeros(n))
 
     def test_two_samples_sample_the_line(self):
-        p = tlab.BowlProfile(r=[0.0, 2.0], f=[0.0, 1.0], fp=[0.0, 1.0])
+        p = tlab.BowlProfile(r=[0.0, 2.0], f=[0.0, 1.0], fp=[0.5, 0.5])
         assert p.step == 2.0
-        assert p.second_derivative_at_origin() == 0.5
+        assert p.second_derivative_at_origin() == 0.25
         assert p.ode_residual().size == 0
         r = np.array([0.0, 0.5, 1.0, 1.5, 2.0])
         got = tlab.bowl_radial_function(p)(r, np.zeros_like(r))
@@ -253,4 +264,5 @@ class TestSampling:
             grids[step] = tlab.bowl_grid(prof, rect, 61, 61).values
         d1 = np.max(np.abs(grids[0.04] - grids[0.02]))
         d2 = np.max(np.abs(grids[0.02] - grids[0.01]))
-        assert d1 / d2 > 3.0  # successive differences shrink at 2nd order
+        assert d1 / d2 > 3.0  # successive differences shrink at 2nd order or better
+        assert d2 <= 1e-7
