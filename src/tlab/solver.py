@@ -1,9 +1,10 @@
 """Dirichlet solves of the translator equation on rectangles.
 
 Damped Newton on the centered-difference discretization of the
-nondivergence form, with an explicit parabolic relaxation usable both as a
-standalone solver and as a globalizer that manufactures Newton initial
-guesses, plus the boundary-data generator for truncated-strip experiments.
+nondivergence form, with an explicit parabolic relaxation, taken in
+Runge-Kutta-Legendre super-steps, usable both as a standalone solver and
+as a globalizer that manufactures Newton initial guesses from hard starts,
+plus the boundary-data generator for truncated-strip experiments.
 """
 
 from __future__ import annotations
@@ -19,6 +20,11 @@ from .solitons import GrimParams
 _MIN_STEP_FRACTION = 2.0 ** -30
 # inner iterations of the one GMRES cycle run on a reused factorization
 _GMRES_RESTART = 10
+# stages of one Runge-Kutta-Legendre relax super-step, each at the base
+# explicit step; together they advance 16*17/2 = 136 base steps of
+# pseudo-time. 8 stages took about twice the evaluations to reach a tol;
+# 32 took fewer, but one noisy start's transient tripped the growth rule.
+_RKL_STAGES = 16
 
 
 def _linalg():
@@ -458,43 +464,62 @@ def newton_solve(boundary, init: GridFunction, cfg: SolveConfig,
 def parabolic_relax(boundary, init: GridFunction, cfg: SolveConfig) -> SolveOutcome:
     """Explicit pseudo-time stepping toward the translator equation.
 
-    Steps u += dt * residual / W^2: the W^2 normalization makes the
+    Integrates u_t = residual / W^2: the W^2 normalization makes the
     linearized operator uniformly parabolic with unit-bounded coefficients,
-    so the usual explicit stability bound dt <~ min(h1,h2)^2/4 applies.
-    Residual growth over 50 consecutive steps (or a nonfinite iterate) is
+    so a forward-Euler step dt is stable below about min(h1,h2)^2/4. Steps
+    of that dt are chained into first-order Runge-Kutta-Legendre
+    super-steps (Meyer, Balsara & Aslam, J. Comput. Phys. 257, 2014): its
+    s = _RKL_STAGES stages, one residual evaluation each, advance s(s+1)/2
+    steps' worth of pseudo-time under the stability bound of one step.
+
+    iterations counts residual evaluations and max_relax_steps bounds them,
+    so the last super-step takes only the stages the budget has left. The
+    tol test and the history entry come at super-step ends. Residual growth
+    over consecutive super-steps totalling 50 evaluations, or a nonfinite
+    residual (an overflowed iterate, which is discarded for init), is
     reported as instability via converged=False. boundary is a callable or
     a GridFunction of finite Dirichlet data, which init (>= 5x5) must
-    already match on its ring, as for newton_solve.
+    already match on its ring, as for newton_solve; the ring is never
+    written.
     """
     U = _dirichlet_start(boundary, init, "parabolic_relax")
     h1, h2 = init.h1, init.h2
     dt = cfg.relax_dt if cfg.relax_dt is not None else 0.2 * min(h1, h2) ** 2
 
-    # one stencil and one residual evaluation per step: the residual also
-    # gives the W^2 of the next step
+    # one stencil and one residual evaluation per stage: the residual also
+    # gives the W^2 of the next stage. U holds stage j-1 and V stage j-2;
+    # each stage overwrites V's interior and the two swap.
     F, Wsq = _residual(U, h1, h2)
     rn = float(np.max(np.abs(F)))
     history = [rn]
+    V = U.copy()
     growth_streak = 0
     steps = 0
     notes = ""
-    while rn > cfg.tol and steps < cfg.max_relax_steps:
-        U[1:-1, 1:-1] += dt * F / Wsq
-        F, Wsq = _residual(U, h1, h2)
-        rn_new = float(np.max(np.abs(F)))
-        steps += 1
-        if not np.isfinite(rn_new):
-            notes = f"instability: nonfinite residual at step {steps} (dt={dt:.3e})"
+    # an unstable dt overflows the iterate; the nonfinite residual says so
+    with np.errstate(over="ignore", invalid="ignore"):
+        while rn > cfg.tol and steps < cfg.max_relax_steps:
+            stages = min(_RKL_STAGES, cfg.max_relax_steps - steps)
+            for j in range(1, stages + 1):
+                # Y_j = mu (Y_{j-1} + dt L(Y_{j-1})) + nu Y_{j-2} with L = F/W^2,
+                # mu = (2j-1)/j, nu = (1-j)/j; stage 1 (mu = 1, nu = 0) is a
+                # forward-Euler step
+                euler = U[1:-1, 1:-1] + dt * F / Wsq
+                V[1:-1, 1:-1] = (2 * j - 1) / j * euler + (1 - j) / j * V[1:-1, 1:-1]
+                U, V = V, U
+                F, Wsq = _residual(U, h1, h2)
+            steps += stages
+            rn_new = float(np.max(np.abs(F)))
+            growth_streak = growth_streak + stages if rn_new > rn else 0
             rn = rn_new
             history.append(rn)
-            break
-        growth_streak = growth_streak + 1 if rn_new > rn else 0
-        rn = rn_new
-        history.append(rn)
-        if growth_streak >= 50:
-            notes = (f"instability: residual grew for {growth_streak} consecutive "
-                     f"steps (dt={dt:.3e} vs stability bound ~{min(h1, h2) ** 2 / 4:.3e})")
-            break
+            if not np.isfinite(rn):
+                notes = f"instability: nonfinite residual at step {steps} (dt={dt:.3e})"
+                break
+            if growth_streak >= 50:
+                notes = (f"instability: residual grew for {growth_streak} consecutive "
+                         f"steps (dt={dt:.3e} vs stability bound ~{min(h1, h2) ** 2 / 4:.3e})")
+                break
 
     converged = bool(np.isfinite(rn) and rn <= cfg.tol)
     if not converged and not notes:

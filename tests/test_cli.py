@@ -94,6 +94,18 @@ class TestSolve:
                      "--tol", 1e-10, "--out", final)
         assert r2.returncode == 0, r2.stderr
 
+    def test_relax_unstable_dt_logs_the_instability(self, tmp_path):
+        # dt far above min(h)^2/4 overflows the iterate: exit 2, the init is
+        # written back, the log says why and no RuntimeWarning reaches stderr
+        out = tmp_path / "x.grid"
+        r = run_cli("solve", "relax", "--boundary", "strip", "--lambda", 2,
+                    "--Y", 4, "--nx", 25, "--ny", 41, "--dt", 1.0, "--out", out)
+        assert r.returncode == 2
+        assert r.stderr == ""
+        assert np.all(np.isfinite(reporting.read_grid(out).values))
+        log = (tmp_path / "x.grid.log").read_text()
+        assert "not converged: instability" in log.splitlines()[-1]
+
     def test_boundary_from_grid_file(self, tmp_path):
         bfile = tmp_path / "bound.grid"
         assert run_cli("generate", "grim", "--lambda", 2, "--nx", 31, "--ny", 31,

@@ -295,10 +295,10 @@ def test_relax_on_a_small_strip_pinned():
     init = tlab.fill_from_boundary(rect, 21, 41, g)
     out = tlab.parabolic_relax(g, init, tlab.SolveConfig(tol=1e-6))
     assert out.converged
-    assert out.iterations == 4370
-    assert out.history[-1].hex() == "0x1.0c64cf3000000p-20"
+    assert out.iterations == 464
+    assert out.history[-1].hex() == "0x1.ac8ee99000000p-21"
     assert (hashlib.sha256(out.solution.values.tobytes()).hexdigest()
-            == "aba934233289826714b68758d8597fdc527d1411fe9a22973131410776ec5bf2")
+            == "8c21e1127f676c609bd515fd35ca07ceccbb1ff269c4a017c4b85aa0ec5e805a")
 
 
 def test_profile_export_csv_pinned(tmp_path):
