@@ -8,8 +8,7 @@ from .solitons import (BowlProfile, CylinderParams, DomainError, GrimParams,
                        grim_partials, grim_reaper_value, sample_to_grid,
                        tilted_cylinder_value)
 from .geometry import (GeometryFields, Partials, drift_identity_residuals,
-                       geometry_fields, partials, path_intrinsic_length,
-                       pinching_ratio, translator_residual)
+                       geometry_fields, partials, translator_residual)
 from .solver import (SolveConfig, SolveOutcome, fill_from_boundary,
                      newton_solve, parabolic_relax, strip_boundary_data)
 from .checks import (CheckReport, SuiteConfig, check_A_bound, check_convexity,

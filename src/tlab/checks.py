@@ -80,8 +80,8 @@ def check_strip_H_bound(g: GeometryFields, p: GrimParams) -> CheckReport:
 def _edge_lengths(u: GridFunction, axis: int) -> np.ndarray:
     """Graph length hypot(h, delta u) of every edge along x1 (axis 1) or x2 (axis 0).
 
-    Edge k joins nodes k and k + 1 along the axis of values[j, i]. Its
-    length is, bit for bit, the segment length path_intrinsic_length sums.
+    Edge k joins nodes k and k + 1 along the axis of values[j, i]; its
+    length upper-bounds the intrinsic distance between them.
     """
     w = np.diff(u.values, axis=axis)
     return np.hypot(u.h1 if axis == 1 else u.h2, w, out=w)
@@ -297,6 +297,12 @@ def check_A_bound(g: GeometryFields, cap: float = 1.0) -> CheckReport:
                    worst, 0.0, loc, f"cap {cap:g}; observed max |A|^2 = {observed:.6e}")
 
 
+def _trusted_max(vals: np.ndarray, where: str) -> float:
+    if not np.any(np.isfinite(vals)):
+        raise ValueError(f"{where} has no trusted nodes")
+    return float(np.nanmax(vals))
+
+
 def check_halfstrip_W_bound(g: GeometryFields, p: GrimParams, delta: float) -> CheckReport:
     """Interior area-element bound on the upper half-strip.
 
@@ -317,13 +323,8 @@ def check_halfstrip_W_bound(g: GeometryFields, p: GrimParams, delta: float) -> C
     x2 = u.x2()
     j0 = int(np.argmin(np.abs(x2)))
     base_cols = np.abs(x1) <= R - delta
-    row = W[j0, base_cols]
-    if not np.any(np.isfinite(row)):
-        raise ValueError("base row has no trusted nodes")
-    C0 = float(np.nanmax(row))
-    i0 = _nearest_column(u, 0.0)
-    col = W[x2 >= 0.0, i0]
-    C1 = float(np.nanmax(col))
+    C0 = _trusted_max(W[j0, base_cols], "base row")
+    C1 = _trusted_max(W[x2 >= 0.0, _nearest_column(u, 0.0)], "x1 = 0 column on x2 >= 0")
     bound = 2.0 * (R - delta) / delta * max(C0, C1)
 
     region = np.outer(x2 >= 0.0, np.abs(x1) <= R - 1.5 * delta)

@@ -25,7 +25,7 @@ from .grids import Rectangle
 from .geometry import translator_residual
 from .solitons import (CylinderParams, GrimParams, bowl_grid, bowl_profile_solve,
                        bowl_radial_function, grim_cylinder_value, grim_grid,
-                       grim_reaper_value, sample_to_grid, tilted_cylinder_value)
+                       sample_to_grid, tilted_cylinder_value)
 from .solver import (SolveConfig, fill_from_boundary, newton_solve,
                      parabolic_relax, strip_boundary_data)
 
@@ -39,11 +39,11 @@ class _Parser(argparse.ArgumentParser):
         raise CliUsageError(message)
 
 
-def _add_domain_flags(p, defaults=(None, None, None, None)):
-    p.add_argument("--x1-min", type=float, default=defaults[0])
-    p.add_argument("--x1-max", type=float, default=defaults[1])
-    p.add_argument("--x2-min", type=float, default=defaults[2])
-    p.add_argument("--x2-max", type=float, default=defaults[3])
+def _add_domain_flags(p):
+    p.add_argument("--x1-min", type=float)
+    p.add_argument("--x1-max", type=float)
+    p.add_argument("--x2-min", type=float)
+    p.add_argument("--x2-max", type=float)
 
 
 def build_parser() -> _Parser:
@@ -53,7 +53,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="sample a closed-form family to a grid file")
-    g.add_argument("family", choices=["reaper", "grim", "tilted", "bowl"])
+    g.add_argument("family", choices=["grim", "tilted", "bowl"])
     g.add_argument("--lambda", dest="lam", type=float, default=2.0)
     g.add_argument("--tilt", choices=["+", "-"], default="+")
     g.add_argument("--radius", type=float, default=1.0)
@@ -89,7 +89,6 @@ def build_parser() -> _Parser:
     s.add_argument("--init-file", default=None)
     s.add_argument("--tol", type=float, default=solve_defaults.tol)
     s.add_argument("--max-iters", type=int, default=solve_defaults.max_newton_iters)
-    s.add_argument("--dt", type=float, default=None)
     s.add_argument("--max-steps", type=int, default=solve_defaults.max_relax_steps)
     s.add_argument("--out", required=True)
     s.add_argument("--log", default=None)
@@ -120,8 +119,6 @@ def _default_domain(args):
     if args.family == "grim":
         R = GrimParams(args.lam).half_width
         return (-0.75 * R, 0.75 * R, -5.0, 5.0)
-    if args.family == "reaper":
-        return (-0.75 * math.pi / 2, 0.75 * math.pi / 2, -1.0, 1.0)
     if args.family == "tilted":
         return (-0.8 * args.radius, 0.8 * args.radius, -2.0, 2.0)
     return (-4.0, 4.0, -4.0, 4.0)
@@ -144,14 +141,10 @@ def _bowl_profile(args, rect: Rectangle):
 
 
 def cmd_generate(args) -> int:
-    defaults = _default_domain(args)
-    rect = _domain_from(args, defaults)
+    rect = _domain_from(args, _default_domain(args))
     if args.family == "grim":
         p = GrimParams(args.lam, 1 if args.tilt == "+" else -1)
         u = grim_grid(p, rect, args.nx, args.ny)
-    elif args.family == "reaper":
-        u = sample_to_grid(lambda a, b: grim_reaper_value(a) + 0.0 * b,
-                           rect, args.nx, args.ny)
     elif args.family == "tilted":
         cyl = CylinderParams(args.radius, args.t, args.offset)
         u = sample_to_grid(lambda a, b: tilted_cylinder_value(cyl, a, b),
@@ -204,7 +197,7 @@ def _solve_problem(args):
 
 def cmd_solve(args) -> int:
     cfg = SolveConfig(tol=args.tol, max_newton_iters=args.max_iters,
-                      relax_dt=args.dt, max_relax_steps=args.max_steps)
+                      max_relax_steps=args.max_steps)
     boundary, init = _solve_problem(args)
     if args.mode == "newton":
         outcome = newton_solve(boundary, init, cfg)

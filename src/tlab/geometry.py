@@ -254,17 +254,6 @@ def _phi(r: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(r), np.nan, out)
 
 
-def pinching_ratio(kappa1: float, kappa2: float) -> float:
-    """Convexity witness phi(kappa2/kappa1) for a mean-convex point.
-
-    Zero exactly when kappa2 >= 0; for mean-convex data kappa2/kappa1 > -1,
-    so the value lies in [0, 1/e].
-    """
-    if not kappa1 > 0.0:
-        raise ValueError("pinching_ratio requires kappa1 > 0")
-    return float(_phi(np.asarray(kappa2 / kappa1)))
-
-
 def drift_identity_residuals(g: GeometryFields):
     """Residual grids of three translator identities on the graph of g.grid.
 
@@ -300,32 +289,6 @@ def drift_identity_residuals(g: GeometryFields):
                  - (2.0 / g.W) * (a11 * W1 * W1 + 2.0 * a12 * W1 * W2 + a22 * W2 * W2)
                  - g.A2 * g.W)
     return res_a, res_b, res_c
-
-
-def path_intrinsic_length(u: GridFunction, path) -> float:
-    """Graph length of a 4-adjacent node path; upper-bounds intrinsic distance.
-
-    path is a sequence of (i, j) nodes, such as a (k, 2) integer array. Each
-    segment contributes sqrt(h^2 + (delta u)^2) with h the grid step in the
-    segment's direction; the segments are summed in path order.
-    """
-    nodes = np.asarray(path, dtype=int).reshape(-1, 2)
-    if len(nodes) == 0:
-        raise ValueError("path must contain at least one node")
-    i, j = nodes[:, 0], nodes[:, 1]
-    outside = (i < 0) | (i >= u.nx) | (j < 0) | (j >= u.ny)
-    if np.any(outside):
-        k = int(np.argmax(outside))
-        raise ValueError(f"path node ({i[k]}, {j[k]}) outside the grid")
-    dj = np.diff(j)
-    apart = np.abs(np.diff(i)) + np.abs(dj) != 1
-    if np.any(apart):
-        k = int(np.argmax(apart))
-        raise ValueError(f"path nodes ({i[k]},{j[k]}) and ({i[k + 1]},{j[k + 1]}) "
-                         "are not grid-adjacent")
-    segments = np.hypot(np.where(dj == 0, u.h1, u.h2), np.diff(u.values[j, i]))
-    # cumsum adds left to right, so the total rounds like a loop over segments
-    return float(np.cumsum(segments)[-1]) if segments.size else 0.0
 
 
 def worst_over(arr: np.ndarray):

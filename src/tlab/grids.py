@@ -81,9 +81,3 @@ class GridFunction:
     def mesh(self) -> tuple[np.ndarray, np.ndarray]:
         """Coordinate arrays X1, X2 of shape (ny, nx)."""
         return np.meshgrid(self.x1(), self.x2())
-
-    def with_values(self, values: np.ndarray) -> "GridFunction":
-        return GridFunction(self.rect, values)
-
-    def interior(self) -> np.ndarray:
-        return self.values[1:-1, 1:-1]

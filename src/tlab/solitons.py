@@ -186,10 +186,6 @@ class BowlProfile:
     def step(self) -> float:
         return float(self.r[1] - self.r[0])
 
-    def second_derivative_at_origin(self) -> float:
-        """f''(0) estimated from the first interior slope sample."""
-        return float(self.fp[1] / self.r[1])
-
     def ode_residual(self) -> np.ndarray:
         """Radial residual f''/(1+f'^2) + f'/r - 1 at interior nodes.
 

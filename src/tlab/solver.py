@@ -25,6 +25,9 @@ _GMRES_RESTART = 10
 # pseudo-time. 8 stages took about twice the evaluations to reach a tol;
 # 32 took fewer, but one noisy start's transient tripped the growth rule.
 _RKL_STAGES = 16
+# relax's base explicit step, in units of min(h1, h2)^2; forward Euler on
+# u_t = F/W^2 is stable below about 1/4
+_RELAX_DT = 0.2
 
 
 def _linalg():
@@ -49,18 +52,15 @@ def __getattr__(name):
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Stopping and stepping controls shared by both solvers."""
+    """Stopping controls: the residual tolerance and each solver's budget."""
 
     tol: float = 1e-10
     max_newton_iters: int = 40
-    relax_dt: float | None = None
     max_relax_steps: int = 20000
 
     def __post_init__(self):
         if not self.tol > 0.0:
             raise ValueError("tol must be positive")
-        if self.relax_dt is not None and not self.relax_dt > 0.0:
-            raise ValueError("relax_dt must be positive")
         # a budget of 0 evaluates the start only
         for name in ("max_newton_iters", "max_relax_steps"):
             if getattr(self, name) < 0:
@@ -467,10 +467,11 @@ def parabolic_relax(boundary, init: GridFunction, cfg: SolveConfig) -> SolveOutc
     Integrates u_t = residual / W^2: the W^2 normalization makes the
     linearized operator uniformly parabolic with unit-bounded coefficients,
     so a forward-Euler step dt is stable below about min(h1,h2)^2/4. Steps
-    of that dt are chained into first-order Runge-Kutta-Legendre
-    super-steps (Meyer, Balsara & Aslam, J. Comput. Phys. 257, 2014): its
-    s = _RKL_STAGES stages, one residual evaluation each, advance s(s+1)/2
-    steps' worth of pseudo-time under the stability bound of one step.
+    of dt = _RELAX_DT min(h1,h2)^2 are chained into first-order
+    Runge-Kutta-Legendre super-steps (Meyer, Balsara & Aslam, J. Comput.
+    Phys. 257, 2014): its s = _RKL_STAGES stages, one residual evaluation
+    each, advance s(s+1)/2 steps' worth of pseudo-time under the stability
+    bound of one step.
 
     iterations counts residual evaluations and max_relax_steps bounds them,
     so the last super-step takes only the stages the budget has left. The
@@ -484,7 +485,7 @@ def parabolic_relax(boundary, init: GridFunction, cfg: SolveConfig) -> SolveOutc
     """
     U = _dirichlet_start(boundary, init, "parabolic_relax")
     h1, h2 = init.h1, init.h2
-    dt = cfg.relax_dt if cfg.relax_dt is not None else 0.2 * min(h1, h2) ** 2
+    dt = _RELAX_DT * min(h1, h2) ** 2
 
     # one stencil and one residual evaluation per stage: the residual also
     # gives the W^2 of the next stage. U holds stage j-1 and V stage j-2;

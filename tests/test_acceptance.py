@@ -63,7 +63,7 @@ def test_criterion_2_discrete_consistency_order():
 
 def test_criterion_3_bowl_profile(bowl_profile_long):
     """f''(0) = 1/2 within 1e-6 and asymptote gap over [40, 80] < 0.01."""
-    f2 = bowl_profile_long.second_derivative_at_origin()
+    f2 = bowl_profile_long.fp[1] / bowl_profile_long.r[1]
     gap = tlab.bowl_asymptote_gap(bowl_profile_long, 40.0, 80.0)
     ok = abs(f2 - 0.5) <= 1e-6 and gap < 0.01
     assert _verdict(3, ok, f"f''(0) = {f2:.9f} (+-1e-6 of 0.5); gap[40,80] = {gap:.3e} (< 0.01)")
@@ -80,7 +80,8 @@ def test_criterion_4_solver_vs_oracle(bowl_solves):
         *interior_partials(sample.values, sample.h1, sample.h2))
     t = np.linspace(0, 1, sample.ny)[:, None]
     s = np.linspace(0, 1, sample.nx)[None, :]
-    init = sample.with_values(sample.values + 0.5 * np.sin(np.pi * s) * np.sin(np.pi * t))
+    init = tlab.GridFunction(sample.rect,
+                             sample.values + 0.5 * np.sin(np.pi * s) * np.sin(np.pi * t))
     out = tlab.newton_solve(boundary, init, tlab.SolveConfig(tol=1e-10), forcing=forcing)
     dev = float(np.max(np.abs(out.solution.values - sample.values)))
     ok_grim = out.converged and out.final_residual <= 1e-10 and dev <= 1e-9

@@ -94,6 +94,15 @@ class TestStripHBound:
         assert rep.worst_violation > 0.0
 
 
+def _path_length(u, path):
+    """Graph length of a 4-adjacent node path, hypot(h, delta u) summed left to right."""
+    total = 0.0
+    for (i0, j0), (i1, j1) in zip(path[:-1], path[1:]):
+        h = u.h1 if j1 == j0 else u.h2
+        total += float(np.hypot(h, u.values[j1, i1] - u.values[j0, i0]))
+    return total
+
+
 def _staircase(start, end, rng):
     """A 4-connected path from start to end whose steps each move toward end."""
     (i0, j0), (i1, j1) = start, end
@@ -130,8 +139,8 @@ class TestHarnack:
             assert w.shape == (7 - step[1], 9 - step[0])
             for (j, i), wk in np.ndenumerate(w):
                 far = (i + step[0], j + step[1])
-                assert wk == tlab.path_intrinsic_length(u, [(i, j), far])
-                assert wk == tlab.path_intrinsic_length(u, [far, (i, j)])
+                assert wk == _path_length(u, [(i, j), far])
+                assert wk == _path_length(u, [far, (i, j)])
 
     @given(seed=st.integers(0, 2 ** 32 - 1), noise=st.floats(0.0, 0.015),
            ends=st.lists(st.integers(1, 10 ** 6), min_size=4, max_size=4))
@@ -146,7 +155,7 @@ class TestHarnack:
         edge = tlab.check_harnack(dataclasses.replace(fields, H=H), 0.0)
         i0, j0, i1, j1 = (1 + e % (n - 2) for e, n in zip(ends, (u.nx, u.ny) * 2))
         path = _staircase((i0, j0), (i1, j1), rng)
-        damp = math.exp(-tlab.path_intrinsic_length(u, path))
+        damp = math.exp(-_path_length(u, path))
         H0, H1 = H[j0, i0], H[j1, i1]
         # chaining the edge bounds rounds once per factor: a few ulps per segment
         allowance = 8.0 * len(path) * np.finfo(float).eps * max(H0, H1)
@@ -172,7 +181,7 @@ class TestHarnack:
         rep = tlab.check_harnack(dataclasses.replace(fields, H=H), 1e-8)
         assert not rep.passed
         assert rep.worst_location == (12, 10)
-        expected = max(math.exp(-tlab.path_intrinsic_length(u, [(i, j), (12, 10)])) * H[j, i]
+        expected = max(math.exp(-_path_length(u, [(i, j), (12, 10)])) * H[j, i]
                        for i, j in ((11, 10), (13, 10), (12, 9), (12, 11))) - H[10, 12]
         assert rep.worst_violation == pytest.approx(expected, rel=1e-14)
 
@@ -279,7 +288,7 @@ class TestStripAsymptotics:
         p, u = _readme_grim()
         for k in (1, 2, 3, 4):
             for sign in (1.0, -1.0):
-                v = u.with_values(u.values * (1.0 + sign * k * 2e-16))
+                v = tlab.GridFunction(u.rect, u.values * (1.0 + sign * k * 2e-16))
                 rep = tlab.check_strip_asymptotics(tlab.geometry_fields(v), p, 3.0, 0.05, "top")
                 assert rep.worst_location[0] >= u.nx // 2, (k * sign, rep.worst_location)
 
@@ -333,7 +342,7 @@ class TestSymmetry:
         u = tlab.sample_to_grid(lambda a, b: a * a + b, rect, 21, 21)
         bumped = u.values.copy()
         bumped[7, 14] += 1e-3
-        rep = tlab.check_symmetry(tlab.geometry_fields(u.with_values(bumped)), 1e-9)
+        rep = tlab.check_symmetry(tlab.geometry_fields(tlab.GridFunction(u.rect, bumped)), 1e-9)
         assert rep.worst_violation == pytest.approx(1e-3, rel=1e-6)
         assert rep.worst_location in ((14, 7), (6, 7))
         # even but decreasing for x1 > 0: monotonicity binds, at the steepest
@@ -351,7 +360,7 @@ class TestSymmetry:
         for j, i in ((7, 14), (15, 3)):
             V = u.values.copy()
             V[j, i] = np.nextafter(np.nextafter(V[j, i], np.inf), np.inf)
-            rep = tlab.check_symmetry(tlab.geometry_fields(u.with_values(V)), 1e-9)
+            rep = tlab.check_symmetry(tlab.geometry_fields(tlab.GridFunction(u.rect, V)), 1e-9)
             assert 0.0 < rep.worst_violation < 1e-14 and rep.passed
             locations.append(rep.worst_location)
         assert locations == [None, None]
@@ -426,6 +435,13 @@ class TestHalfstripWBound:
         small = tlab.sample_to_grid(lambda a, b: a * a, rect, 11, 11)
         with pytest.raises(ValueError):
             tlab.check_halfstrip_W_bound(tlab.geometry_fields(small), p, 0.3 * p.half_width)
+
+    def test_untrusted_center_column_is_named(self, grim2):
+        # x2 >= 0 holds only the top row, on the NaN ring: C1 has no node
+        R = grim2.half_width
+        u = tlab.grim_grid(grim2, tlab.Rectangle(-0.75 * R, 0.75 * R, -5.0, 0.03), 61, 102)
+        with pytest.raises(ValueError, match="x1 = 0 column"):
+            tlab.check_halfstrip_W_bound(tlab.geometry_fields(u), grim2, 0.3 * R)
 
 
 class TestSuite:
@@ -532,7 +548,7 @@ class TestSuite:
         # windows; nothing in the suite samples at random, so every report
         # maps onto its image
         p, u = _readme_grim()
-        image = u.with_values(u.values[::-1].copy())
+        image = tlab.GridFunction(u.rect, u.values[::-1].copy())
         minus = tlab.grim_grid(tlab.GrimParams(2.0, -1), u.rect, u.nx, u.ny)
         eps_u = np.finfo(float).eps * np.max(np.abs(u.values))
         assert np.max(np.abs(image.values - minus.values)) <= 16.0 * eps_u

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -30,10 +31,15 @@ class TestGenerate:
         assert r.returncode == 1
         assert "lambda" in r.stderr
 
-    def test_reaper_ignores_lambda(self, tmp_path):
-        r = run_cli("generate", "reaper", "--lambda", 0.5, "--nx", 11, "--ny", 11,
-                    "--out", tmp_path / "x.grid")
+    def test_lambda_one_is_the_grim_reaper(self, tmp_path):
+        # byte for byte the sample of log sec(x1), constant in x2, at the
+        # default 101x101 on [-3pi/8, 3pi/8] x [-1, 1]
+        out = tmp_path / "x.grid"
+        r = run_cli("generate", "grim", "--lambda", 1, "--tilt", "+",
+                    "--x2-min", -1, "--x2-max", 1, "--out", out)
         assert r.returncode == 0, r.stderr
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "0f67a44d7c99a99a13984813d116901d4d50db6e20d2ff6d2e5f894522732fa4")
 
     def test_bowl_sampling_error_shrinks_with_step(self, tmp_path):
         # each ODE step against the grid at step 1e-4: the cubic Hermite
@@ -94,14 +100,15 @@ class TestSolve:
                      "--tol", 1e-10, "--out", final)
         assert r2.returncode == 0, r2.stderr
 
-    def test_relax_unstable_dt_logs_the_instability(self, tmp_path):
+    def test_relax_unstable_dt_logs_the_instability(self, tmp_path, monkeypatch, capsys):
         # dt far above min(h)^2/4 overflows the iterate: exit 2, the init is
         # written back, the log says why and no RuntimeWarning reaches stderr
+        monkeypatch.setattr(tlab.solver, "_RELAX_DT", 25.0)
         out = tmp_path / "x.grid"
-        r = run_cli("solve", "relax", "--boundary", "strip", "--lambda", 2,
-                    "--Y", 4, "--nx", 25, "--ny", 41, "--dt", 1.0, "--out", out)
-        assert r.returncode == 2
-        assert r.stderr == ""
+        code = tlab.cli.main(["solve", "relax", "--boundary", "strip", "--lambda", "2",
+                              "--Y", "4", "--nx", "25", "--ny", "41", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == ""
         assert np.all(np.isfinite(reporting.read_grid(out).values))
         log = (tmp_path / "x.grid.log").read_text()
         assert "not converged: instability" in log.splitlines()[-1]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tlab
-from tlab.geometry import first_diffs, second_diffs, worst_over
+from tlab.geometry import _phi, first_diffs, second_diffs, worst_over
 
 
 def _grid(fn, rect=(-1.0, 1.0, -1.0, 1.0), nx=41, ny=41):
@@ -149,7 +149,7 @@ class TestGeometryFields:
 
     def test_constant_shift_changes_nothing(self):
         u = _grid(lambda a, b: np.sin(a) + np.cos(b))
-        shifted = u.with_values(u.values + 42.0)
+        shifted = tlab.GridFunction(u.rect, u.values + 42.0)
         f0 = tlab.geometry_fields(u)
         f1 = tlab.geometry_fields(shifted)
         for name in ("W", "H", "kappa1", "kappa2", "A2"):
@@ -288,25 +288,20 @@ class TestDriftIdentities:
 
 
 class TestPinchingRatio:
+    # _phi(kappa2 / kappa1) is the pinch field wherever kappa1 > 0
     def test_reference_values(self):
-        assert tlab.pinching_ratio(1.0, 0.5) == 0.0
-        assert tlab.pinching_ratio(1.0, -1.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
-        assert tlab.pinching_ratio(2.0, -1.0) == pytest.approx(math.exp(-4.0) / 16.0, rel=1e-13)
-
-    def test_requires_positive_kappa1(self):
-        with pytest.raises(ValueError):
-            tlab.pinching_ratio(0.0, -1.0)
-        with pytest.raises(ValueError):
-            tlab.pinching_ratio(-2.0, -3.0)
+        assert _phi(0.5) == 0.0
+        assert _phi(-1.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
+        assert _phi(-0.5) == pytest.approx(math.exp(-4.0) / 16.0, rel=1e-13)
 
     def test_flat_to_zero_near_convexity(self):
         for k2 in (-1e-3, -1e-6):
-            assert tlab.pinching_ratio(1.0, k2) < 1e-12
+            assert _phi(k2) < 1e-12
 
     @given(st.floats(min_value=-1.0, max_value=5.0, allow_nan=False))
     @settings(max_examples=200, deadline=None)
     def test_range_on_mean_convex_ratios(self, ratio):
-        val = tlab.pinching_ratio(1.0, ratio)
+        val = float(_phi(ratio))
         assert 0.0 <= val <= math.exp(-1.0)
         if ratio >= 0.0:
             assert val == 0.0
@@ -319,62 +314,7 @@ class TestPinchingRatio:
     def test_monotone_toward_convexity(self, r, bump):
         # moving kappa2/kappa1 toward 0 from the left decreases the ratio
         r2 = r * (1.0 - bump)
-        assert tlab.pinching_ratio(1.0, r2) <= tlab.pinching_ratio(1.0, r)
-
-
-class TestPathLength:
-    def test_single_node(self):
-        u = _grid(lambda a, b: np.zeros_like(a), nx=7, ny=7)
-        assert tlab.path_intrinsic_length(u, [(3, 3)]) == 0.0
-
-    def test_flat_straight_path(self):
-        u = _grid(lambda a, b: np.zeros_like(a), nx=11, ny=11)
-        path = [(i, 5) for i in range(2, 8)]
-        assert tlab.path_intrinsic_length(u, path) == pytest.approx(5 * u.h1, rel=1e-15)
-
-    def test_unit_slope_segment(self):
-        u = _grid(lambda a, b: a, nx=11, ny=11)
-        got = tlab.path_intrinsic_length(u, [(4, 5), (5, 5)])
-        assert got == pytest.approx(u.h1 * math.sqrt(2.0), rel=1e-14)
-
-    def test_non_adjacent_rejected(self):
-        u = _grid(lambda a, b: np.zeros_like(a), nx=7, ny=7)
-        with pytest.raises(ValueError):
-            tlab.path_intrinsic_length(u, [(1, 1), (3, 1)])
-        with pytest.raises(ValueError):
-            tlab.path_intrinsic_length(u, [(1, 1), (2, 2)])
-
-    def test_empty_path_rejected(self):
-        u = _grid(lambda a, b: np.zeros_like(a), nx=7, ny=7)
-        with pytest.raises(ValueError, match="at least one node"):
-            tlab.path_intrinsic_length(u, [])
-
-    def test_node_outside_grid_rejected(self):
-        u = _grid(lambda a, b: np.zeros_like(a), nx=7, ny=7)
-        with pytest.raises(ValueError, match="outside the grid"):
-            tlab.path_intrinsic_length(u, [(5, 3), (6, 3), (7, 3)])
-        with pytest.raises(ValueError, match="outside the grid"):
-            tlab.path_intrinsic_length(u, [(0, 0), (0, -1)])
-
-    def test_sums_segments_in_path_order(self):
-        # bit-for-bit the left-to-right sum of the segment lengths
-        u = _grid(lambda a, b: np.sin(3 * a) * np.exp(b), nx=81, ny=81)
-        path = [(2 + (k + 1) // 2, 3 + k // 2) for k in range(100)]
-        total = 0.0
-        for (i0, j0), (i1, j1) in zip(path[:-1], path[1:]):
-            h = u.h1 if j1 == j0 else u.h2
-            total += float(np.hypot(h, u.values[j1, i1] - u.values[j0, i0]))
-        assert tlab.path_intrinsic_length(u, path) == total
-        assert tlab.path_intrinsic_length(u, np.array(path)) == total
-
-    def test_concatenation_additivity(self):
-        u = _grid(lambda a, b: np.sin(a) * b, nx=15, ny=15)
-        p1 = [(2, 3), (3, 3), (4, 3)]
-        p2 = [(4, 3), (4, 4), (5, 4)]
-        whole = p1 + p2[1:]
-        got = tlab.path_intrinsic_length(u, whole)
-        split = tlab.path_intrinsic_length(u, p1) + tlab.path_intrinsic_length(u, p2)
-        assert got == pytest.approx(split, rel=1e-15)
+        assert _phi(r2) <= _phi(r)
 
 
 class TestWorstOver:

@@ -37,14 +37,14 @@ def _noisy_grim(nx, ny, amp, seed):
     noisy = sample.values.copy()
     rng = np.random.default_rng(seed)
     noisy[1:-1, 1:-1] += rng.uniform(-amp, amp, size=noisy[1:-1, 1:-1].shape)
-    return boundary, sample, sample.with_values(noisy)
+    return boundary, sample, tlab.GridFunction(sample.rect, noisy)
 
 
 class TestNewton:
     def test_manufactured_grim_recovers_sample(self):
         p, rect, boundary, sample = _grim_problem(nx=101, ny=121)
         forcing = _manufactured_forcing(sample)
-        init = sample.with_values(sample.values + _bump(sample.ny, sample.nx, 0.5))
+        init = tlab.GridFunction(sample.rect, sample.values + _bump(sample.ny, sample.nx, 0.5))
         cfg = tlab.SolveConfig(tol=1e-10)
         out = tlab.newton_solve(boundary, init, cfg, forcing=forcing)
         assert out.converged
@@ -68,7 +68,7 @@ class TestNewton:
         init = tlab.GridFunction(rect, np.zeros((65, 65)))
         out = tlab.newton_solve(zero, init, tlab.SolveConfig(tol=1e-11))
         assert out.converged
-        assert np.all(out.solution.interior() < 0.0)
+        assert np.all(out.solution.values[1:-1, 1:-1] < 0.0)
         assert np.min(out.solution.values) == pytest.approx(-0.0744772, abs=2e-5)
 
     def test_noisy_init_contract(self):
@@ -92,7 +92,7 @@ class TestNewton:
             return lambda rhs: np.full(J.shape[0], np.nan)
 
         monkeypatch.setattr(tlab.solver, "_factorize", bad_factorize)
-        init = sample.with_values(sample.values + _bump(11, 11, 0.1))
+        init = tlab.GridFunction(sample.rect, sample.values + _bump(11, 11, 0.1))
         out = tlab.newton_solve(boundary, init, tlab.SolveConfig(tol=1e-12))
         assert not out.converged
         assert out.notes.startswith("singular Jacobian")
@@ -172,7 +172,7 @@ class TestNewton:
 
     def test_ring_mismatch_rejected(self):
         p, rect, boundary, sample = _grim_problem(nx=11, ny=11)
-        off = sample.with_values(sample.values + 1.0)
+        off = tlab.GridFunction(sample.rect, sample.values + 1.0)
         with pytest.raises(ValueError, match="ring"):
             tlab.newton_solve(boundary, off, tlab.SolveConfig())
 
@@ -284,7 +284,7 @@ def _one_sided(init, amp=1e-9):
     # a bump on one interior node off both centre lines breaks every mirror
     V = init.values.copy()
     V[init.ny // 2 - 3, init.nx // 2 + 2] += amp
-    return init.with_values(V)
+    return tlab.GridFunction(init.rect, V)
 
 
 def _grim_fill(nx=31, ny=37):
@@ -296,7 +296,7 @@ def _ring_asymmetric_strip():
     g, init = _strip_problem()
     V = init.values.copy()
     V[init.ny // 2 - 3, 0] += 64 * np.finfo(float).eps * np.max(np.abs(V))
-    return g, init.with_values(V)
+    return g, tlab.GridFunction(init.rect, V)
 
 
 def _stalled_strip():
@@ -339,10 +339,10 @@ class TestMirrorFold:
         V[init.ny // 2 - 3, 0] += 64 * np.finfo(float).eps * np.max(np.abs(V))
         even = tlab.newton_solve(g, init, cfg).solution.values.copy()
         even[:, 0] = V[:, 0]
-        even_res = np.nanmax(np.abs(tlab.translator_residual(init.with_values(even))))
+        even_res = np.nanmax(np.abs(tlab.translator_residual(tlab.GridFunction(init.rect, even))))
         assert even_res > 2.0 * cfg.tol
-        out = tlab.newton_solve(g, init.with_values(V), cfg)
-        full = tlab.newton_solve(g, _one_sided(init.with_values(V)), cfg)
+        out = tlab.newton_solve(g, tlab.GridFunction(init.rect, V), cfg)
+        full = tlab.newton_solve(g, _one_sided(tlab.GridFunction(init.rect, V)), cfg)
         assert out.mirror_axes == ("x1", "x2") and full.mirror_axes == ()
         assert out.converged and full.converged
         res = float(np.nanmax(np.abs(tlab.translator_residual(out.solution))))
@@ -532,7 +532,7 @@ class TestParabolicRelax:
         tol = 1e-3
         interior_zero = sample.values.copy()
         interior_zero[1:-1, 1:-1] = 0.0
-        init = sample.with_values(interior_zero)
+        init = tlab.GridFunction(sample.rect, interior_zero)
         cfg = tlab.SolveConfig(tol=tol, max_relax_steps=60000)
         relaxed = tlab.parabolic_relax(boundary, init, cfg)
         assert relaxed.converged
@@ -544,7 +544,7 @@ class TestParabolicRelax:
         p, rect, boundary, sample = _grim_problem(nx=31, ny=37)
         interior_zero = sample.values.copy()
         interior_zero[1:-1, 1:-1] = 0.0
-        init = sample.with_values(interior_zero)
+        init = tlab.GridFunction(sample.rect, interior_zero)
         cfg = tlab.SolveConfig(tol=1e-3, max_relax_steps=60000)
         out = tlab.parabolic_relax(boundary, init, cfg)
         hist = np.array(out.history)
@@ -553,10 +553,10 @@ class TestParabolicRelax:
         assert len(hist) - cut >= 0.75 * len(hist)
         assert np.all(np.diff(hist[cut:]) <= 1e-12)
 
-    def test_unstable_dt_reports_instability(self):
+    def test_unstable_dt_reports_instability(self, monkeypatch):
         p, rect, boundary, sample = _grim_problem(nx=31, ny=37)
-        h = min(sample.h1, sample.h2)
-        cfg = tlab.SolveConfig(tol=1e-10, relax_dt=h * h, max_relax_steps=5000)
+        monkeypatch.setattr(tlab.solver, "_RELAX_DT", 1.0)
+        cfg = tlab.SolveConfig(tol=1e-10, max_relax_steps=5000)
         out = tlab.parabolic_relax(boundary, sample, cfg)
         assert not out.converged
         assert "instability" in out.notes
@@ -569,12 +569,12 @@ class TestParabolicRelax:
         assert not out.converged and out.iterations == budget
         assert len(out.history) == 4 and out.notes == f"step budget exhausted after {budget} steps"
 
-    def test_overflow_is_a_nonfinite_outcome(self):
+    def test_overflow_is_a_nonfinite_outcome(self, monkeypatch):
         # far above the stable step the iterate overflows within a few
         # super-steps; no RuntimeWarning escapes and init comes back
         p, rect, boundary, sample = _grim_problem(nx=31, ny=37)
-        h = min(sample.h1, sample.h2)
-        cfg = tlab.SolveConfig(tol=1e-10, relax_dt=100 * h * h, max_relax_steps=5000)
+        monkeypatch.setattr(tlab.solver, "_RELAX_DT", 100.0)
+        cfg = tlab.SolveConfig(tol=1e-10, max_relax_steps=5000)
         out = tlab.parabolic_relax(boundary, sample, cfg)
         assert not out.converged and out.final_residual == math.inf
         assert "instability: nonfinite residual" in out.notes
@@ -676,7 +676,7 @@ def test_large_grid_manufactured_solve():
     # 303x303 has 90601 interior unknowns
     p, rect, boundary, sample = _grim_problem(nx=303, ny=303, rect=(-2.0, 2.0, -2.0, 2.0))
     forcing = _manufactured_forcing(sample)
-    init = sample.with_values(sample.values + _bump(303, 303, 1e-3))
+    init = tlab.GridFunction(sample.rect, sample.values + _bump(303, 303, 1e-3))
     out = tlab.newton_solve(boundary, init, tlab.SolveConfig(tol=1e-8, max_newton_iters=10),
                             forcing=forcing)
     assert out.converged
