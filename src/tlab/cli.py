@@ -4,8 +4,9 @@ check certifies at the suite's own tolerances and regions, which follow
 from the grid (its step, its x1 extent and, for the strip checks,
 --lambda); no flag sets or loosens them. Exit codes: 0 success or all
 checks passing, 1 usage or file errors, 2 solver non-convergence, 3 check
-failures. An unconverged solve, a singular Newton step included, still
-writes its last iterate and its log. A refused identities check is a
+failures, 4 a Newton solve stopped at its rounding floor above --tol. An
+unconverged solve, a singular Newton step included, still writes its last
+iterate and its log. A refused identities check is a
 failed report that the check returns. Runs are deterministic: the same
 command line produces byte-identical output files.
 """
@@ -205,15 +206,19 @@ def cmd_solve(args) -> int:
         outcome = parabolic_relax(boundary, init, cfg)
     rep.write_grid(args.out, outcome.solution)
     log_path = args.log if args.log is not None else str(args.out) + ".log"
+    if outcome.status == "converged":
+        word, status, code = "converged", "converged", 0
+    elif outcome.status == "at_rounding_floor":
+        word, status, code = "at-rounding-floor", "at rounding floor", 4
+    else:
+        word, status, code = "not-converged", f"not converged: {outcome.notes}", 2
     lines = [f"{k} {r:.17g}" for k, r in enumerate(outcome.history)]
-    status = "converged" if outcome.converged else f"not converged: {outcome.notes}"
     lines.append(f"# {status}; final_residual {outcome.final_residual:.17g}; "
                  f"iterations {outcome.iterations}")
     Path(log_path).write_text("\n".join(lines) + "\n")
-    print(f"{'converged' if outcome.converged else 'not-converged'} "
-          f"final_residual {outcome.final_residual:.17g} "
+    print(f"{word} final_residual {outcome.final_residual:.17g} "
           f"iterations {outcome.iterations}")
-    return 0 if outcome.converged else 2
+    return code
 
 
 def cmd_check(args) -> int:

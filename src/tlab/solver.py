@@ -18,6 +18,9 @@ from .grids import GridFunction, Rectangle
 from .solitons import GrimParams
 
 _MIN_STEP_FRACTION = 2.0 ** -30
+# SuperLU's supernode settings; _factorize gives the measurements
+_SUPERNODE_RELAX = 4
+_PANEL_SIZE = 1
 # inner iterations of the one GMRES cycle run on a reused factorization
 _GMRES_RESTART = 10
 # stages of one Runge-Kutta-Legendre relax super-step, each at the base
@@ -69,12 +72,22 @@ class SolveConfig:
 
 @dataclass
 class SolveOutcome:
-    """Result of a solve; converged implies final_residual <= tol."""
+    """Result of a solve; converged implies final_residual <= tol.
+
+    status says why the solve stopped, one of: "converged" (final_residual
+    <= tol, the same as converged); Newton's "at_rounding_floor" (no step
+    decreases a residual that is already within the estimate of its own
+    rounding), "stalled" (backtracking found no decrease above that
+    estimate) and "singular" (a nonfinite Newton step); relax's "unstable"
+    (growing or nonfinite residual); and "budget" (iterations or steps
+    used up). notes renders it in words, "" when converged.
+    """
 
     solution: GridFunction
     final_residual: float
     iterations: int
     converged: bool
+    status: str
     history: list[float] = field(default_factory=list)
     notes: str = ""
     factorizations: int = 0
@@ -179,10 +192,35 @@ def _factorize(J):
     grim 18x the smooth fill). An exactly singular J gives a solve that
     returns NaNs, not an error: Newton then ends its pass unconverged, as
     on an overflowed step.
+
+    The supernode settings (Demmel, Eisenstat, Gilbert, Li & Liu, SIAM J.
+    Matrix Anal. Appl. 20, 1999) are _SUPERNODE_RELAX, the size up to
+    which subtrees at the bottom of the elimination tree become one relaxed
+    supernode, and _PANEL_SIZE, the columns the numeric phase updates as
+    one panel. Neither changes the
+    ordering, the pivots or nnz(L + U); only the order of the numeric
+    updates, so solves move in the last bits. Factor time in ms of the
+    Jacobian at each start (median of 9 interleaved runs, 2 cores, scipy
+    1.17.1; scipy's default is SuperLU's relax 10, panel 20):
+
+    ====================================  ======  =======  =====  =====  =====  =====
+    Jacobian at the start                 n       default  r1 p1  r4 p1  r8 p1  r4 p4
+    ====================================  ======  =======  =====  =====  =====  =====
+    strip 61x121, Y=6, quarter             1,800      3.6    2.3    2.3    2.5    2.6
+    noisy grim 61x67, U(-10, 10), full     3,835      9.0    6.9    6.7    6.6    8.0
+    grim 101x121, half                     5,950     11.3    8.6    8.7    8.9    9.1
+    strip 121x601, Y=30, quarter          18,000     36.5   29.4   28.9   29.5   30.1
+    grim 303x303, half                    45,451    140.7  113.9  117.8  120.7  121.4
+    strip 241x1201, Y=30, quarter         72,000    237.4  178.3  181.2  179.0  188.9
+    ====================================  ======  =======  =====  =====  =====  =====
+
+    Panel 1 is 1.2-1.6x faster than the default on every row, and relax
+    1, 4 and 8 are within the runs' spread of each other.
     """
     spla = _linalg()
     try:
-        lu = spla.splu(J.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0)
+        lu = spla.splu(J.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       relax=_SUPERNODE_RELAX, panel_size=_PANEL_SIZE)
     except RuntimeError as exc:
         if "singular" not in str(exc):
             raise
@@ -322,6 +360,36 @@ def _mirror(U: np.ndarray, axes) -> None:
         U[1:ny // 2, 1:-1] = U[-2:ny // 2:-1, 1:-1]
 
 
+def _rounding_floor(U: np.ndarray, h1: float, h2: float) -> float:
+    """The largest interior residual that rounding alone can explain.
+
+    At each interior node, eps times the stencil sum of |U| weighted by the
+    principal part of the Jacobian: |A|/h1^2 along x1, |C|/h2^2 along x2
+    and |B|/(4 h1 h2) on the corners, the centre counted on both lines.
+    Only the maximum means anything: node by node |F| can exceed the
+    estimate next to the ring. On the converged and stopped solves the
+    tests pin, it was 2.4 to 3.3 times max|F|.
+    """
+    u1, u2 = interior_partials(U, h1, h2)[:2]
+    a = np.abs(U)
+    centre = 2.0 * a[1:-1, 1:-1]
+    est = ((1.0 + u2 * u2) / (h1 * h1) * (a[1:-1, 2:] + centre + a[1:-1, :-2])
+           + (1.0 + u1 * u1) / (h2 * h2) * (a[2:, 1:-1] + centre + a[:-2, 1:-1])
+           + np.abs(u1 * u2) / (2.0 * h1 * h2)
+           * (a[2:, 2:] + a[2:, :-2] + a[:-2, 2:] + a[:-2, :-2]))
+    return float(np.finfo(float).eps * np.max(est))
+
+
+_NEWTON_NOTES = {
+    "converged": "",
+    "at_rounding_floor": "at rounding floor: the residual is within the rounding "
+                         "estimate {floor:.3e}",
+    "stalled": "backtracking stalled: no residual decrease along the Newton step",
+    "budget": "iteration budget exhausted after {iterations} steps",
+    "singular": "singular Jacobian at iteration {iterations}",
+}
+
+
 def newton_solve(boundary, init: GridFunction, cfg: SolveConfig,
                  forcing=None) -> SolveOutcome:
     """Damped Newton for the discrete translator system.
@@ -342,9 +410,17 @@ def newton_solve(boundary, init: GridFunction, cfg: SolveConfig,
     every step; the residual and the Jacobian read the block that starts
     one ghost line before each centre line. This is the full Newton step
     restricted to even grid functions, and the ring stays the init's bit
-    for bit. If the full-grid residual then misses tol and binds on the
-    mirror side (the ring's rounding-level asymmetry), the same loop goes
-    on over the full grid from the same iterate.
+    for bit. If the full-grid residual then misses tol, binds on the
+    mirror side (the ring's rounding-level asymmetry) and exceeds the
+    rounding floor, the same loop goes on over the full grid from the same
+    iterate.
+
+    The rounding floor is _rounding_floor, evaluated only where it can end
+    the solve: when the full step fails to decrease the residual, and
+    before a full-grid pass. Below the floor no step can be shown to
+    help, so the solve stops there without halving. A residual below the
+    floor at the top of an iteration is not tested: a full step can still
+    reach tol from it.
 
     Parameters
     ----------
@@ -355,8 +431,8 @@ def newton_solve(boundary, init: GridFunction, cfg: SolveConfig,
         Starting iterate; also fixes the domain and resolution (>= 5x5).
     cfg : SolveConfig
         tol is a max-norm target for the interior residual; each step is
-        tried in full, then halved by backtracking until the residual norm
-        decreases.
+        tried in full, then, above the rounding floor, halved by
+        backtracking until the residual norm decreases.
     forcing : array or None
         Optional manufactured right-hand side; the system solved is
         residual(u) = forcing, which makes any sampled reference solution an
@@ -365,13 +441,15 @@ def newton_solve(boundary, init: GridFunction, cfg: SolveConfig,
     Returns
     -------
     SolveOutcome
-        converged=False (not an exception) on stagnation, a nonfinite
-        Newton step (a singular Jacobian or an overflow) or iteration
-        exhaustion; notes says which, and the solution is the last accepted
-        iterate. factorizations counts the LUs built; mirror_axes names the
-        folds. final_residual, converged and the last history entry are
-        those of the returned full grid; earlier entries of a folded solve
-        are fold-domain residuals.
+        status is "converged" (final_residual <= tol), "at_rounding_floor",
+        "stalled" (no decrease above the floor), "singular" (a nonfinite
+        Newton step: a singular Jacobian or an overflow) or "budget"
+        (max_newton_iters used up); every status but the first comes back
+        with converged=False, not an exception, and notes renders it. The
+        solution is the last accepted iterate. factorizations counts the
+        LUs built; mirror_axes names the folds. final_residual, converged
+        and the last history entry are those of the returned full grid;
+        earlier entries of a folded solve are fold-domain residuals.
     """
     U = _dirichlet_start(boundary, init, "newton_solve")
     h1, h2 = init.h1, init.h2
@@ -380,13 +458,15 @@ def newton_solve(boundary, init: GridFunction, cfg: SolveConfig,
     history = []
     iterations = 0
     factorizations = 0
+    floor = None
 
     # A folded pass is followed by a pass with no fold from the same
     # iterate when its full-grid residual misses tol and exceeds the folded
     # one, i.e. binds on the mirror side. There the ring's rounding-level
     # asymmetry and the mirrored order of the stencil's floating-point sums
     # act, which no even step can undo. A folded residual that binds above
-    # tol is the even step's own rounding floor, which a full step shares.
+    # tol is the even step's own rounding floor, which a full step shares,
+    # and so is a full-grid residual within the rounding floor.
     while True:
         _mirror(U, axes)
         j0, i0 = _fold_origin(U.shape, axes)
@@ -400,7 +480,7 @@ def newton_solve(boundary, init: GridFunction, cfg: SolveConfig,
         rn = float(np.max(np.abs(F)))
         if not history:
             history.append(rn)
-        notes = ""
+        status = "budget"
 
         pattern = _stencil_pattern(mi, mj) if rn > cfg.tol else None
         solve = None
@@ -417,14 +497,14 @@ def newton_solve(boundary, init: GridFunction, cfg: SolveConfig,
                 factorizations += 1
                 delta = solve(rhs)
             if not np.all(np.isfinite(delta)):
-                notes = f"singular Jacobian at iteration {iterations}"
+                status = "singular"
                 break
             delta = delta.reshape(mj, mi)
 
             # trial steps are written into U in place; start restores it
             start = inner.copy()
             alpha = 1.0
-            accepted = False
+            stop = "stalled"
             while alpha >= _MIN_STEP_FRACTION:
                 np.add(start, alpha * delta, out=inner)
                 _mirror(U, axes)
@@ -432,15 +512,23 @@ def newton_solve(boundary, init: GridFunction, cfg: SolveConfig,
                 rn_try = float(np.max(np.abs(F_try)))
                 if np.isfinite(rn_try) and rn_try < rn:
                     F, rn = F_try, rn_try
-                    accepted = True
+                    stop = None
                     break
+                if alpha == 1.0:
+                    # within the rounding floor no shorter step is tried
+                    inner[...] = start
+                    _mirror(U, axes)
+                    floor = _rounding_floor(U, h1, h2)
+                    if rn <= floor:
+                        stop = "at_rounding_floor"
+                        break
                 alpha *= 0.5
             iterations += 1
             history.append(rn)
-            if not accepted:
+            if stop is not None:
                 inner[...] = start
                 _mirror(U, axes)
-                notes = "backtracking stalled: no residual decrease along the Newton step"
+                status = stop
                 break
 
         if not axes:
@@ -449,15 +537,20 @@ def newton_solve(boundary, init: GridFunction, cfg: SolveConfig,
         history[-1] = rn
         if rn <= max(cfg.tol, rn_fold):
             break
+        floor = _rounding_floor(U, h1, h2)
+        if rn <= floor:
+            status = "at_rounding_floor"
+            break
         axes = ()
 
-    converged = rn <= cfg.tol
-    if not converged and not notes:
-        notes = f"iteration budget exhausted after {iterations} steps"
+    if rn <= cfg.tol:
+        status = "converged"
     return SolveOutcome(solution=GridFunction(init.rect, U),
                         final_residual=rn, iterations=iterations,
-                        converged=converged, history=history,
-                        notes="" if converged else notes,
+                        converged=status == "converged", status=status,
+                        history=history,
+                        notes=_NEWTON_NOTES[status].format(iterations=iterations,
+                                                           floor=floor),
                         factorizations=factorizations, mirror_axes=mirror_axes)
 
 
@@ -496,6 +589,7 @@ def parabolic_relax(boundary, init: GridFunction, cfg: SolveConfig) -> SolveOutc
     V = U.copy()
     growth_streak = 0
     steps = 0
+    status = "budget"
     notes = ""
     # an unstable dt overflows the iterate; the nonfinite residual says so
     with np.errstate(over="ignore", invalid="ignore"):
@@ -515,22 +609,26 @@ def parabolic_relax(boundary, init: GridFunction, cfg: SolveConfig) -> SolveOutc
             rn = rn_new
             history.append(rn)
             if not np.isfinite(rn):
+                status = "unstable"
                 notes = f"instability: nonfinite residual at step {steps} (dt={dt:.3e})"
                 break
             if growth_streak >= 50:
+                status = "unstable"
                 notes = (f"instability: residual grew for {growth_streak} consecutive "
                          f"steps (dt={dt:.3e} vs stability bound ~{min(h1, h2) ** 2 / 4:.3e})")
                 break
 
     converged = bool(np.isfinite(rn) and rn <= cfg.tol)
-    if not converged and not notes:
+    if converged:
+        status = "converged"
+    elif not notes:
         notes = f"step budget exhausted after {steps} steps"
     if not np.all(np.isfinite(U)):
         U = init.values.copy()
         notes += "; iterate discarded (nonfinite), returning init"
     return SolveOutcome(solution=GridFunction(init.rect, U),
                         final_residual=rn if np.isfinite(rn) else float("inf"),
-                        iterations=steps, converged=converged,
+                        iterations=steps, converged=converged, status=status,
                         history=history, notes="" if converged else notes)
 
 

@@ -146,6 +146,19 @@ class TestSolve:
         assert r.returncode == 2
         assert "not-converged" in r.stdout
 
+    def test_rounding_floor_exit_code(self, tmp_path, capsys):
+        # the lambda = 5 strip ends within its rounding floor, above 1e-10:
+        # exit 4, and the grid and log are written
+        out = tmp_path / "x.grid"
+        code = tlab.cli.main(["solve", "newton", "--boundary", "strip", "--lambda", "5",
+                              "--Y", "6", "--nx", "61", "--ny", "121", "--out", str(out)])
+        assert code == 4
+        assert capsys.readouterr().out.startswith("at-rounding-floor final_residual ")
+        assert reporting.read_grid(out).values.shape == (121, 61)
+        last = (tmp_path / "x.grid.log").read_text().splitlines()[-1]
+        assert last.startswith("# at rounding floor; final_residual ")
+        assert last.endswith("; iterations 6")
+
     @pytest.mark.parametrize("mode, flag, field", [
         ("newton", "--max-iters", "max_newton_iters"),
         ("relax", "--max-steps", "max_relax_steps"),
