@@ -526,7 +526,7 @@ class TestSuite:
         reports = tlab.run_suite(strip_solution.solution, tlab.default_suite(grim2, True),
                                  tlab.SuiteConfig(grim=grim2))
         assert (_digest_without_locations(reports)
-                == "80a4b1a28f7a6a899158c6b39b1f1c84bccb8eab3379a18a2570e49ff2c2b557")
+                == "61a0d5e22df796accb73f36223418fab0c5912eac1c99b0eb2524dc6c6837dc8")
 
     def test_strip_checks_need_grim_params(self, grim_setup):
         _, u, _, _ = grim_setup

@@ -157,7 +157,7 @@ class TestSolve:
         assert reporting.read_grid(out).values.shape == (121, 61)
         last = (tmp_path / "x.grid.log").read_text().splitlines()[-1]
         assert last.startswith("# at rounding floor; final_residual ")
-        assert last.endswith("; iterations 6")
+        assert last.endswith("; iterations 7")
 
     @pytest.mark.parametrize("mode, flag, field", [
         ("newton", "--max-iters", "max_newton_iters"),

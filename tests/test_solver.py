@@ -6,8 +6,9 @@ import pytest
 
 import tlab
 from tlab.geometry import interior_partials, quasilinear_residual
-from tlab.solver import (_RKL_STAGES, _factorize, _fold_origin, _jacobian, _mirror,
-                         _mirror_axes, _preconditioned_step, _residual, _rounding_floor)
+from tlab.solver import (_OFFSETS, _RKL_STAGES, _factorize, _fold_origin, _jacobian,
+                         _mirror, _mirror_axes, _preconditioned_step, _residual,
+                         _rounding_floor, _stencil_pattern)
 
 
 def _grim_problem(lam=2.0, rect=(-2.5, 2.5, -3.0, 3.0), nx=51, ny=61):
@@ -168,7 +169,53 @@ class TestNewton:
 
     def test_strip_solve_reuses_factorizations(self, strip_solution):
         assert strip_solution.converged
-        assert 1 <= strip_solution.factorizations < strip_solution.iterations
+        assert (strip_solution.iterations, strip_solution.factorizations) == (6, 2)
+
+    def test_strip_cycles_keep_the_fill_lu_until_one_gives_up(self, monkeypatch):
+        # the fill's LU serves four cycles, the first of which scipy's
+        # left-preconditioned gmres refused at a true residual of 2.55e-2
+        # against 1e-2; the fifth cannot reach its target and gives up after
+        # the start's solve and two of its ten inner iterations
+        cycles = []
+        step = tlab.solver._preconditioned_step
+
+        def counted(J, rhs, solve, rtol):
+            solves = []
+            x = step(J, rhs, lambda v: solves.append(v) or solve(v), rtol)
+            cycles.append((len(solves), x is not None))
+            return x
+
+        monkeypatch.setattr(tlab.solver, "_preconditioned_step", counted)
+        g, init = _cli_strip(2.0, 121, 601, 30.0)
+        out = tlab.newton_solve(g, init, tlab.SolveConfig(max_newton_iters=60))
+        assert (out.status, out.iterations, out.factorizations) == ("converged", 6, 2)
+        assert [ok for _, ok in cycles] == [True, True, True, True, False]
+        assert cycles[-1][0] <= 3
+
+    @pytest.mark.parametrize("bad", [np.nan, 0.0], ids=["nan", "zero"])
+    @pytest.mark.parametrize("bad_from", [1, 2], ids=["start", "arnoldi"])
+    def test_cycle_gives_up_on_a_nonfinite_or_zero_product(self, bad_from, bad):
+        # J @ x turns NaN, or 0 as for a singular J, from the bad_from-th
+        # product on: the start's residual, or the first Arnoldi vector's.
+        # A zero product zeroes the rotated Hessenberg diagonal; no warning
+        # or LinAlgError escapes
+        p, rect, boundary, sample = _grim_problem(nx=21, ny=25)
+        h1, h2 = sample.h1, sample.h2
+        solve = _factorize(_jacobian(sample.values, h1, h2))
+        U = sample.values + _bump(25, 21, 0.2)
+        J = _jacobian(U, h1, h2)
+        rhs = -_residual(U, h1, h2)[0].ravel()
+        assert _preconditioned_step(J, rhs, solve, 1e-8) is not None
+
+        class Poisoned:
+            products = 0
+
+            def __matmul__(self, x):
+                self.products += 1
+                y = J @ x
+                return y if self.products < bad_from else np.full_like(y, bad)
+
+        assert _preconditioned_step(Poisoned(), rhs, solve, 1e-8) is None
 
     def test_ring_mismatch_rejected(self):
         p, rect, boundary, sample = _grim_problem(nx=11, ny=11)
@@ -411,35 +458,36 @@ class TestMirrorFold:
         cfg = tlab.SolveConfig()
         boundary, init = _grim_fill(30, 36)
         out = tlab.newton_solve(boundary, init, cfg)
-        assert out.history[-1].hex() == "0x1.0f80000000000p-39"
+        assert out.history[-1].hex() == "0x1.7e00000000000p-40"
         assert (hashlib.sha256(out.solution.values.tobytes()).hexdigest()
-                == "1d01132a20f137be98ab562c6845f9394c84b4ca17222dbcc99f85f8614bcf17")
+                == "7bbf727469c153ba652e5ccb065d2978aef26c049b717797d54bb6d21124243c")
         g, init = _strip_problem()
         out = tlab.newton_solve(g, _one_sided(init), cfg)
-        assert out.history[-1].hex() == "0x1.9bb8000000000p-36"
+        assert out.history[-1].hex() == "0x1.2c00000000000p-41"
         assert (hashlib.sha256(out.solution.values.tobytes()).hexdigest()
-                == "e1b4281497452c7a163a86b1e13b472d9f3420702caa1c63e8a571111265c5c9")
+                == "d385ea301d1a0df5e6bfc6607725e5f185fb053e92fa8c3f10cbd1a12dc9aaea")
 
     @pytest.mark.parametrize("problem, tol, axes, counts, digest, history", [
-        (_strip_problem, 1e-10, ("x1", "x2"), (True, 5, 3),
-         "586056d3f677d612d2aa4ba478897b8bca02945f80c7a059df15837e47fd5660",
-         "0x1.0c1b4b166b70ap+2 0x1.0d403b45f0af8p+0 0x1.c2cc2876e44a0p-3 "
-         "0x1.10fc9e74fb400p-7 0x1.14963f1b00000p-17 0x1.7db0000000000p-36"),
+        (_strip_problem, 1e-10, ("x1", "x2"), (True, 6, 2),
+         "a7d3329a59052c6fc4c1d32c0b4c3ed16dd1c64ad6633220723a8193d88515f8",
+         "0x1.0c1b4b166b70ap+2 0x1.0d403b45f0af8p+0 0x1.c43b464c87e80p-3 "
+         "0x1.1d7a81f0f5400p-7 0x1.e6943a0f30000p-14 0x1.83e6d40000000p-29 "
+         "0x1.4800000000000p-41"),
         (_grim_fill, 1e-10, ("x1",), (True, 3, 1),
-         "593f62e86907026c150e5318dfe48ba424fd8c7363970c9492fb3f15d3712a1d",
-         "0x1.20a5999e00d00p-3 0x1.10896b4380000p-13 0x1.1914800000000p-31 "
-         "0x1.9800000000000p-40"),
-        (_ring_asymmetric_strip, 1e-12, ("x1", "x2"), (True, 7, 5),
-         "7b8dc89e96747b2fa34c246bbd91ccf7cc0cf64b4b49e1c8fa640036a54addc0",
-         "0x1.0c1b4b166b70ap+2 0x1.0d403b45f0af8p+0 0x1.c2cc2876e44a0p-3 "
-         "0x1.10fc9e74fb400p-7 0x1.14963f1b00000p-17 0x1.7db0000000000p-36 "
+         "a90fed425efd21e740262ca8b0ccae6141a86b9997583478f602c5928ee65d8f",
+         "0x1.20a5999e00d00p-3 0x1.10896b4380000p-13 0x1.5b09000000000p-32 "
+         "0x1.5c00000000000p-40"),
+        (_ring_asymmetric_strip, 1e-12, ("x1", "x2"), (True, 7, 3),
+         "8665b3782ae174f63be2ec7738ac6b1afa181e026e2f374b4925c49a0a1bfcd0",
+         "0x1.0c1b4b166b70ap+2 0x1.0d403b45f0af8p+0 0x1.c43b464c87e80p-3 "
+         "0x1.1d7a81f0f5400p-7 0x1.e6943a0f30000p-14 0x1.83e6d40000000p-29 "
          "0x1.18a0000000000p-38 0x1.2c00000000000p-41"),
-        (_stalled_strip, 1e-10, ("x1", "x2"), (False, 6, 3),
-         "1dd7a2d1b82609ebe60ba7a1e6375f981c38b60d57622ad83e3fd94c6835fe64",
-         "0x1.eab01661541e8p+3 0x1.0fa934046a400p-1 0x1.8b8695b9bb8c0p-4 "
-         "0x1.691dd407e8400p-8 0x1.dd2a4cfa00000p-17 0x1.1750000000000p-33 "
-         "0x1.1768000000000p-32"),
-    ])
+        (_stalled_strip, 1e-10, ("x1", "x2"), (False, 7, 2),
+         "bac2bc09bec04b5e8840ac63c16bfdad78ecc891be9ae3a1b65a98c3d4904d49",
+         "0x1.eab01661541e8p+3 0x1.0fa934046a400p-1 0x1.8a372761d7c00p-4 "
+         "0x1.58f89ca3ee000p-8 0x1.0a40828a00000p-16 0x1.2670000000000p-33 "
+         "0x1.1750000000000p-33 0x1.1768000000000p-32"),
+    ], ids=["strip 21x41", "grim 31x37", "ring-asymmetric strip", "stalled strip"])
     def test_folded_solves_pinned(self, problem, tol, axes, counts, digest, history):
         boundary, init = problem()
         out = tlab.newton_solve(boundary, init, tlab.SolveConfig(tol=tol))
@@ -501,13 +549,21 @@ class TestRoundingFloor:
             assert 2.0 <= _floor_ratio(out) <= 5.0
 
     def test_strip_full_step_converges_from_below_the_floor(self, strip_solution):
-        # the fifth iterate is within the floor and above tol; the sixth full
-        # step still converges, so the floor is never tested at the top of an
-        # iteration
-        out = strip_solution
-        assert out.status == "converged" and out.iterations == 6
-        U = out.solution.values
-        assert 1e-10 < out.history[5] <= _rounding_floor(U, out.solution.h1, out.solution.h2)
+        # the converged strip plus a bump whose linearized residual is halfway
+        # between tol and the floor: the start is within the floor and above
+        # tol, and its first full step still converges, so the floor is never
+        # tested at the top of an iteration
+        sol = strip_solution.solution
+        U, h1, h2 = sol.values, sol.h1, sol.h2
+        tol = 1e-10
+        bump = _bump(*U.shape, 1.0)
+        slope = np.max(np.abs(_jacobian(U, h1, h2) @ bump[1:-1, 1:-1].ravel()))
+        scale = 0.5 * (tol + _rounding_floor(U, h1, h2)) / slope
+        start = tlab.GridFunction(sol.rect, U + scale * bump)
+        out = tlab.newton_solve(sol, start, tlab.SolveConfig(tol=tol))
+        assert out.mirror_axes == ("x1", "x2")
+        assert tol < out.history[0] <= _rounding_floor(start.values, h1, h2)
+        assert (out.status, out.iterations) == ("converged", 1)
 
     def test_grim_stops_at_the_floor_without_halving(self, grim_303):
         # backtracking used to halve 30 times below the floor: 35 residual
@@ -543,7 +599,7 @@ class TestRoundingFloor:
         assert out.status == "at_rounding_floor"
         assert out.mirror_axes == ("x1", "x2")
         assert all(call[4] == ("x1", "x2") for call in jacobians)
-        assert (out.iterations, out.factorizations) == (6, 3)
+        assert (out.iterations, out.factorizations) == (7, 2)
 
 
 class TestStatus:
@@ -699,6 +755,52 @@ class TestSymmetries:
         assert image.converged == out.converged
         scale = np.finfo(float).eps * np.max(np.abs(expected))
         assert np.max(np.abs(image.solution.values - expected)) <= 16.0 * scale
+
+    # At tol=1e-12 the shift leaves the discrete system as it is, but the
+    # iterate rounds on |U|, so it raises the rounding floor about 8.5x. The
+    # 61x121 strip is within its floor either way and ends alike. The
+    # ring-asymmetric strip converges in its full-grid pass (5.3e-13);
+    # shifted, its folded pass already ends within the raised floor (3.6e-12
+    # against 2.7e-11), so it stops there without that pass and its LU.
+    @pytest.mark.parametrize("problem, ending, shifted_ending", [
+        (lambda: _cli_strip(2.0), ("at_rounding_floor", 7, 2), ("at_rounding_floor", 7, 2)),
+        (_ring_asymmetric_strip, ("converged", 7, 3), ("at_rounding_floor", 7, 2)),
+    ], ids=["strip 61x121", "ring-asymmetric strip"])
+    def test_shifted_solve_ends_alike_but_for_its_floor(self, problem, ending, shifted_ending):
+        _, data_map, grid_map, _ = _SYMMETRIES["shift by 100"]
+        cfg = tlab.SolveConfig(tol=1e-12)
+        boundary, init = problem()
+        out = tlab.newton_solve(boundary, init, cfg)
+        image = tlab.newton_solve(data_map(boundary),
+                                  tlab.GridFunction(init.rect, grid_map(init.values)), cfg)
+        assert (out.status, out.iterations, out.factorizations) == ending
+        assert (image.status, image.iterations, image.factorizations) == shifted_ending
+        sol = image.solution
+        assert image.final_residual <= _rounding_floor(sol.values, sol.h1, sol.h2)
+
+
+def _stencil_pattern_by_column(mi, mj):
+    # the pattern as first written: one row of 9 slots per column, in int64
+    # until the final casts
+    n = mi * mj
+    jc, ic = np.divmod(np.arange(n), mi)
+    di, dj = np.array(_OFFSETS).T
+    ri = ic[:, None] - di
+    rj = jc[:, None] - dj
+    keep = (ri >= 0) & (ri < mi) & (rj >= 0) & (rj < mj)
+    rows = rj * mi + ri
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
+    return (rows[keep].astype(np.int32), indptr,
+            (np.arange(len(_OFFSETS)) * n + rows)[keep].astype(np.int32))
+
+
+@pytest.mark.parametrize("mi, mj", [(3, 3), (1, 1), (1, 4), (5, 1), (2, 7), (19, 23),
+                                    (60, 300), (151, 301)])
+def test_stencil_pattern_matches_the_column_construction(mi, mj):
+    for got, want in zip(_stencil_pattern(mi, mj), _stencil_pattern_by_column(mi, mj)):
+        assert got.dtype == want.dtype == np.int32
+        assert np.array_equal(got, want)
 
 
 class TestParabolicRelax:
