@@ -287,14 +287,14 @@ def check_symmetry(g: GeometryFields, tol: float) -> CheckReport:
                    worst, tol, loc, notes)
 
 
-def check_A_bound(g: GeometryFields, cap: float = 1.0) -> CheckReport:
-    """Global curvature bound |A|^2 <= cap (default 1 on convex translators)."""
-    worst, loc = worst_over(g.A2 - cap)
+def check_A_bound(g: GeometryFields) -> CheckReport:
+    """Global curvature bound |A|^2 <= 1 on convex translators."""
+    worst, loc = worst_over(g.A2 - 1.0)
     finite = np.isfinite(g.A2)
     observed = float(np.max(g.A2[finite]))
     return _report("A_bound",
                    "|A|^2 bounded by a universal constant on complete mean-convex translators",
-                   worst, 0.0, loc, f"cap {cap:g}; observed max |A|^2 = {observed:.6e}")
+                   worst, 0.0, loc, f"cap 1; observed max |A|^2 = {observed:.6e}")
 
 
 def _trusted_max(vals: np.ndarray, where: str) -> float:
@@ -373,7 +373,7 @@ _SUITE = {
         g, cfg.grim, cfg.window, 0.05, "bottom"),
     "symmetry": lambda g, h, cfg: check_symmetry(
         g, 1e-6 * max(1.0, float(np.max(np.abs(g.grid.values))))),
-    "A_bound": lambda g, h, cfg: check_A_bound(g, 1.0),
+    "A_bound": lambda g, h, cfg: check_A_bound(g),
     "halfstrip_W_bound": lambda g, h, cfg: check_halfstrip_W_bound(
         g, cfg.grim, 1.2 * (cfg.grim.half_width - g.grid.rect.x1_max)),
 }

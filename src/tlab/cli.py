@@ -24,9 +24,9 @@ from . import checks as ck
 from . import reporting as rep
 from .grids import Rectangle
 from .geometry import translator_residual
-from .solitons import (CylinderParams, GrimParams, bowl_grid, bowl_profile_solve,
-                       bowl_radial_function, grim_cylinder_value, grim_grid,
-                       sample_to_grid, tilted_cylinder_value)
+from .solitons import (CylinderParams, GrimParams, bowl_profile_solve,
+                       bowl_radial_function, grim_cylinder_value, sample_to_grid,
+                       tilted_cylinder_value)
 from .solver import (SolveConfig, fill_from_boundary, newton_solve,
                      parabolic_relax, strip_boundary_data)
 
@@ -59,7 +59,6 @@ def build_parser() -> _Parser:
     g.add_argument("--tilt", choices=["+", "-"], default="+")
     g.add_argument("--radius", type=float, default=1.0)
     g.add_argument("--t", type=float, default=0.5)
-    g.add_argument("--offset", type=float, default=0.0)
     g.add_argument("--rmax", type=float, default=None)
     g.add_argument("--step", type=float, default=1e-3)
     g.add_argument("--nx", type=int, default=101)
@@ -74,8 +73,6 @@ def build_parser() -> _Parser:
     s.add_argument("--boundary-file", default=None)
     s.add_argument("--lambda", dest="lam", type=float, default=2.0)
     s.add_argument("--tilt", choices=["+", "-"], default="+")
-    s.add_argument("--eps-frac", type=float, default=0.25,
-                   help="strip truncation as a fraction of the half-width")
     s.add_argument("--Y", type=float, default=30.0)
     s.add_argument("--smoothing", type=float, default=None,
                    help="corner rounding of the strip data; defaults to "
@@ -104,7 +101,6 @@ def build_parser() -> _Parser:
     c.add_argument("--window", type=float, default=suite_defaults.window)
     c.add_argument("--seed", type=int, default=suite_defaults.seed,
                    help="has no effect: no check samples at random")
-    c.add_argument("--run-id", default="tlab-check")
     c.add_argument("--out", required=True)
 
     e = sub.add_parser("profile-export",
@@ -114,21 +110,6 @@ def build_parser() -> _Parser:
     e.add_argument("--out", required=True)
 
     return parser
-
-
-def _default_domain(args):
-    if args.family == "grim":
-        R = GrimParams(args.lam).half_width
-        return (-0.75 * R, 0.75 * R, -5.0, 5.0)
-    if args.family == "tilted":
-        return (-0.8 * args.radius, 0.8 * args.radius, -2.0, 2.0)
-    return (-4.0, 4.0, -4.0, 4.0)
-
-
-def _domain_from(args, defaults) -> Rectangle:
-    vals = [args.x1_min, args.x1_max, args.x2_min, args.x2_max]
-    vals = [d if v is None else v for v, d in zip(vals, defaults)]
-    return Rectangle(*vals)
 
 
 def _bowl_profile(args, rect: Rectangle):
@@ -141,17 +122,31 @@ def _bowl_profile(args, rect: Rectangle):
     return bowl_profile_solve(rmax, args.step)
 
 
-def cmd_generate(args) -> int:
-    rect = _domain_from(args, _default_domain(args))
-    if args.family == "grim":
+def _closed_form(args, family, grim_x2):
+    """Rectangle and height callable of a closed-form family.
+
+    The rectangle is the family's default with the --x1-min ... --x2-max
+    overrides applied; grim's default is [-3R/4, 3R/4] x [-grim_x2, grim_x2].
+    """
+    if family == "grim":
         p = GrimParams(args.lam, 1 if args.tilt == "+" else -1)
-        u = grim_grid(p, rect, args.nx, args.ny)
-    elif args.family == "tilted":
-        cyl = CylinderParams(args.radius, args.t, args.offset)
-        u = sample_to_grid(lambda a, b: tilted_cylinder_value(cyl, a, b),
-                           rect, args.nx, args.ny)
+        R = p.half_width
+        default, fn = ((-0.75 * R, 0.75 * R, -grim_x2, grim_x2),
+                       lambda a, b: grim_cylinder_value(p, a, b))
+    elif family == "tilted":
+        cyl = CylinderParams(args.radius, args.t)
+        default, fn = ((-0.8 * cyl.radius, 0.8 * cyl.radius, -2.0, 2.0),
+                       lambda a, b: tilted_cylinder_value(cyl, a, b))
     else:
-        u = bowl_grid(_bowl_profile(args, rect), rect, args.nx, args.ny)
+        default, fn = (-4.0, 4.0, -4.0, 4.0), None
+    given = (args.x1_min, args.x1_max, args.x2_min, args.x2_max)
+    rect = Rectangle(*(d if v is None else v for v, d in zip(given, default)))
+    return rect, fn or bowl_radial_function(_bowl_profile(args, rect))
+
+
+def cmd_generate(args) -> int:
+    rect, fn = _closed_form(args, args.family, grim_x2=5.0)
+    u = sample_to_grid(fn, rect, args.nx, args.ny)
     # before writing: a grid too small for the residual is refused with no file
     res = translator_residual(u)
     rep.write_grid(args.out, u)
@@ -161,21 +156,14 @@ def cmd_generate(args) -> int:
 
 def _solve_problem(args):
     """Boundary callable + rectangle + init grid for a solve command."""
-    if args.boundary == "grim":
-        p = GrimParams(args.lam, 1 if args.tilt == "+" else -1)
-        R = p.half_width
-        rect = _domain_from(args, (-0.75 * R, 0.75 * R, -3.0, 3.0))
-        boundary = lambda a, b: grim_cylinder_value(p, a, b)
+    if args.boundary in ("grim", "bowl"):
+        rect, boundary = _closed_form(args, args.boundary, grim_x2=3.0)
     elif args.boundary == "strip":
         p = GrimParams(args.lam, 1 if args.tilt == "+" else -1)
-        eps = args.eps_frac * p.half_width
         smoothing = args.smoothing
         if smoothing is None:
             smoothing = max(1.0, args.lam * args.lam - 1.0)
-        rect, boundary = strip_boundary_data(p, eps, args.Y, smoothing)
-    elif args.boundary == "bowl":
-        rect = _domain_from(args, (-4.0, 4.0, -4.0, 4.0))
-        boundary = bowl_radial_function(_bowl_profile(args, rect))
+        rect, boundary = strip_boundary_data(p, 0.25 * p.half_width, args.Y, smoothing)
     else:
         if not args.boundary_file:
             raise ValueError("--boundary file needs --boundary-file")
@@ -237,9 +225,9 @@ def cmd_check(args) -> int:
     reports = ck.run_suite(u, names, ck.SuiteConfig(grim=grim, window=args.window))
     # the flags as given, in parser order, with the suite and skip resolved
     inputs = {("lambda" if k == "lam" else k): v for k, v in vars(args).items()
-              if k not in ("command", "run_id", "out")}
+              if k not in ("command", "out")}
     inputs.update(suite=",".join(names), skip=",".join(skip))
-    report = rep.report_dict(args.run_id, inputs, reports)
+    report = rep.report_dict("tlab-check", inputs, reports)
     rep.write_report(args.out, report)
     for r in reports:
         print(f"{'PASS' if r.passed else 'FAIL'} {r.name} "

@@ -85,24 +85,12 @@ def check_from_dict(d: dict) -> CheckReport:
                        notes=d.get("notes", ""))
 
 
-def _jsonable(value):
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    return value
-
-
 def report_dict(run_id: str, inputs: dict, checks: list[CheckReport]) -> dict:
     entries = [check_to_dict(c) for c in checks]
     passed = sum(1 for c in checks if c.passed)
     return {
         "run_id": run_id,
-        "inputs": _jsonable(inputs),
+        "inputs": inputs,
         "checks": entries,
         "summary": {"passed": passed, "failed": len(checks) - passed},
     }

@@ -60,7 +60,6 @@ class CylinderParams:
 
     radius: float
     tilt: float = 0.0
-    offset: float = 0.0
 
     def __post_init__(self):
         if not (np.isfinite(self.radius) and self.radius > 0.0):
@@ -142,13 +141,13 @@ def grim_partials(p: GrimParams, u: GridFunction) -> Partials:
 
 
 def tilted_cylinder_value(c: CylinderParams, x1, x2):
-    """Height -sqrt(1+t^2) sqrt(R^2 - x1^2) + t (x2 - offset), |x1| <= R."""
+    """Height -sqrt(1+t^2) sqrt(R^2 - x1^2) + t x2, |x1| <= R."""
     x1a = np.asarray(x1, dtype=float)
     _refuse_where(np.abs(x1a) > c.radius, x1a,
                   lambda v: f"x1 = {v!r} is outside |x1| <= {c.radius!r}")
     x2a = np.asarray(x2, dtype=float)
     root = np.sqrt(np.maximum(c.radius * c.radius - x1a * x1a, 0.0))
-    return -math.sqrt(1.0 + c.tilt * c.tilt) * root + c.tilt * (x2a - c.offset)
+    return -math.sqrt(1.0 + c.tilt * c.tilt) * root + c.tilt * x2a
 
 
 # RK4's stability interval on the negative real axis ends at about -2.785
@@ -185,18 +184,6 @@ class BowlProfile:
     @property
     def step(self) -> float:
         return float(self.r[1] - self.r[0])
-
-    def ode_residual(self) -> np.ndarray:
-        """Radial residual f''/(1+f'^2) + f'/r - 1 at interior nodes.
-
-        f'' is the centered difference of the stored slopes, so the residual
-        is O(step^2) for a correctly integrated profile.
-        """
-        h = self.step
-        fpp = (self.fp[2:] - self.fp[:-2]) / (2.0 * h)
-        rr = self.r[1:-1]
-        fpm = self.fp[1:-1]
-        return fpp / (1.0 + fpm * fpm) + fpm / rr - 1.0
 
 
 def bowl_profile_solve(r_max: float, step: float) -> BowlProfile:

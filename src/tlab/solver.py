@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import _MIRROR_ROUNDING_RTOL, _residual_and_wsq, interior_partials
+from .geometry import (_MIRROR_ROUNDING_RTOL, _centered_first, _interior_block,
+                       _residual_and_wsq, interior_partials)
 from .grids import GridFunction, Rectangle
 from .solitons import GrimParams
 
@@ -75,24 +76,28 @@ class SolveOutcome:
     """Result of a solve; converged implies final_residual <= tol.
 
     status says why the solve stopped, one of: "converged" (final_residual
-    <= tol, the same as converged); Newton's "at_rounding_floor" (no step
-    decreases a residual that is already within the estimate of its own
-    rounding), "stalled" (backtracking found no decrease above that
-    estimate) and "singular" (a nonfinite Newton step); relax's "unstable"
-    (growing or nonfinite residual); and "budget" (iterations or steps
-    used up). notes renders it in words, "" when converged.
+    <= tol); Newton's "at_rounding_floor" (no step decreases a residual
+    that is already within the estimate of its own rounding), "stalled"
+    (backtracking found no decrease above that estimate) and "singular" (a
+    nonfinite Newton step); relax's "unstable" (growing or nonfinite
+    residual); and "budget" (iterations or steps used up). notes renders it
+    in words, "" when converged. converged is read from status, so the two
+    cannot disagree.
     """
 
     solution: GridFunction
     final_residual: float
     iterations: int
-    converged: bool
     status: str
     history: list[float] = field(default_factory=list)
     notes: str = ""
     factorizations: int = 0
     # the axes Newton folded the problem across, e.g. ("x1", "x2")
     mirror_axes: tuple[str, ...] = ()
+
+    @property
+    def converged(self) -> bool:
+        return self.status == "converged"
 
 
 def _residual(U: np.ndarray, h1: float, h2: float, f_int=None):
@@ -362,10 +367,9 @@ def _forcing_interior(forcing, shape):
     if forcing is None:
         return None
     f = np.asarray(forcing, dtype=float)
-    if f.shape == shape:
-        f = f[1:-1, 1:-1]
-    if f.shape != (shape[0] - 2, shape[1] - 2):
+    if f.shape != shape:
         raise ValueError("forcing shape does not match the grid")
+    f = f[1:-1, 1:-1]
     if not np.all(np.isfinite(f)):
         raise ValueError("forcing must be finite on the interior")
     return f
@@ -418,7 +422,7 @@ def _rounding_floor(U: np.ndarray, h1: float, h2: float) -> float:
     estimate next to the ring. On the converged and stopped solves the
     tests pin, it was 2.4 to 3.3 times max|F|.
     """
-    u1, u2 = interior_partials(U, h1, h2)[:2]
+    u1, u2 = _centered_first(U, h1, h2, _interior_block(U, 2))
     a = np.abs(U)
     centre = 2.0 * a[1:-1, 1:-1]
     est = ((1.0 + u2 * u2) / (h1 * h1) * (a[1:-1, 2:] + centre + a[1:-1, :-2])
@@ -484,7 +488,8 @@ def newton_solve(boundary, init: GridFunction, cfg: SolveConfig,
         tried in full, then, above the rounding floor, halved by
         backtracking until the residual norm decreases.
     forcing : array or None
-        Optional manufactured right-hand side; the system solved is
+        Optional manufactured right-hand side of the grid's shape, read at
+        the interior nodes; the system solved is
         residual(u) = forcing, which makes any sampled reference solution an
         exact discrete fixed point of its own forcing.
 
@@ -596,8 +601,7 @@ def newton_solve(boundary, init: GridFunction, cfg: SolveConfig,
     if rn <= cfg.tol:
         status = "converged"
     return SolveOutcome(solution=GridFunction(init.rect, U),
-                        final_residual=rn, iterations=iterations,
-                        converged=status == "converged", status=status,
+                        final_residual=rn, iterations=iterations, status=status,
                         history=history,
                         notes=_NEWTON_NOTES[status].format(iterations=iterations,
                                                            floor=floor),
@@ -678,7 +682,7 @@ def parabolic_relax(boundary, init: GridFunction, cfg: SolveConfig) -> SolveOutc
         notes += "; iterate discarded (nonfinite), returning init"
     return SolveOutcome(solution=GridFunction(init.rect, U),
                         final_residual=rn if np.isfinite(rn) else float("inf"),
-                        iterations=steps, converged=converged, status=status,
+                        iterations=steps, status=status,
                         history=history, notes="" if converged else notes)
 
 

@@ -106,7 +106,7 @@ def test_criterion_5_inequality_suite(bowl_solves, strip_solution, grim2):
         reps = [tlab.check_convexity(fields, 1e-6),
                 tlab.check_gradient_bounds(fields, grad_tol),
                 tlab.check_harnack(fields, 1e-8),
-                tlab.check_A_bound(fields, 1.0)]
+                tlab.check_A_bound(fields)]
         if strip_like:
             reps.append(tlab.check_strip_H_bound(fields, grim))
         for rep in reps:
@@ -220,7 +220,7 @@ def test_criterion_9_format_roundtrips(tmp_path):
 
     fields = tlab.geometry_fields(u)
     checks = [tlab.check_convexity(fields, 1e-6),
-              tlab.check_A_bound(fields, 1.0)]
+              tlab.check_A_bound(fields)]
     rep = reporting.report_dict("acceptance-9", {"lambda": 1.5, "h": 0.1}, checks)
     r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
     reporting.write_report(r1, rep)

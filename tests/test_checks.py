@@ -383,7 +383,7 @@ class TestSymmetry:
 class TestABound:
     def test_exact_grim_lambda2(self, grim_setup):
         _, _, _, fields = grim_setup
-        rep = tlab.check_A_bound(fields, 1.0)
+        rep = tlab.check_A_bound(fields)
         assert rep.passed
         # max |A|^2 = 1/lam^2 = 0.25 on the lam = 2 cylinder
         assert np.nanmax(fields.A2) == pytest.approx(0.25, abs=1e-4)
@@ -391,14 +391,14 @@ class TestABound:
     def test_bowl_apex_value(self, bowl_solves):
         out, _ = bowl_solves[0.05]
         fields = tlab.geometry_fields(out.solution)
-        rep = tlab.check_A_bound(fields, 1.0)
+        rep = tlab.check_A_bound(fields)
         assert rep.passed
         assert np.nanmax(fields.A2) == pytest.approx(0.5, abs=1e-2)
 
     def test_inflated_A2_fails(self, grim_setup):
         _, _, _, fields = grim_setup
         fake = dataclasses.replace(fields, A2=10.0 * fields.A2)
-        rep = tlab.check_A_bound(fake, 1.0)
+        rep = tlab.check_A_bound(fake)
         assert not rep.passed
         assert rep.worst_violation > 0.0
 

@@ -185,6 +185,54 @@ class TestSolve:
         assert last.startswith("# not converged: singular Jacobian at iteration 0; ")
 
 
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_generate_tilted_pinned(tmp_path):
+    # the default radius 1, t = 1/2 cylinder on [-0.8, 0.8] x [-2, 2]
+    out = tmp_path / "tilted.grid"
+    assert tlab.cli.main(["generate", "tilted", "--nx", "21", "--ny", "21",
+                          "--out", str(out)]) == 0
+    assert _sha256(out) == "3e836e0b58f4badf03c3c8b5290f37cdd08940d2b09fc0516248cb66f6fd2074"
+
+
+def test_solve_bowl_pinned(tmp_path):
+    # the default bowl solve on [-4, 4]^2: its grid and its log
+    out = tmp_path / "bowl.grid"
+    assert tlab.cli.main(["solve", "newton", "--boundary", "bowl", "--nx", "21",
+                          "--ny", "21", "--out", str(out)]) == 0
+    assert _sha256(out) == "510d26670f0e16e304b541cde8df5dbe3cd0ca62d7d33e7662d00e2d568c92be"
+    assert (_sha256(tmp_path / "bowl.grid.log")
+            == "43d23d9dca02a5de71ddd852b5cc31ded5a1c0a2407d449dfdd6e56ae2207a70")
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "tilted", "--offset", "1"],
+    ["solve", "newton", "--boundary", "strip", "--eps-frac", "0.3"],
+    ["check", "g.grid", "--run-id", "x"],
+], ids=["generate-offset", "solve-eps-frac", "check-run-id"])
+def test_deleted_flags_are_usage_errors(tmp_path, capsys, argv):
+    # the grid check would read is written first, so only the flag can fail
+    grid = tmp_path / "g.grid"
+    tlab.reporting.write_grid(grid, tlab.sample_to_grid(
+        lambda a, b: a * a + b * b, tlab.Rectangle(-1.0, 1.0, -1.0, 1.0), 11, 11))
+    argv = [str(grid) if a == "g.grid" else a for a in argv]
+    out = tmp_path / "out"
+    assert tlab.cli.main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and argv[-2] in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.grid"]
+
+
+@pytest.mark.parametrize("command", ["generate", "solve", "check", "profile-export"])
+def test_help_exits_zero(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        tlab.cli.main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: tlab {command}")
+
+
 @pytest.fixture(scope="module")
 def readme_bowl(tmp_path_factory):
     """The README's bowl grid, 101x101 on [-4, 4]^2."""

@@ -203,7 +203,7 @@ def test_bowl_grid_pinned(bowl_profile_fine, n, digest):
 def _cli_bowl_profile():
     # the profile `tlab generate bowl` samples with its default flags
     args = tlab.cli.build_parser().parse_args(["generate", "bowl", "--out", "unused"])
-    rect = tlab.cli._domain_from(args, tlab.cli._default_domain(args))
+    rect, _ = tlab.cli._closed_form(args, "bowl", grim_x2=5.0)
     return tlab.cli._bowl_profile(args, rect)
 
 

@@ -120,11 +120,11 @@ class TestGrimCylinder:
 
 class TestTiltedCylinder:
     def test_untilted_bottom(self):
-        c = tlab.CylinderParams(1.0, 0.0, 0.0)
+        c = tlab.CylinderParams(1.0, 0.0)
         assert tlab.tilted_cylinder_value(c, 0.0, 0.0) == -1.0
 
     def test_tilted_value(self):
-        c = tlab.CylinderParams(1.0, 1.0, 0.0)
+        c = tlab.CylinderParams(1.0, 1.0)
         got = tlab.tilted_cylinder_value(c, 0.0, 3.0)
         assert got == pytest.approx(-math.sqrt(2.0) + 3.0, abs=1e-14)
 
@@ -136,13 +136,22 @@ class TestTiltedCylinder:
 
     @pytest.mark.parametrize("tilt", [0.0, 0.7])
     def test_constant_mean_curvature(self, tilt):
-        c = tlab.CylinderParams(2.0, tilt, 0.5)
+        c = tlab.CylinderParams(2.0, tilt)
         rect = tlab.Rectangle(-1.2, 1.2, -1.0, 1.0)
         u = tlab.sample_to_grid(lambda a, b: tlab.tilted_cylinder_value(c, a, b),
                                 rect, 121, 101)
         f = tlab.geometry_fields(u)
         H = f.H[np.isfinite(f.H)]
         assert np.max(np.abs(H - 1.0 / c.radius)) < 5e-4
+
+
+def _ode_residual(p):
+    # the radial residual f''/(1+f'^2) + f'/r - 1 at interior nodes, f'' the
+    # centered difference of the stored slopes: O(step^2) for a correctly
+    # integrated profile
+    fpp = (p.fp[2:] - p.fp[:-2]) / (2.0 * p.step)
+    fpm = p.fp[1:-1]
+    return fpp / (1.0 + fpm * fpm) + fpm / p.r[1:-1] - 1.0
 
 
 class TestBowlProfile:
@@ -159,7 +168,7 @@ class TestBowlProfile:
         assert np.all(np.diff(bowl_profile_long.fp) > 0.0)
 
     def test_ode_residual_below_tolerance(self, bowl_profile_long):
-        res = bowl_profile_long.ode_residual()
+        res = _ode_residual(bowl_profile_long)
         assert np.max(np.abs(res)) <= bowl_profile_long.step ** 2
 
     def test_argument_errors(self):
@@ -188,7 +197,7 @@ class TestBowlProfile:
         p = tlab.BowlProfile(r=[0.0, 2.0], f=[0.0, 1.0], fp=[0.5, 0.5])
         assert p.step == 2.0
         assert p.fp[1] / p.r[1] == 0.25
-        assert p.ode_residual().size == 0
+        assert _ode_residual(p).size == 0
         r = np.array([0.0, 0.5, 1.0, 1.5, 2.0])
         got = tlab.bowl_radial_function(p)(r, np.zeros_like(r))
         assert np.array_equal(got, 0.5 * r)

@@ -52,6 +52,12 @@ class TestNewton:
         assert out.final_residual <= 1e-10
         assert np.max(np.abs(out.solution.values - sample.values)) <= 1e-9
 
+    def test_forcing_must_have_the_grid_shape(self):
+        p, rect, boundary, sample = _grim_problem(nx=21, ny=21)
+        interior = _manufactured_forcing(sample)[1:-1, 1:-1]
+        with pytest.raises(ValueError, match="forcing shape does not match the grid"):
+            tlab.newton_solve(boundary, sample, tlab.SolveConfig(), forcing=interior)
+
     def test_plain_solve_is_second_order_accurate(self):
         errs = {}
         for nx, ny in [(51, 61), (101, 121)]:
@@ -621,6 +627,18 @@ class TestStatus:
         out = tlab.newton_solve(*_strip_problem(), tlab.SolveConfig())
         assert (out.status, out.converged) == ("stalled", False)
         assert out.notes.startswith("backtracking stalled")
+
+    def test_converged_is_read_from_status(self):
+        out = tlab.solver.SolveOutcome(solution=None, final_residual=0.0, iterations=0,
+                                       status="converged")
+        assert out.converged
+        with pytest.raises(AttributeError):
+            out.converged = False
+        with pytest.raises(TypeError):
+            tlab.solver.SolveOutcome(solution=None, final_residual=0.0, iterations=0,
+                                     status="budget", converged=True)
+        out.status = "budget"
+        assert not out.converged
 
     def test_singular(self, monkeypatch):
         monkeypatch.setattr(tlab.solver, "_factorize",
