@@ -19,10 +19,10 @@ from .grids import GridFunction, Rectangle
 from .solitons import GrimParams
 
 _MIN_STEP_FRACTION = 2.0 ** -30
-# SuperLU's supernode settings; _factorize gives the measurements
+# SuperLU's supernode settings, measured in CHANGES.md
 _SUPERNODE_RELAX = 4
 _PANEL_SIZE = 1
-# inner iterations of the one GMRES cycle run on a reused factorization
+# inner iterations of the one GMRES cycle run on each factorization
 _GMRES_RESTART = 10
 # stages of one Runge-Kutta-Legendre relax super-step, each at the base
 # explicit step; together they advance 16*17/2 = 136 base steps of
@@ -187,50 +187,39 @@ def _jacobian(U: np.ndarray, h1: float, h2: float, pattern=None, axes=()):
     return csc_matrix((stack.ravel()[gather], indices, indptr), shape=(n, n))
 
 
-def _factorize(J):
-    """Sparse LU of J; returns the solve callable of the factor.
+def _factorize(J, dtype=np.float32):
+    """Sparse LU of J cast to dtype; returns the solve callable of the factor.
+
+    The solve takes and returns float64 and keeps the SuperLU object as
+    its lu attribute. Newton factors in float32: the factor and its
+    triangular solves move half the bytes of a float64 one, and the GMRES
+    cycle of _preconditioned_step refines its step to float64 accuracy
+    (Langou et al., SC 2006; Carson & Higham, SIAM J. Sci. Comput. 40,
+    2018). A float64 factor is its fallback.
 
     Minimum-degree ordering on J^T + J suits the 9-point stencil: at the
     sizes the lab solves it fills in far less than the default COLAMD.
     diag_pivot_thresh=0 keeps each nonzero diagonal pivot and so the
-    ordering's fill on rough iterates (partial pivoting gave a noisy 61x67
-    grim 18x the smooth fill). An exactly singular J gives a solve that
-    returns NaNs, not an error: Newton then ends its pass unconverged, as
-    on an overflowed step.
-
-    The supernode settings (Demmel, Eisenstat, Gilbert, Li & Liu, SIAM J.
-    Matrix Anal. Appl. 20, 1999) are _SUPERNODE_RELAX, the size up to
-    which subtrees at the bottom of the elimination tree become one relaxed
-    supernode, and _PANEL_SIZE, the columns the numeric phase updates as
-    one panel. Neither changes the
-    ordering, the pivots or nnz(L + U); only the order of the numeric
-    updates, so solves move in the last bits. Factor time in ms of the
-    Jacobian at each start (median of 9 interleaved runs, 2 cores, scipy
-    1.17.1; scipy's default is SuperLU's relax 10, panel 20):
-
-    ====================================  ======  =======  =====  =====  =====  =====
-    Jacobian at the start                 n       default  r1 p1  r4 p1  r8 p1  r4 p4
-    ====================================  ======  =======  =====  =====  =====  =====
-    strip 61x121, Y=6, quarter             1,800      3.6    2.3    2.3    2.5    2.6
-    noisy grim 61x67, U(-10, 10), full     3,835      9.0    6.9    6.7    6.6    8.0
-    grim 101x121, half                     5,950     11.3    8.6    8.7    8.9    9.1
-    strip 121x601, Y=30, quarter          18,000     36.5   29.4   28.9   29.5   30.1
-    grim 303x303, half                    45,451    140.7  113.9  117.8  120.7  121.4
-    strip 241x1201, Y=30, quarter         72,000    237.4  178.3  181.2  179.0  188.9
-    ====================================  ======  =======  =====  =====  =====  =====
-
-    Panel 1 is 1.2-1.6x faster than the default on every row, and relax
-    1, 4 and 8 are within the runs' spread of each other.
+    ordering's fill on rough iterates. The supernode settings
+    _SUPERNODE_RELAX and _PANEL_SIZE change neither the ordering, the
+    pivots nor nnz(L + U), only the order of the numeric updates. An
+    exactly singular J gives a solve that returns NaNs, not an error.
     """
     spla = _linalg()
     try:
-        lu = spla.splu(J.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                       relax=_SUPERNODE_RELAX, panel_size=_PANEL_SIZE)
+        lu = spla.splu(J.astype(dtype, copy=False).tocsc(), permc_spec="MMD_AT_PLUS_A",
+                       diag_pivot_thresh=0.0, relax=_SUPERNODE_RELAX,
+                       panel_size=_PANEL_SIZE)
     except RuntimeError as exc:
         if "singular" not in str(exc):
             raise
         return lambda rhs: np.full(np.shape(rhs), np.nan)
-    return lu.solve
+
+    def solve(rhs):
+        return lu.solve(rhs.astype(dtype, copy=False)).astype(float, copy=False)
+
+    solve.lu = lu
+    return solve
 
 
 def _norm(v: np.ndarray) -> float:
@@ -239,11 +228,13 @@ def _norm(v: np.ndarray) -> float:
 
 def _preconditioned_step(J, rhs: np.ndarray, solve, rtol: float):
     """One right-preconditioned GMRES cycle on J x = rhs, with M the
-    Jacobian an earlier LU factored and solve applying M^-1 (Saad & Schultz,
-    SIAM J. Sci. Stat. Comput. 7, 1986).
+    Jacobian an LU factored and solve applying M^-1 (Saad & Schultz, SIAM J.
+    Sci. Stat. Comput. 7, 1986).
 
-    The cycle starts from the factor's own step x0 = M^-1 rhs, the one solve
-    of rhs, and keeps each Z_k = M^-1 v_k beside the Arnoldi basis v_k of
+    M is the current Jacobian in float32, or an earlier one in either
+    precision; the cycle refines the factor's step in float64 either way.
+    It starts from the factor's own step x0 = M^-1 rhs, the one solve of
+    rhs, and keeps each Z_k = M^-1 v_k beside the Arnoldi basis v_k of
     J M^-1, so x = x0 + Z y costs no further solve. Right preconditioning
     makes the Hessenberg least-squares residual, kept by Givens rotations,
     the true residual |rhs - J x| in exact arithmetic. Returns x once that
@@ -253,8 +244,8 @@ def _preconditioned_step(J, rhs: np.ndarray, solve, rtol: float):
     in the m = _GMRES_RESTART iterations (r_k c^(m-k) > target); or on a
     nonfinite value.
 
-    Inner products are einsum's, not numpy's BLAS: in some fresh processes
-    the 2-thread OpenBLAS took 8 ms per norm of a 45k vector, einsum 0.02 ms.
+    Inner products are einsum's, not numpy's BLAS, whose threaded dot
+    products were measured far slower on these vectors in some processes.
     """
     m = _GMRES_RESTART
     with np.errstate(all="ignore"):
@@ -446,15 +437,19 @@ def newton_solve(boundary, init: GridFunction, cfg: SolveConfig,
                  forcing=None) -> SolveOutcome:
     """Damped Newton for the discrete translator system.
 
-    The first iteration factors the Jacobian (sparse LU). Each later
-    iteration assembles the fresh Jacobian and solves for the Newton step
-    by one GMRES cycle right-preconditioned by the kept LU
-    (_preconditioned_step), accepted only when the true linear residual is
-    within the forcing term min(1e-2, residual) times the right-hand side
-    (Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996). The LU is reused
-    while cycles are accepted; when one misses or gives up, the old factor
-    is dropped and the current Jacobian is factored in its place. The
-    sparsity pattern is built once per solve.
+    Each iteration assembles the Jacobian and solves for the Newton step
+    by one GMRES cycle right-preconditioned by a kept sparse LU
+    (_preconditioned_step). The step is accepted only when its true
+    float64 linear residual is within the forcing term min(1e-2, residual)
+    times the right-hand side (Eisenstat & Walker, SIAM J. Sci. Comput. 17,
+    1996). The LU is kept while cycles are accepted. When one misses, the
+    old factor is dropped and the current Jacobian is factored in float32,
+    and the cycle runs again on that fresh factor. If that cycle misses
+    too, a nonfinite value included, the same Jacobian is factored in
+    float64 and its direct step is taken; a nonfinite direct step ends the
+    solve "singular". So the precision follows the Jacobian: float32 where
+    the cycle refines its factor to the forcing term, float64 where it
+    cannot. The sparsity pattern is built once per solve.
 
     A problem that is mirror-even across the middle column or row (odd
     node count along the axis, and init and forcing even to within a few
@@ -498,13 +493,15 @@ def newton_solve(boundary, init: GridFunction, cfg: SolveConfig,
     SolveOutcome
         status is "converged" (final_residual <= tol), "at_rounding_floor",
         "stalled" (no decrease above the floor), "singular" (a nonfinite
-        Newton step: a singular Jacobian or an overflow) or "budget"
+        direct step from the float64 factor: a singular Jacobian or an
+        overflow) or "budget"
         (max_newton_iters used up); every status but the first comes back
         with converged=False, not an exception, and notes renders it. The
         solution is the last accepted iterate. factorizations counts the
-        LUs built; mirror_axes names the folds. final_residual, converged
-        and the last history entry are those of the returned full grid;
-        earlier entries of a folded solve are fold-domain residuals.
+        LUs built, in either precision; mirror_axes names the folds.
+        final_residual, converged and the last history entry are those of
+        the returned full grid; earlier entries of a folded solve are
+        fold-domain residuals.
     """
     U = _dirichlet_start(boundary, init, "newton_solve")
     h1, h2 = init.h1, init.h2
@@ -543,12 +540,18 @@ def newton_solve(boundary, init: GridFunction, cfg: SolveConfig,
         while rn > cfg.tol and iterations < cfg.max_newton_iters:
             J = _jacobian(block, h1, h2, pattern, axes)
             rhs = -F.ravel()
+            rtol = min(1e-2, rn)
             delta = None
             if solve is not None:
-                delta = _preconditioned_step(J, rhs, solve, min(1e-2, rn))
+                delta = _preconditioned_step(J, rhs, solve, rtol)
             if delta is None:
                 solve = None  # free the old factor before building the new one
-                solve = _factorize(J)
+                solve = _factorize(J, np.float32)
+                factorizations += 1
+                delta = _preconditioned_step(J, rhs, solve, rtol)
+            if delta is None:
+                solve = None
+                solve = _factorize(J, np.float64)
                 factorizations += 1
                 delta = solve(rhs)
             if not np.all(np.isfinite(delta)):

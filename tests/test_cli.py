@@ -174,7 +174,7 @@ class TestSolve:
 
     def test_singular_jacobian_writes_grid_and_log(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(tlab.solver, "_factorize",
-                            lambda J: lambda rhs: np.full(np.shape(rhs), np.nan))
+                            lambda J, dtype: lambda rhs: np.full(np.shape(rhs), np.nan))
         out = tmp_path / "x.grid"
         code = tlab.cli.main(["solve", "newton", "--boundary", "grim", "--lambda", "2",
                               "--nx", "11", "--ny", "11", "--out", str(out)])
@@ -202,9 +202,9 @@ def test_solve_bowl_pinned(tmp_path):
     out = tmp_path / "bowl.grid"
     assert tlab.cli.main(["solve", "newton", "--boundary", "bowl", "--nx", "21",
                           "--ny", "21", "--out", str(out)]) == 0
-    assert _sha256(out) == "510d26670f0e16e304b541cde8df5dbe3cd0ca62d7d33e7662d00e2d568c92be"
+    assert _sha256(out) == "1c43db8ca0eeb33411accfd6fc29b620153688ac089ed491619f3ba61138161d"
     assert (_sha256(tmp_path / "bowl.grid.log")
-            == "43d23d9dca02a5de71ddd852b5cc31ded5a1c0a2407d449dfdd6e56ae2207a70")
+            == "af9fdc1a684ffe9634ce3f845f675de5a17a770a9ebb2c0885f2255cedc70fd3")
 
 
 @pytest.mark.parametrize("argv", [

@@ -92,10 +92,10 @@ class TestNewton:
 
     def test_singular_jacobian_ends_unconverged_with_iterate(self, monkeypatch):
         p, rect, boundary, sample = _grim_problem(nx=11, ny=11)
-        calls = {"n": 0}
+        calls = []
 
-        def bad_factorize(J):
-            calls["n"] += 1
+        def bad_factorize(J, dtype):
+            calls.append(dtype)
             return lambda rhs: np.full(J.shape[0], np.nan)
 
         monkeypatch.setattr(tlab.solver, "_factorize", bad_factorize)
@@ -103,7 +103,7 @@ class TestNewton:
         out = tlab.newton_solve(boundary, init, tlab.SolveConfig(tol=1e-12))
         assert not out.converged
         assert out.notes.startswith("singular Jacobian")
-        assert calls["n"] == 1  # no retry
+        assert calls == [np.float32, np.float64]  # one LU per precision, no retry
         # the x1-folded iterate comes back on the full grid: the init's ring,
         # an exactly even interior
         U, V = out.solution.values, init.values
@@ -133,8 +133,8 @@ class TestNewton:
         noisy[1:-1, 1:-1] += rng.uniform(-10.0, 10.0, size=noisy[1:-1, 1:-1].shape)
 
         def fill(U):
-            # the returned solve is a bound method of the SuperLU factor
-            lu = _factorize(_jacobian(U, sample.h1, sample.h2)).__self__
+            # the returned solve keeps its SuperLU factor as lu
+            lu = _factorize(_jacobian(U, sample.h1, sample.h2)).lu
             return lu.L.nnz + lu.U.nnz
 
         assert fill(noisy) <= 2 * fill(sample.values)
@@ -178,10 +178,12 @@ class TestNewton:
         assert (strip_solution.iterations, strip_solution.factorizations) == (6, 2)
 
     def test_strip_cycles_keep_the_fill_lu_until_one_gives_up(self, monkeypatch):
-        # the fill's LU serves four cycles, the first of which scipy's
+        # the fill's float32 LU meets its own step's target with one solve,
+        # then serves four cycles, the first of which scipy's
         # left-preconditioned gmres refused at a true residual of 2.55e-2
         # against 1e-2; the fifth cannot reach its target and gives up after
-        # the start's solve and two of its ten inner iterations
+        # the start's solve and two of its ten inner iterations, and the
+        # fresh float32 LU's own cycle takes its place
         cycles = []
         step = tlab.solver._preconditioned_step
 
@@ -195,8 +197,8 @@ class TestNewton:
         g, init = _cli_strip(2.0, 121, 601, 30.0)
         out = tlab.newton_solve(g, init, tlab.SolveConfig(max_newton_iters=60))
         assert (out.status, out.iterations, out.factorizations) == ("converged", 6, 2)
-        assert [ok for _, ok in cycles] == [True, True, True, True, False]
-        assert cycles[-1][0] <= 3
+        assert [ok for _, ok in cycles] == [True, True, True, True, True, False, True]
+        assert cycles[-2][0] <= 3
 
     @pytest.mark.parametrize("bad", [np.nan, 0.0], ids=["nan", "zero"])
     @pytest.mark.parametrize("bad_from", [1, 2], ids=["start", "arnoldi"])
@@ -424,7 +426,7 @@ class TestMirrorFold:
         # into the iterate are undone, so the solve returns the mirrored init
         monkeypatch.setattr(tlab.solver, "_MIN_STEP_FRACTION", 0.25)
         monkeypatch.setattr(tlab.solver, "_factorize",
-                            lambda J: lambda rhs: np.full(np.shape(rhs), 1e3))
+                            lambda J, dtype: lambda rhs: np.full(np.shape(rhs), 1e3))
         boundary, init = _strip_problem()
         out = tlab.newton_solve(boundary, init, tlab.SolveConfig())
         assert out.mirror_axes == ("x1", "x2")
@@ -464,34 +466,34 @@ class TestMirrorFold:
         cfg = tlab.SolveConfig()
         boundary, init = _grim_fill(30, 36)
         out = tlab.newton_solve(boundary, init, cfg)
-        assert out.history[-1].hex() == "0x1.7e00000000000p-40"
+        assert out.history[-1].hex() == "0x1.4300000000000p-40"
         assert (hashlib.sha256(out.solution.values.tobytes()).hexdigest()
-                == "7bbf727469c153ba652e5ccb065d2978aef26c049b717797d54bb6d21124243c")
+                == "b6c317c755893d1f982456e14ec8d84c06b1b931e857e4db68a62b96e176f7aa")
         g, init = _strip_problem()
         out = tlab.newton_solve(g, _one_sided(init), cfg)
-        assert out.history[-1].hex() == "0x1.2c00000000000p-41"
+        assert out.history[-1].hex() == "0x1.3300000000000p-41"
         assert (hashlib.sha256(out.solution.values.tobytes()).hexdigest()
-                == "d385ea301d1a0df5e6bfc6607725e5f185fb053e92fa8c3f10cbd1a12dc9aaea")
+                == "88fbc35abc8c3e54c2b229c9c7a2d3202b2b09d5cd7d94d1b2bb9b95787eda60")
 
     @pytest.mark.parametrize("problem, tol, axes, counts, digest, history", [
         (_strip_problem, 1e-10, ("x1", "x2"), (True, 6, 2),
-         "a7d3329a59052c6fc4c1d32c0b4c3ed16dd1c64ad6633220723a8193d88515f8",
-         "0x1.0c1b4b166b70ap+2 0x1.0d403b45f0af8p+0 0x1.c43b464c87e80p-3 "
-         "0x1.1d7a81f0f5400p-7 0x1.e6943a0f30000p-14 0x1.83e6d40000000p-29 "
+         "492dde5fe8d7f82bf1e9a180c71da8a51d6992ecec8eb364da2df39206a21640",
+         "0x1.0c1b4b166b70ap+2 0x1.0d404a2e8ff48p+0 0x1.c43b83b42aaa0p-3 "
+         "0x1.1d7a90d8f2800p-7 0x1.e6957abe70000p-14 0x1.83edf40000000p-29 "
          "0x1.4800000000000p-41"),
         (_grim_fill, 1e-10, ("x1",), (True, 3, 1),
-         "a90fed425efd21e740262ca8b0ccae6141a86b9997583478f602c5928ee65d8f",
-         "0x1.20a5999e00d00p-3 0x1.10896b4380000p-13 0x1.5b09000000000p-32 "
-         "0x1.5c00000000000p-40"),
+         "ae76280d06459f81623cf417d3c61227489644d84f764ed789cbf589d8aab96a",
+         "0x1.20a5999e00d00p-3 0x1.10a2cc5780000p-13 0x1.5a0e000000000p-32 "
+         "0x1.4d00000000000p-40"),
         (_ring_asymmetric_strip, 1e-12, ("x1", "x2"), (True, 7, 3),
-         "8665b3782ae174f63be2ec7738ac6b1afa181e026e2f374b4925c49a0a1bfcd0",
-         "0x1.0c1b4b166b70ap+2 0x1.0d403b45f0af8p+0 0x1.c43b464c87e80p-3 "
-         "0x1.1d7a81f0f5400p-7 0x1.e6943a0f30000p-14 0x1.83e6d40000000p-29 "
+         "e3b4da827806c1d408eeb67a0185318933db4faa65f4c61da22176e45236df77",
+         "0x1.0c1b4b166b70ap+2 0x1.0d404a2e8ff48p+0 0x1.c43b83b42aaa0p-3 "
+         "0x1.1d7a90d8f2800p-7 0x1.e6957abe70000p-14 0x1.83edf40000000p-29 "
          "0x1.18a0000000000p-38 0x1.2c00000000000p-41"),
         (_stalled_strip, 1e-10, ("x1", "x2"), (False, 7, 2),
-         "bac2bc09bec04b5e8840ac63c16bfdad78ecc891be9ae3a1b65a98c3d4904d49",
-         "0x1.eab01661541e8p+3 0x1.0fa934046a400p-1 0x1.8a372761d7c00p-4 "
-         "0x1.58f89ca3ee000p-8 0x1.0a40828a00000p-16 0x1.2670000000000p-33 "
+         "93fbe5b7b644a053a33991a39d1203e28e67087c299ac4ccf3c51f1bcb8245dc",
+         "0x1.eab01661541e8p+3 0x1.0f8b3ea24c100p-1 0x1.8a37305875a40p-4 "
+         "0x1.5900334897000p-8 0x1.0a25b99580000p-16 0x1.2670000000000p-33 "
          "0x1.1750000000000p-33 0x1.1768000000000p-32"),
     ], ids=["strip 21x41", "grim 31x37", "ring-asymmetric strip", "stalled strip"])
     def test_folded_solves_pinned(self, problem, tol, axes, counts, digest, history):
@@ -623,7 +625,7 @@ class TestStatus:
         # a huge step fails at every fraction from a start far above the floor
         monkeypatch.setattr(tlab.solver, "_MIN_STEP_FRACTION", 0.25)
         monkeypatch.setattr(tlab.solver, "_factorize",
-                            lambda J: lambda rhs: np.full(np.shape(rhs), 1e3))
+                            lambda J, dtype: lambda rhs: np.full(np.shape(rhs), 1e3))
         out = tlab.newton_solve(*_strip_problem(), tlab.SolveConfig())
         assert (out.status, out.converged) == ("stalled", False)
         assert out.notes.startswith("backtracking stalled")
@@ -642,7 +644,7 @@ class TestStatus:
 
     def test_singular(self, monkeypatch):
         monkeypatch.setattr(tlab.solver, "_factorize",
-                            lambda J: lambda rhs: np.full(np.shape(rhs), np.nan))
+                            lambda J, dtype: lambda rhs: np.full(np.shape(rhs), np.nan))
         out = tlab.newton_solve(*_grim_fill(), tlab.SolveConfig())
         assert (out.status, out.notes) == ("singular", "singular Jacobian at iteration 0")
 
@@ -695,14 +697,16 @@ def _noisy_cli_grim():
 ], ids=["strip 121x601 quarter", "noisy grim 61x67"])
 def test_supernode_settings_keep_ordering_fill_and_step(problem, rtol):
     # the supernode settings change only the order of the numeric updates:
-    # against SuperLU's defaults, the same column order, row pivots and fill
+    # against SuperLU's defaults, the same column order, row pivots and fill,
+    # in float64 and in the float32 that Newton factors first
     from scipy.sparse.linalg import splu
     J, rhs = problem()
     default = splu(J, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0)
-    chosen = _factorize(J).__self__
-    assert np.array_equal(chosen.perm_c, default.perm_c)
-    assert np.array_equal(chosen.perm_r, default.perm_r)
-    assert chosen.L.nnz + chosen.U.nnz == default.L.nnz + default.U.nnz
+    chosen = _factorize(J, np.float64).lu
+    for lu in (chosen, _factorize(J, np.float32).lu):
+        assert np.array_equal(lu.perm_c, default.perm_c)
+        assert np.array_equal(lu.perm_r, default.perm_r)
+        assert lu.L.nnz + lu.U.nnz == default.L.nnz + default.U.nnz
     x0, x = default.solve(rhs), chosen.solve(rhs)
     assert np.linalg.norm(x - x0) <= rtol * np.linalg.norm(x0)
 
