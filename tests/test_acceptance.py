@@ -170,7 +170,7 @@ def test_criterion_7_strip_asymptotics_and_symmetry(strip_solution, grim2):
                     f"{sym.worst_violation:.3e} (tol {sym_tol:.1e})")
 
 
-def test_criterion_8_harness_falsifiability(saddle_grid):
+def test_criterion_8_harness_falsifiability(saddle_grid, bowl_profile_fine):
     """Synthetic bad inputs must fail with positive worst violations."""
     results = []
 
@@ -203,6 +203,15 @@ def test_criterion_8_harness_falsifiability(saddle_grid):
     para = tlab.sample_to_grid(lambda a, b: a * a + 0.0 * b, rect, 21, 21)
     rep = tlab.check_gradient_bounds(tlab.geometry_fields(para), 1e-6)
     results.append(("parabola gradient bound", not rep.passed and rep.worst_violation > 0))
+
+    # bowl + 1e-3 cos(3 x1) cos(3 x2): a residual of 2e-2 that does not fall
+    # with h, inside the identities' magnitude gate at 21x21
+    bowl = tlab.bowl_radial_function(bowl_profile_fine)
+    bumped = tlab.sample_to_grid(
+        lambda a, b: bowl(a, b) + 1e-3 * np.cos(3.0 * a) * np.cos(3.0 * b), rect, 21, 21)
+    reports = tlab.run_suite(bumped, tlab.default_suite(None, True), tlab.SuiteConfig())
+    rep = next(r for r in reports if r.name == "soliton_identities")
+    results.append(("perturbed bowl identities", not rep.passed and rep.worst_violation > 0))
 
     bad = [name for name, good in results if not good]
     ok = not bad

@@ -12,8 +12,16 @@ from tlab import reporting
 
 
 def run_cli(*args, cwd=None):
+    """python -m tlab in a subprocess: what the shell sees."""
     return subprocess.run([sys.executable, "-m", "tlab", *map(str, args)],
                           capture_output=True, text=True, cwd=cwd)
+
+
+def run_main(capsys, *args):
+    """tlab.cli.main in this process, with what it printed, shaped like run_cli's."""
+    code = tlab.cli.main([str(a) for a in args])
+    out, err = capsys.readouterr()
+    return subprocess.CompletedProcess(args, code, out, err)
 
 
 class TestGenerate:
@@ -26,30 +34,30 @@ class TestGenerate:
         assert u.values.size == 20301
         assert "max_interior_residual" in r.stdout
 
-    def test_lambda_below_one_is_an_error(self, tmp_path):
-        r = run_cli("generate", "grim", "--lambda", 0.5, "--out", tmp_path / "x.grid")
+    def test_lambda_below_one_is_an_error(self, capsys, tmp_path):
+        r = run_main(capsys, "generate", "grim", "--lambda", 0.5, "--out", tmp_path / "x.grid")
         assert r.returncode == 1
         assert "lambda" in r.stderr
 
-    def test_lambda_one_is_the_grim_reaper(self, tmp_path):
+    def test_lambda_one_is_the_grim_reaper(self, capsys, tmp_path):
         # byte for byte the sample of log sec(x1), constant in x2, at the
         # default 101x101 on [-3pi/8, 3pi/8] x [-1, 1]
         out = tmp_path / "x.grid"
-        r = run_cli("generate", "grim", "--lambda", 1, "--tilt", "+",
-                    "--x2-min", -1, "--x2-max", 1, "--out", out)
+        r = run_main(capsys, "generate", "grim", "--lambda", 1, "--tilt", "+",
+                     "--x2-min", -1, "--x2-max", 1, "--out", out)
         assert r.returncode == 0, r.stderr
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "0f67a44d7c99a99a13984813d116901d4d50db6e20d2ff6d2e5f894522732fa4")
 
-    def test_bowl_sampling_error_shrinks_with_step(self, tmp_path):
+    def test_bowl_sampling_error_shrinks_with_step(self, capsys, tmp_path):
         # each ODE step against the grid at step 1e-4: the cubic Hermite
         # samples follow RK4's own error, so each refinement gains >= 100x
         grids = {}
         for step in (0.4, 0.1, 0.02, 1e-4):
             out = tmp_path / f"bowl{step}.grid"
-            r = run_cli("generate", "bowl", "--step", step, "--nx", 41, "--ny", 41,
-                        "--x1-min", -2, "--x1-max", 2, "--x2-min", -2, "--x2-max", 2,
-                        "--out", out)
+            r = run_main(capsys, "generate", "bowl", "--step", step, "--nx", 41, "--ny", 41,
+                         "--x1-min", -2, "--x1-max", 2, "--x2-min", -2, "--x2-max", 2,
+                         "--out", out)
             assert r.returncode == 0, r.stderr
             grids[step] = reporting.read_grid(out).values
         err = {step: np.max(np.abs(grids[step] - grids[1e-4])) for step in (0.4, 0.1, 0.02)}
@@ -61,43 +69,43 @@ class TestGenerate:
         assert r.returncode == 1
 
     @pytest.mark.parametrize("nx, ny", [(3, 3), (5, 4)])
-    def test_grid_too_small_writes_nothing(self, tmp_path, nx, ny):
+    def test_grid_too_small_writes_nothing(self, capsys, tmp_path, nx, ny):
         out = tmp_path / "small.grid"
-        r = run_cli("generate", "grim", "--nx", nx, "--ny", ny, "--out", out)
+        r = run_main(capsys, "generate", "grim", "--nx", nx, "--ny", ny, "--out", out)
         assert r.returncode == 1
         assert "nx, ny >= 5" in r.stderr
         assert not out.exists()
 
-    def test_deterministic_output(self, tmp_path):
+    def test_deterministic_output(self, capsys, tmp_path):
         a, b = tmp_path / "a.grid", tmp_path / "b.grid"
         for out in (a, b):
-            r = run_cli("generate", "grim", "--lambda", 1.5, "--nx", 21, "--ny", 21,
-                        "--out", out)
+            r = run_main(capsys, "generate", "grim", "--lambda", 1.5, "--nx", 21, "--ny", 21,
+                         "--out", out)
             assert r.returncode == 0
         assert a.read_bytes() == b.read_bytes()
 
 
 class TestSolve:
-    def test_newton_grim_boundary(self, tmp_path):
+    def test_newton_grim_boundary(self, capsys, tmp_path):
         out = tmp_path / "sol.grid"
-        r = run_cli("solve", "newton", "--boundary", "grim", "--lambda", 2,
-                    "--nx", 31, "--ny", 37, "--tol", 1e-9, "--out", out)
+        r = run_main(capsys, "solve", "newton", "--boundary", "grim", "--lambda", 2,
+                     "--nx", 31, "--ny", 37, "--tol", 1e-9, "--out", out)
         assert r.returncode == 0, r.stderr
         u = reporting.read_grid(out)
         assert np.nanmax(np.abs(tlab.translator_residual(u))) <= 1e-9
         assert (tmp_path / "sol.grid.log").exists()
 
-    def test_relax_then_newton_pipeline(self, tmp_path):
+    def test_relax_then_newton_pipeline(self, capsys, tmp_path):
         warm = tmp_path / "warm.grid"
-        r1 = run_cli("solve", "relax", "--boundary", "strip", "--lambda", 2,
-                     "--Y", 4, "--nx", 25, "--ny", 41, "--tol", 1e-2,
-                     "--max-steps", 30000, "--out", warm)
+        r1 = run_main(capsys, "solve", "relax", "--boundary", "strip", "--lambda", 2,
+                      "--Y", 4, "--nx", 25, "--ny", 41, "--tol", 1e-2,
+                      "--max-steps", 30000, "--out", warm)
         assert r1.returncode == 0, r1.stderr
         final = tmp_path / "final.grid"
-        r2 = run_cli("solve", "newton", "--boundary", "strip", "--lambda", 2,
-                     "--Y", 4, "--nx", 25, "--ny", 41,
-                     "--init", "file", "--init-file", warm,
-                     "--tol", 1e-10, "--out", final)
+        r2 = run_main(capsys, "solve", "newton", "--boundary", "strip", "--lambda", 2,
+                      "--Y", 4, "--nx", 25, "--ny", 41,
+                      "--init", "file", "--init-file", warm,
+                      "--tol", 1e-10, "--out", final)
         assert r2.returncode == 0, r2.stderr
 
     def test_relax_unstable_dt_logs_the_instability(self, tmp_path, monkeypatch, capsys):
@@ -113,28 +121,28 @@ class TestSolve:
         log = (tmp_path / "x.grid.log").read_text()
         assert "not converged: instability" in log.splitlines()[-1]
 
-    def test_boundary_from_grid_file(self, tmp_path):
+    def test_boundary_from_grid_file(self, capsys, tmp_path):
         bfile = tmp_path / "bound.grid"
-        assert run_cli("generate", "grim", "--lambda", 2, "--nx", 31, "--ny", 31,
-                       "--x2-min", -1, "--x2-max", 1, "--out", bfile).returncode == 0
+        assert run_main(capsys, "generate", "grim", "--lambda", 2, "--nx", 31, "--ny", 31,
+                        "--x2-min", -1, "--x2-max", 1, "--out", bfile).returncode == 0
         out = tmp_path / "sol.grid"
-        r = run_cli("solve", "newton", "--boundary", "file", "--boundary-file", bfile,
-                    "--tol", 1e-9, "--out", out)
+        r = run_main(capsys, "solve", "newton", "--boundary", "file", "--boundary-file", bfile,
+                     "--tol", 1e-9, "--out", out)
         assert r.returncode == 0, r.stderr
         bgrid = reporting.read_grid(bfile)
         sol = reporting.read_grid(out)
         # Dirichlet data is taken from the file's ring
         np.testing.assert_array_equal(sol.values[0, :], bgrid.values[0, :])
 
-    def test_missing_boundary_file(self, tmp_path):
-        r = run_cli("solve", "newton", "--boundary", "file",
-                    "--boundary-file", tmp_path / "missing.grid",
-                    "--out", tmp_path / "out.grid")
+    def test_missing_boundary_file(self, capsys, tmp_path):
+        r = run_main(capsys, "solve", "newton", "--boundary", "file",
+                     "--boundary-file", tmp_path / "missing.grid",
+                     "--out", tmp_path / "out.grid")
         assert r.returncode == 1
 
-    def test_bowl_rmax_short_of_the_corner_is_an_error(self, tmp_path):
-        r = run_cli("solve", "newton", "--boundary", "bowl", "--rmax", 1,
-                    "--nx", 11, "--ny", 11, "--out", tmp_path / "x.grid")
+    def test_bowl_rmax_short_of_the_corner_is_an_error(self, capsys, tmp_path):
+        r = run_main(capsys, "solve", "newton", "--boundary", "bowl", "--rmax", 1,
+                     "--nx", 11, "--ny", 11, "--out", tmp_path / "x.grid")
         assert r.returncode == 1
         assert "corner radius" in r.stderr
 
@@ -163,10 +171,10 @@ class TestSolve:
         ("newton", "--max-iters", "max_newton_iters"),
         ("relax", "--max-steps", "max_relax_steps"),
     ])
-    def test_negative_budget_writes_nothing(self, tmp_path, mode, flag, field):
+    def test_negative_budget_writes_nothing(self, capsys, tmp_path, mode, flag, field):
         out = tmp_path / "g.grid"
-        r = run_cli("solve", mode, "--boundary", "grim", "--nx", 21, "--ny", 21,
-                    flag, -3, "--out", out)
+        r = run_main(capsys, "solve", mode, "--boundary", "grim", "--nx", 21, "--ny", 21,
+                     flag, -3, "--out", out)
         assert r.returncode == 1
         assert f"{field} must be >= 0" in r.stderr
         assert not out.exists()
@@ -237,19 +245,20 @@ def test_help_exits_zero(capsys, command):
 def readme_bowl(tmp_path_factory):
     """The README's bowl grid, 101x101 on [-4, 4]^2."""
     grid = tmp_path_factory.mktemp("bowl") / "bowl.grid"
-    assert run_cli("generate", "bowl", "--nx", 101, "--ny", 101, "--out", grid).returncode == 0
+    assert tlab.cli.main(["generate", "bowl", "--nx", "101", "--ny", "101",
+                          "--out", str(grid)]) == 0
     return grid
 
 
 class TestCheck:
-    def test_exact_grim_full_suite_minus_bottom(self, tmp_path):
+    def test_exact_grim_full_suite_minus_bottom(self, capsys, tmp_path):
         grid = tmp_path / "grim.grid"
-        assert run_cli("generate", "grim", "--lambda", 2, "--nx", 81, "--ny", 81,
-                       "--out", grid).returncode == 0
+        assert run_main(capsys, "generate", "grim", "--lambda", 2, "--nx", 81, "--ny", 81,
+                        "--out", grid).returncode == 0
         report = tmp_path / "report.json"
-        r = run_cli("check", grid, "--lambda", 2,
-                    "--skip", "strip_asymptotics_bottom",
-                    "--window", 3, "--out", report)
+        r = run_main(capsys, "check", grid, "--lambda", 2,
+                     "--skip", "strip_asymptotics_bottom",
+                     "--window", 3, "--out", report)
         assert r.returncode == 0, r.stdout + r.stderr
         doc = json.loads(report.read_text())
         assert doc["summary"]["failed"] == 0
@@ -269,54 +278,72 @@ class TestCheck:
         assert doc["checks"][0]["name"] == "convexity"
         assert not doc["checks"][0]["pass"]
 
-    def test_unknown_suite_name(self, tmp_path):
+    def test_perturbed_bowl_fails_the_identities(self, capsys, tmp_path, bowl_profile_fine):
+        # bowl + 1e-3 cos(3 x1) cos(3 x2) is no translator: its residual, 2e-2
+        # at 21x21, does not fall with h. Only the injection ratio sees it
+        bowl = tlab.bowl_radial_function(bowl_profile_fine)
+        grid = tmp_path / "bumped.grid"
+        reporting.write_grid(grid, tlab.sample_to_grid(
+            lambda a, b: bowl(a, b) + 1e-3 * np.cos(3.0 * a) * np.cos(3.0 * b),
+            tlab.Rectangle(-1.0, 1.0, -1.0, 1.0), 21, 21))
+        report = tmp_path / "report.json"
+        r = run_main(capsys, "check", grid, "--out", report)
+        assert r.returncode == 3
+        failed = [c for c in json.loads(report.read_text())["checks"] if not c["pass"]]
+        assert [c["name"] for c in failed] == ["soliton_identities"]
+        assert failed[0]["notes"].startswith("refused: ")
+        assert "does not fall under injection" in failed[0]["notes"]
+
+    def test_unknown_suite_name(self, capsys, tmp_path):
         grid = tmp_path / "g.grid"
-        assert run_cli("generate", "grim", "--nx", 21, "--ny", 21,
-                       "--out", grid).returncode == 0
-        r = run_cli("check", grid, "--suite", "bogus", "--out", tmp_path / "r.json")
+        assert run_main(capsys, "generate", "grim", "--nx", 21, "--ny", 21,
+                        "--out", grid).returncode == 0
+        r = run_main(capsys, "check", grid, "--suite", "bogus", "--out", tmp_path / "r.json")
         assert r.returncode == 1
         assert "valid names" in r.stderr
 
-    def test_empty_suite_is_a_usage_error(self, tmp_path):
+    def test_empty_suite_is_a_usage_error(self, capsys, tmp_path):
         grid = tmp_path / "g.grid"
-        assert run_cli("generate", "grim", "--nx", 21, "--ny", 21,
-                       "--out", grid).returncode == 0
+        assert run_main(capsys, "generate", "grim", "--nx", 21, "--ny", 21,
+                        "--out", grid).returncode == 0
         report = tmp_path / "r.json"
         for flags in (["--suite", ""], ["--suite", "convexity", "--skip", "convexity"]):
-            r = run_cli("check", grid, *flags, "--out", report)
+            r = run_main(capsys, "check", grid, *flags, "--out", report)
             assert r.returncode == 1, flags
             assert "suite is empty" in r.stderr
             assert not report.exists()
 
-    def test_seed_changes_only_its_echo(self, tmp_path):
+    def test_seed_changes_only_its_echo(self, capsys, tmp_path):
+        # 41 columns, not 21: on 21 the identities check refuses the sample,
+        # whose residual falls only 1.36x under injection (2.26x on 41)
         grid = tmp_path / "g.grid"
-        assert run_cli("generate", "grim", "--nx", 21, "--ny", 21,
-                       "--out", grid).returncode == 0
+        assert run_main(capsys, "generate", "grim", "--nx", 41, "--ny", 21,
+                        "--out", grid).returncode == 0
         docs = []
         for seed in (0, 12345):
             report = tmp_path / f"r{seed}.json"
-            assert run_cli("check", grid, "--seed", seed, "--out", report).returncode == 0
+            assert run_main(capsys, "check", grid, "--seed", seed, "--out", report).returncode == 0
             docs.append(json.loads(report.read_text()))
         assert [d["inputs"].pop("seed") for d in docs] == [0, 12345]
         assert docs[0] == docs[1]
 
-    def test_suite_echo_is_the_checks_that_ran(self, tmp_path):
+    def test_suite_echo_is_the_checks_that_ran(self, capsys, tmp_path):
         grid = tmp_path / "g.grid"
-        assert run_cli("generate", "grim", "--nx", 21, "--ny", 21,
-                       "--out", grid).returncode == 0
+        assert run_main(capsys, "generate", "grim", "--nx", 21, "--ny", 21,
+                        "--out", grid).returncode == 0
         given, canonical = tmp_path / "given.json", tmp_path / "canonical.json"
-        assert run_cli("check", grid, "--suite", " A_bound,convexity,A_bound,",
-                       "--out", given).returncode == 0
-        assert run_cli("check", grid, "--suite", "convexity,A_bound",
-                       "--out", canonical).returncode == 0
+        assert run_main(capsys, "check", grid, "--suite", " A_bound,convexity,A_bound,",
+                        "--out", given).returncode == 0
+        assert run_main(capsys, "check", grid, "--suite", "convexity,A_bound",
+                        "--out", canonical).returncode == 0
         doc = json.loads(given.read_text())
         assert doc["inputs"]["suite"] == "convexity,A_bound"
         assert [c["name"] for c in doc["checks"]] == ["convexity", "A_bound"]
         assert given.read_bytes() == canonical.read_bytes()
 
-    def test_readme_bowl_tolerances_follow_the_grid(self, tmp_path, readme_bowl):
+    def test_readme_bowl_tolerances_follow_the_grid(self, capsys, tmp_path, readme_bowl):
         report = tmp_path / "bowl-report.json"
-        assert run_cli("check", readme_bowl, "--out", report).returncode == 0
+        assert run_main(capsys, "check", readme_bowl, "--out", report).returncode == 0
         u = reporting.read_grid(readme_bowl)
         h = max(u.h1, u.h2)
         documented = {"convexity": max(1e-10, 0.01 * h * h), "harnack": 1e-8,
@@ -327,10 +354,10 @@ class TestCheck:
         assert {c["name"]: c["tolerance"] for c in doc["checks"]} == documented
 
     @pytest.mark.parametrize("flag", ["--tol-identities", "--margin"])
-    def test_no_flag_sets_a_tolerance_or_region(self, tmp_path, flag):
+    def test_no_flag_sets_a_tolerance_or_region(self, capsys, tmp_path, flag):
         grid = tmp_path / "g.grid"
-        assert run_cli("generate", "grim", "--nx", 21, "--ny", 21,
-                       "--out", grid).returncode == 0
+        assert run_main(capsys, "generate", "grim", "--nx", 21, "--ny", 21,
+                        "--out", grid).returncode == 0
         report = tmp_path / "r.json"
         r = run_cli("check", grid, "--lambda", 2, flag, 1, "--out", report)
         assert r.returncode == 1
@@ -340,36 +367,36 @@ class TestCheck:
     # the README bowl grid is wider than the lambda = 2 strip; the README
     # lambda = 2 grim grid ends at x1 = R/2 of the lambda = 3 strip
     @pytest.mark.parametrize("family, lam", [("bowl", 2), ("grim", 3)])
-    def test_grid_off_the_strip_refused_in_its_own_terms(self, tmp_path, readme_bowl,
+    def test_grid_off_the_strip_refused_in_its_own_terms(self, capsys, tmp_path, readme_bowl,
                                                          family, lam):
         grid = readme_bowl
         if family == "grim":
             grid = tmp_path / "grim.grid"
-            assert run_cli("generate", "grim", "--lambda", 2, "--nx", 101, "--ny", 201,
-                           "--out", grid).returncode == 0
+            assert run_main(capsys, "generate", "grim", "--lambda", 2, "--nx", 101, "--ny", 201,
+                            "--out", grid).returncode == 0
         report = tmp_path / "r.json"
-        r = run_cli("check", grid, "--lambda", lam, "--out", report)
+        r = run_main(capsys, "check", grid, "--lambda", lam, "--out", report)
         assert r.returncode == 1
         assert "lambda" in r.stderr and "x1 extent" in r.stderr
         assert not report.exists()
 
-    def test_report_roundtrip_and_determinism(self, tmp_path):
+    def test_report_roundtrip_and_determinism(self, capsys, tmp_path):
         grid = tmp_path / "g.grid"
-        assert run_cli("generate", "grim", "--nx", 41, "--ny", 41,
-                       "--out", grid).returncode == 0
+        assert run_main(capsys, "generate", "grim", "--nx", 41, "--ny", 41,
+                        "--out", grid).returncode == 0
         r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
         for rp in (r1, r2):
-            assert run_cli("check", grid, "--suite", "convexity,gradient_bounds",
-                           "--out", rp).returncode == 0
+            assert run_main(capsys, "check", grid, "--suite", "convexity,gradient_bounds",
+                            "--out", rp).returncode == 0
         assert r1.read_bytes() == r2.read_bytes()
         reporting.write_report(tmp_path / "r3.json", reporting.read_report(r1))
         assert (tmp_path / "r3.json").read_bytes() == r1.read_bytes()
 
 
 class TestProfileExport:
-    def test_csv_contents_and_gap_flatness(self, tmp_path):
+    def test_csv_contents_and_gap_flatness(self, capsys, tmp_path):
         out = tmp_path / "profile.csv"
-        r = run_cli("profile-export", "--rmax", 80, "--step", 0.001, "--out", out)
+        r = run_main(capsys, "profile-export", "--rmax", 80, "--step", 0.001, "--out", out)
         assert r.returncode == 0, r.stderr
         lines = out.read_text().splitlines()
         assert lines[0] == "r,f,fp,asymptote_gap"
@@ -381,10 +408,10 @@ class TestProfileExport:
         # gap column is empty strictly below r = 1
         assert rows[0.5][3] == ""
 
-    def test_reemit_is_bitwise_identical(self, tmp_path):
+    def test_reemit_is_bitwise_identical(self, capsys, tmp_path):
         out = tmp_path / "p.csv"
-        assert run_cli("profile-export", "--rmax", 5, "--step", 0.01,
-                       "--out", out).returncode == 0
+        assert run_main(capsys, "profile-export", "--rmax", 5, "--step", 0.01,
+                        "--out", out).returncode == 0
         lines = out.read_text().splitlines()
         body = []
         for ln in lines[1:]:
@@ -394,8 +421,8 @@ class TestProfileExport:
             body.append(",".join([format(v, ".17g") for v in vals]) + "," + gap_txt)
         assert body == lines[1:]
 
-    def test_bad_step(self, tmp_path):
-        r = run_cli("profile-export", "--step", -1, "--out", tmp_path / "p.csv")
+    def test_bad_step(self, capsys, tmp_path):
+        r = run_main(capsys, "profile-export", "--step", -1, "--out", tmp_path / "p.csv")
         assert r.returncode == 1
 
 
