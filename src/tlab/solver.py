@@ -201,7 +201,8 @@ def _factorize(J, dtype=np.float32):
     sizes the lab solves it fills in far less than the default COLAMD.
     diag_pivot_thresh=0 keeps each nonzero diagonal pivot and so the
     ordering's fill on rough iterates. The supernode settings
-    _SUPERNODE_RELAX and _PANEL_SIZE change neither the ordering, the
+    _SUPERNODE_RELAX and _PANEL_SIZE (Demmel, Eisenstat, Gilbert, Li & Liu,
+    SIAM J. Matrix Anal. Appl. 20, 1999) change neither the ordering, the
     pivots nor nnz(L + U), only the order of the numeric updates. An
     exactly singular J gives a solve that returns NaNs, not an error.
     """
@@ -443,13 +444,13 @@ def newton_solve(boundary, init: GridFunction, cfg: SolveConfig,
     float64 linear residual is within the forcing term min(1e-2, residual)
     times the right-hand side (Eisenstat & Walker, SIAM J. Sci. Comput. 17,
     1996). The LU is kept while cycles are accepted. When one misses, the
-    old factor is dropped and the current Jacobian is factored in float32,
-    and the cycle runs again on that fresh factor. If that cycle misses
-    too, a nonfinite value included, the same Jacobian is factored in
-    float64 and its direct step is taken; a nonfinite direct step ends the
-    solve "singular". So the precision follows the Jacobian: float32 where
-    the cycle refines its factor to the forcing term, float64 where it
-    cannot. The sparsity pattern is built once per solve.
+    old factor is dropped, the current Jacobian is factored in float32 and
+    the cycle runs on that fresh factor. If it misses too, a nonfinite
+    value included, the same Jacobian is factored in float64 and its
+    direct step is taken; a nonfinite direct step ends the solve
+    "singular". So the input sets the precision: float32 wherever the
+    cycle refines its factor's step to the forcing term. The sparsity
+    pattern is built once per solve.
 
     A problem that is mirror-even across the middle column or row (odd
     node count along the axis, and init and forcing even to within a few
@@ -493,10 +494,10 @@ def newton_solve(boundary, init: GridFunction, cfg: SolveConfig,
     SolveOutcome
         status is "converged" (final_residual <= tol), "at_rounding_floor",
         "stalled" (no decrease above the floor), "singular" (a nonfinite
-        direct step from the float64 factor: a singular Jacobian or an
-        overflow) or "budget"
-        (max_newton_iters used up); every status but the first comes back
-        with converged=False, not an exception, and notes renders it. The
+        step from the float64 factor: a singular Jacobian or an overflow)
+        or "budget" (max_newton_iters used up); every status but the first
+        comes back with converged=False, not an exception, and notes
+        renders it. The
         solution is the last accepted iterate. factorizations counts the
         LUs built, in either precision; mirror_axes names the folds.
         final_residual, converged and the last history entry are those of

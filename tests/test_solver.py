@@ -79,16 +79,22 @@ class TestNewton:
         assert np.min(out.solution.values) == pytest.approx(-0.0744772, abs=2e-5)
 
     def test_noisy_init_contract(self):
+        # damped Newton alone does not globalize this start: its line search
+        # stalls about 5e4 off after 50 iterations. Relaxed to 1e-2 first,
+        # the start converges to the solve from the sample
         boundary, sample, noisy = _noisy_grim(31, 37, 10.0, seed=7)
         cfg = tlab.SolveConfig(tol=1e-9, max_newton_iters=50)
-        out = tlab.newton_solve(boundary, noisy, cfg)
-        if out.converged:
-            assert out.final_residual <= cfg.tol
-            reference = tlab.newton_solve(boundary, sample, cfg)
-            assert np.max(np.abs(out.solution.values - reference.solution.values)) <= 1e-6
-        else:
-            assert out.final_residual > cfg.tol
-            assert out.notes
+        alone = tlab.newton_solve(boundary, noisy, cfg)
+        assert (alone.status, alone.converged) == ("stalled", False)
+        assert alone.final_residual > cfg.tol
+        assert alone.notes
+        pre = tlab.parabolic_relax(boundary, noisy, tlab.SolveConfig(tol=1e-2))
+        assert pre.converged
+        out = tlab.newton_solve(boundary, pre.solution, cfg)
+        assert out.converged
+        assert out.final_residual <= cfg.tol
+        reference = tlab.newton_solve(boundary, sample, cfg)
+        assert np.max(np.abs(out.solution.values - reference.solution.values)) <= 1e-6
 
     def test_singular_jacobian_ends_unconverged_with_iterate(self, monkeypatch):
         p, rect, boundary, sample = _grim_problem(nx=11, ny=11)
