@@ -654,6 +654,16 @@ class TestStatus:
         out = tlab.newton_solve(*_grim_fill(), tlab.SolveConfig())
         assert (out.status, out.notes) == ("singular", "singular Jacobian at iteration 0")
 
+    def test_float64_fallback_takes_the_direct_step(self, monkeypatch):
+        # every cycle misses: each iteration factors in float32, then the
+        # same Jacobian in float64, whose direct step still converges
+        factors = _counting(monkeypatch, "_factorize")
+        monkeypatch.setattr(tlab.solver, "_preconditioned_step", lambda J, rhs, solve, rtol: None)
+        out = tlab.newton_solve(*_grim_fill(), tlab.SolveConfig())
+        assert out.status == "converged"
+        assert [call[1] for call in factors] == [np.float32, np.float64] * out.iterations
+        assert out.factorizations == 2 * out.iterations
+
     def test_budget(self):
         out = tlab.newton_solve(*_grim_fill(), tlab.SolveConfig(tol=1e-12, max_newton_iters=1))
         assert (out.status, out.notes) == ("budget", "iteration budget exhausted after 1 steps")
