@@ -163,7 +163,8 @@ def check_gradient_bounds(g: GeometryFields, tol: float) -> CheckReport:
 _IDENTITIES_REF = "|grad u|^2 = 1 - H^2, drift identities for H and W, |A|^2 W^2 >= 1/2"
 
 
-def check_soliton_identities(g: GeometryFields, tol: float, min_ratio: float) -> CheckReport:
+def check_soliton_identities(g: GeometryFields, tol: float,
+                             min_ratio: float = 1.5) -> CheckReport:
     """Drift-operator identities plus |A|^2 W^2 >= 1/2 on a near-solution.
 
     Refuses an input that is not a translator at its resolution: one whose

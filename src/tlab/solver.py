@@ -187,15 +187,15 @@ def _jacobian(U: np.ndarray, h1: float, h2: float, pattern=None, axes=()):
     return csc_matrix((stack.ravel()[gather], indices, indptr), shape=(n, n))
 
 
-def _factorize(J, dtype=np.float32):
-    """Sparse LU of J cast to dtype; returns the solve callable of the factor.
+def _factorize(J):
+    """Sparse LU of J cast to float32; returns the solve callable of the
+    factor.
 
     The solve takes and returns float64 and keeps the SuperLU object as
-    its lu attribute. Newton factors in float32: the factor and its
-    triangular solves move half the bytes of a float64 one, and the GMRES
-    cycle of _preconditioned_step refines its step to float64 accuracy
-    (Langou et al., SC 2006; Carson & Higham, SIAM J. Sci. Comput. 40,
-    2018). A float64 factor is its fallback.
+    its lu attribute. The factor and its triangular solves move half the
+    bytes of a float64 one, and the GMRES cycle of _preconditioned_step
+    refines its step to float64 accuracy (Langou et al., SC 2006; Carson &
+    Higham, SIAM J. Sci. Comput. 40, 2018).
 
     Minimum-degree ordering on J^T + J suits the 9-point stencil: at the
     sizes the lab solves it fills in far less than the default COLAMD.
@@ -208,7 +208,7 @@ def _factorize(J, dtype=np.float32):
     """
     spla = _linalg()
     try:
-        lu = spla.splu(J.astype(dtype, copy=False).tocsc(), permc_spec="MMD_AT_PLUS_A",
+        lu = spla.splu(J.astype(np.float32).tocsc(), permc_spec="MMD_AT_PLUS_A",
                        diag_pivot_thresh=0.0, relax=_SUPERNODE_RELAX,
                        panel_size=_PANEL_SIZE)
     except RuntimeError as exc:
@@ -217,7 +217,7 @@ def _factorize(J, dtype=np.float32):
         return lambda rhs: np.full(np.shape(rhs), np.nan)
 
     def solve(rhs):
-        return lu.solve(rhs.astype(dtype, copy=False)).astype(float, copy=False)
+        return lu.solve(rhs.astype(np.float32)).astype(float)
 
     solve.lu = lu
     return solve
@@ -232,13 +232,13 @@ def _preconditioned_step(J, rhs: np.ndarray, solve, rtol: float):
     Jacobian an LU factored and solve applying M^-1 (Saad & Schultz, SIAM J.
     Sci. Stat. Comput. 7, 1986).
 
-    M is the current Jacobian in float32, or an earlier one in either
-    precision; the cycle refines the factor's step in float64 either way.
-    It starts from the factor's own step x0 = M^-1 rhs, the one solve of
-    rhs, and keeps each Z_k = M^-1 v_k beside the Arnoldi basis v_k of
-    J M^-1, so x = x0 + Z y costs no further solve. Right preconditioning
-    makes the Hessenberg least-squares residual, kept by Givens rotations,
-    the true residual |rhs - J x| in exact arithmetic. Returns x once that
+    M is the current or an earlier Jacobian in float32; the cycle refines
+    the factor's step in float64. It starts from the factor's own step
+    x0 = M^-1 rhs, the one solve of rhs, and keeps each Z_k = M^-1 v_k
+    beside the Arnoldi basis v_k of J M^-1, so x = x0 + Z y costs no
+    further solve. Right preconditioning makes the Hessenberg
+    least-squares residual, kept by Givens rotations, the true residual
+    |rhs - J x| in exact arithmetic. Returns x once that
     residual, evaluated afresh, is within target = rtol * |rhs|. Returns
     None when the cycle ends short of it; when, from the second iteration
     on, its mean contraction so far, c = (r_k / r_0)^(1/k), cannot reach it
@@ -443,14 +443,12 @@ def newton_solve(boundary, init: GridFunction, cfg: SolveConfig,
     (_preconditioned_step). The step is accepted only when its true
     float64 linear residual is within the forcing term min(1e-2, residual)
     times the right-hand side (Eisenstat & Walker, SIAM J. Sci. Comput. 17,
-    1996). The LU is kept while cycles are accepted. When one misses, the
-    old factor is dropped, the current Jacobian is factored in float32 and
-    the cycle runs on that fresh factor. If it misses too, a nonfinite
-    value included, the same Jacobian is factored in float64 and its
+    1996). Every LU is of the Jacobian in float32. The LU is kept while
+    cycles are accepted. When one misses, the old factor is dropped, the
+    current Jacobian is factored and the cycle runs on that fresh factor.
+    If it misses too, a nonfinite value included, the fresh factor's own
     direct step is taken; a nonfinite direct step ends the solve
-    "singular". So the input sets the precision: float32 wherever the
-    cycle refines its factor's step to the forcing term. The sparsity
-    pattern is built once per solve.
+    "singular". The sparsity pattern is built once per solve.
 
     A problem that is mirror-even across the middle column or row (odd
     node count along the axis, and init and forcing even to within a few
@@ -493,13 +491,12 @@ def newton_solve(boundary, init: GridFunction, cfg: SolveConfig,
     -------
     SolveOutcome
         status is "converged" (final_residual <= tol), "at_rounding_floor",
-        "stalled" (no decrease above the floor), "singular" (a nonfinite
-        step from the float64 factor: a singular Jacobian or an overflow)
-        or "budget" (max_newton_iters used up); every status but the first
-        comes back with converged=False, not an exception, and notes
-        renders it. The
-        solution is the last accepted iterate. factorizations counts the
-        LUs built, in either precision; mirror_axes names the folds.
+        "stalled" (no decrease along the step, refined or direct, above the
+        floor), "singular" (a nonfinite direct step: a singular Jacobian or
+        an overflow) or "budget" (max_newton_iters used up); every status
+        but the first comes back with converged=False, not an exception,
+        and notes renders it. The solution is the last accepted iterate.
+        factorizations counts the LUs built; mirror_axes names the folds.
         final_residual, converged and the last history entry are those of
         the returned full grid; earlier entries of a folded solve are
         fold-domain residuals.
@@ -547,14 +544,11 @@ def newton_solve(boundary, init: GridFunction, cfg: SolveConfig,
                 delta = _preconditioned_step(J, rhs, solve, rtol)
             if delta is None:
                 solve = None  # free the old factor before building the new one
-                solve = _factorize(J, np.float32)
+                solve = _factorize(J)
                 factorizations += 1
                 delta = _preconditioned_step(J, rhs, solve, rtol)
-            if delta is None:
-                solve = None
-                solve = _factorize(J, np.float64)
-                factorizations += 1
-                delta = solve(rhs)
+                if delta is None:
+                    delta = solve(rhs)
             if not np.all(np.isfinite(delta)):
                 status = "singular"
                 break

@@ -212,7 +212,7 @@ class TestSolitonIdentities:
     def test_exact_grim_passes(self, grim_setup):
         _, u, _, fields = grim_setup
         h = max(u.h1, u.h2)
-        rep = tlab.check_soliton_identities(fields, 100.0 * h * h, 1.5)
+        rep = tlab.check_soliton_identities(fields, 100.0 * h * h)
         assert rep.passed
 
     def test_bowl_apex_is_umbilic_equality(self, bowl_profile_fine):
@@ -233,11 +233,11 @@ class TestSolitonIdentities:
         fields = tlab.geometry_fields(u)
         (refused,) = tlab.run_suite(u, ["soliton_identities"], tlab.SuiteConfig())
         h = max(u.h1, u.h2)
-        assert tlab.check_soliton_identities(fields, 100.0 * h * h, 1.5) == refused
+        assert tlab.check_soliton_identities(fields, 100.0 * h * h) == refused
         assert not refused.passed and refused.notes.startswith("refused: ")
         assert refused.worst_violation == float(np.nanmax(np.abs(tlab.translator_residual(u))))
         _, grim = _grim_sample()
-        passing = tlab.check_soliton_identities(tlab.geometry_fields(grim), 0.04, 1.5)
+        passing = tlab.check_soliton_identities(tlab.geometry_fields(grim), 0.04)
         assert passing.passed and refused.statement_ref == passing.statement_ref
 
 

@@ -182,7 +182,7 @@ class TestSolve:
 
     def test_singular_jacobian_writes_grid_and_log(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(tlab.solver, "_factorize",
-                            lambda J, dtype: lambda rhs: np.full(np.shape(rhs), np.nan))
+                            lambda J: lambda rhs: np.full(np.shape(rhs), np.nan))
         out = tmp_path / "x.grid"
         code = tlab.cli.main(["solve", "newton", "--boundary", "grim", "--lambda", "2",
                               "--nx", "11", "--ny", "11", "--out", str(out)])
@@ -293,6 +293,20 @@ class TestCheck:
         assert [c["name"] for c in failed] == ["soliton_identities"]
         assert failed[0]["notes"].startswith("refused: ")
         assert "does not fall under injection" in failed[0]["notes"]
+
+    def test_default_grim_on_21_columns_fails_the_identities(self, capsys, tmp_path):
+        # a true translator, but at h = 0.5 across the strip its residual
+        # falls only 1.36x under injection, below the bound 1.5: the check
+        # refuses what it cannot certify at this resolution
+        grid = tmp_path / "g.grid"
+        assert run_main(capsys, "generate", "grim", "--nx", 21, "--ny", 21,
+                        "--out", grid).returncode == 0
+        report = tmp_path / "report.json"
+        assert run_main(capsys, "check", grid, "--out", report).returncode == 3
+        failed = [c for c in json.loads(report.read_text())["checks"] if not c["pass"]]
+        assert [c["name"] for c in failed] == ["soliton_identities"]
+        assert "does not fall under injection" in failed[0]["notes"]
+        assert "injection ratio 1.36" in failed[0]["notes"]
 
     def test_unknown_suite_name(self, capsys, tmp_path):
         grid = tmp_path / "g.grid"

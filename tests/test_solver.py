@@ -6,9 +6,10 @@ import pytest
 
 import tlab
 from tlab.geometry import interior_partials, quasilinear_residual
-from tlab.solver import (_OFFSETS, _RKL_STAGES, _factorize, _fold_origin, _jacobian,
-                         _mirror, _mirror_axes, _preconditioned_step, _residual,
-                         _rounding_floor, _stencil_pattern)
+from tlab.solver import (_OFFSETS, _PANEL_SIZE, _RKL_STAGES, _SUPERNODE_RELAX, _factorize,
+                         _fold_origin, _jacobian, _mirror, _mirror_axes,
+                         _preconditioned_step, _residual, _rounding_floor,
+                         _stencil_pattern)
 
 
 def _grim_problem(lam=2.0, rect=(-2.5, 2.5, -3.0, 3.0), nx=51, ny=61):
@@ -98,10 +99,10 @@ class TestNewton:
 
     def test_singular_jacobian_ends_unconverged_with_iterate(self, monkeypatch):
         p, rect, boundary, sample = _grim_problem(nx=11, ny=11)
-        calls = []
+        calls = {"n": 0}
 
-        def bad_factorize(J, dtype):
-            calls.append(dtype)
+        def bad_factorize(J):
+            calls["n"] += 1
             return lambda rhs: np.full(J.shape[0], np.nan)
 
         monkeypatch.setattr(tlab.solver, "_factorize", bad_factorize)
@@ -109,7 +110,7 @@ class TestNewton:
         out = tlab.newton_solve(boundary, init, tlab.SolveConfig(tol=1e-12))
         assert not out.converged
         assert out.notes.startswith("singular Jacobian")
-        assert calls == [np.float32, np.float64]  # one LU per precision, no retry
+        assert calls["n"] == 1  # no retry
         # the x1-folded iterate comes back on the full grid: the init's ring,
         # an exactly even interior
         U, V = out.solution.values, init.values
@@ -432,7 +433,7 @@ class TestMirrorFold:
         # into the iterate are undone, so the solve returns the mirrored init
         monkeypatch.setattr(tlab.solver, "_MIN_STEP_FRACTION", 0.25)
         monkeypatch.setattr(tlab.solver, "_factorize",
-                            lambda J, dtype: lambda rhs: np.full(np.shape(rhs), 1e3))
+                            lambda J: lambda rhs: np.full(np.shape(rhs), 1e3))
         boundary, init = _strip_problem()
         out = tlab.newton_solve(boundary, init, tlab.SolveConfig())
         assert out.mirror_axes == ("x1", "x2")
@@ -631,7 +632,7 @@ class TestStatus:
         # a huge step fails at every fraction from a start far above the floor
         monkeypatch.setattr(tlab.solver, "_MIN_STEP_FRACTION", 0.25)
         monkeypatch.setattr(tlab.solver, "_factorize",
-                            lambda J, dtype: lambda rhs: np.full(np.shape(rhs), 1e3))
+                            lambda J: lambda rhs: np.full(np.shape(rhs), 1e3))
         out = tlab.newton_solve(*_strip_problem(), tlab.SolveConfig())
         assert (out.status, out.converged) == ("stalled", False)
         assert out.notes.startswith("backtracking stalled")
@@ -650,19 +651,17 @@ class TestStatus:
 
     def test_singular(self, monkeypatch):
         monkeypatch.setattr(tlab.solver, "_factorize",
-                            lambda J, dtype: lambda rhs: np.full(np.shape(rhs), np.nan))
+                            lambda J: lambda rhs: np.full(np.shape(rhs), np.nan))
         out = tlab.newton_solve(*_grim_fill(), tlab.SolveConfig())
         assert (out.status, out.notes) == ("singular", "singular Jacobian at iteration 0")
 
-    def test_float64_fallback_takes_the_direct_step(self, monkeypatch):
-        # every cycle misses: each iteration factors in float32, then the
-        # same Jacobian in float64, whose direct step still converges
-        factors = _counting(monkeypatch, "_factorize")
+    def test_missed_cycle_takes_the_direct_step(self, monkeypatch):
+        # every cycle misses: each iteration factors afresh and takes that
+        # factor's direct step, which still converges
         monkeypatch.setattr(tlab.solver, "_preconditioned_step", lambda J, rhs, solve, rtol: None)
         out = tlab.newton_solve(*_grim_fill(), tlab.SolveConfig())
         assert out.status == "converged"
-        assert [call[1] for call in factors] == [np.float32, np.float64] * out.iterations
-        assert out.factorizations == 2 * out.iterations
+        assert out.factorizations == out.iterations
 
     def test_budget(self):
         out = tlab.newton_solve(*_grim_fill(), tlab.SolveConfig(tol=1e-12, max_newton_iters=1))
@@ -714,12 +713,13 @@ def _noisy_cli_grim():
 def test_supernode_settings_keep_ordering_fill_and_step(problem, rtol):
     # the supernode settings change only the order of the numeric updates:
     # against SuperLU's defaults, the same column order, row pivots and fill,
-    # in float64 and in the float32 that Newton factors first
+    # in float64 and in the float32 that _factorize builds
     from scipy.sparse.linalg import splu
     J, rhs = problem()
     default = splu(J, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0)
-    chosen = _factorize(J, np.float64).lu
-    for lu in (chosen, _factorize(J, np.float32).lu):
+    chosen = splu(J, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  relax=_SUPERNODE_RELAX, panel_size=_PANEL_SIZE)
+    for lu in (chosen, _factorize(J).lu):
         assert np.array_equal(lu.perm_c, default.perm_c)
         assert np.array_equal(lu.perm_r, default.perm_r)
         assert lu.L.nnz + lu.U.nnz == default.L.nnz + default.U.nnz
