@@ -6,7 +6,7 @@ from the grid (its step, its x1 extent and, for the strip checks,
 checks passing, 1 usage or file errors, 2 solver non-convergence, 3 check
 failures, 4 a Newton solve stopped at its rounding floor above --tol. An
 unconverged solve, a singular Newton step included, still writes its last
-iterate and its log. A refused identities check is a
+iterate and its log, <out>.log. A refused identities check is a
 failed report that the check returns. Runs are deterministic: the same
 command line produces byte-identical output files.
 """
@@ -40,11 +40,17 @@ class _Parser(argparse.ArgumentParser):
         raise CliUsageError(message)
 
 
-def _add_domain_flags(p):
-    p.add_argument("--x1-min", type=float)
-    p.add_argument("--x1-max", type=float)
-    p.add_argument("--x2-min", type=float)
-    p.add_argument("--x2-max", type=float)
+def _add_family_flags(p):
+    """The surface, grid and output flags that generate and solve share."""
+    p.add_argument("--lambda", dest="lam", type=float, default=2.0)
+    p.add_argument("--tilt", choices=["+", "-"], default="+")
+    p.add_argument("--rmax", type=float, default=None)
+    p.add_argument("--step", type=float, default=1e-3)
+    p.add_argument("--nx", type=int, default=101)
+    p.add_argument("--ny", type=int, default=101)
+    for edge in ("x1-min", "x1-max", "x2-min", "x2-max"):
+        p.add_argument(f"--{edge}", type=float)
+    p.add_argument("--out", required=True)
 
 
 def build_parser() -> _Parser:
@@ -54,44 +60,28 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="sample a closed-form family to a grid file")
+    g.set_defaults(run=cmd_generate)
     g.add_argument("family", choices=["grim", "tilted", "bowl"])
-    g.add_argument("--lambda", dest="lam", type=float, default=2.0)
-    g.add_argument("--tilt", choices=["+", "-"], default="+")
     g.add_argument("--radius", type=float, default=1.0)
     g.add_argument("--t", type=float, default=0.5)
-    g.add_argument("--rmax", type=float, default=None)
-    g.add_argument("--step", type=float, default=1e-3)
-    g.add_argument("--nx", type=int, default=101)
-    g.add_argument("--ny", type=int, default=101)
-    _add_domain_flags(g)
-    g.add_argument("--out", required=True)
+    _add_family_flags(g)
 
     s = sub.add_parser("solve", help="solve the translator equation on a rectangle")
+    s.set_defaults(run=cmd_solve)
     s.add_argument("mode", choices=["newton", "relax"])
     s.add_argument("--boundary", choices=["grim", "bowl", "strip", "file"],
                    default="grim")
     s.add_argument("--boundary-file", default=None)
-    s.add_argument("--lambda", dest="lam", type=float, default=2.0)
-    s.add_argument("--tilt", choices=["+", "-"], default="+")
     s.add_argument("--Y", type=float, default=30.0)
-    s.add_argument("--smoothing", type=float, default=None,
-                   help="corner rounding of the strip data; defaults to "
-                        "max(1, lambda^2 - 1) so the data stays within the "
-                        "translator Hessian bounds")
-    s.add_argument("--rmax", type=float, default=None)
-    s.add_argument("--step", type=float, default=1e-3)
-    s.add_argument("--nx", type=int, default=101)
-    s.add_argument("--ny", type=int, default=101)
-    _add_domain_flags(s)
     s.add_argument("--init", choices=["fill", "file"], default="fill")
     s.add_argument("--init-file", default=None)
     s.add_argument("--tol", type=float, default=solve_defaults.tol)
     s.add_argument("--max-iters", type=int, default=solve_defaults.max_newton_iters)
     s.add_argument("--max-steps", type=int, default=solve_defaults.max_relax_steps)
-    s.add_argument("--out", required=True)
-    s.add_argument("--log", default=None)
+    _add_family_flags(s)
 
     c = sub.add_parser("check", help="certify a solution grid against the statement suite")
+    c.set_defaults(run=cmd_check)
     c.add_argument("solution")
     c.add_argument("--suite", default="default",
                    help="comma-separated check names, or 'default'")
@@ -105,6 +95,7 @@ def build_parser() -> _Parser:
 
     e = sub.add_parser("profile-export",
                        help="CSV of the radial profile and its asymptote gap")
+    e.set_defaults(run=cmd_profile_export)
     e.add_argument("--rmax", type=float, default=80.0)
     e.add_argument("--step", type=float, default=1e-3)
     e.add_argument("--out", required=True)
@@ -155,55 +146,49 @@ def cmd_generate(args) -> int:
 
 
 def _solve_problem(args):
-    """Boundary callable + rectangle + init grid for a solve command."""
+    """Boundary callable + init grid for a solve command."""
+    nx, ny = args.nx, args.ny
     if args.boundary in ("grim", "bowl"):
         rect, boundary = _closed_form(args, args.boundary, grim_x2=3.0)
     elif args.boundary == "strip":
         p = GrimParams(args.lam, 1 if args.tilt == "+" else -1)
-        smoothing = args.smoothing
-        if smoothing is None:
-            smoothing = max(1.0, args.lam * args.lam - 1.0)
-        rect, boundary = strip_boundary_data(p, 0.25 * p.half_width, args.Y, smoothing)
+        # corner rounding max(1, lambda^2 - 1) keeps the data within the
+        # translator Hessian bounds
+        rect, boundary = strip_boundary_data(p, 0.25 * p.half_width, args.Y,
+                                             max(1.0, args.lam * args.lam - 1.0))
     else:
         if not args.boundary_file:
             raise ValueError("--boundary file needs --boundary-file")
-        bgrid = rep.read_grid(args.boundary_file)
-        rect = bgrid.rect
-        boundary = bgrid
-        if args.init == "fill":
-            init = fill_from_boundary(rect, bgrid.nx, bgrid.ny, bgrid)
-            return boundary, init
-    if args.init == "file":
-        if not args.init_file:
-            raise ValueError("--init file needs --init-file")
-        init = rep.read_grid(args.init_file)
-        if init.rect != rect:
-            raise ValueError("init grid domain does not match the solve domain")
-    else:
-        init = fill_from_boundary(rect, args.nx, args.ny, boundary)
+        boundary = rep.read_grid(args.boundary_file)
+        rect, nx, ny = boundary.rect, boundary.nx, boundary.ny
+    if args.init == "fill":
+        return boundary, fill_from_boundary(rect, nx, ny, boundary)
+    if not args.init_file:
+        raise ValueError("--init file needs --init-file")
+    init = rep.read_grid(args.init_file)
+    if init.rect != rect:
+        raise ValueError("init grid domain does not match the solve domain")
     return boundary, init
+
+
+# stdout word, log text and exit code of a solve status; any other status exits 2
+_EXIT = {"converged": ("converged", "converged", 0),
+         "at_rounding_floor": ("at-rounding-floor", "at rounding floor", 4)}
 
 
 def cmd_solve(args) -> int:
     cfg = SolveConfig(tol=args.tol, max_newton_iters=args.max_iters,
                       max_relax_steps=args.max_steps)
     boundary, init = _solve_problem(args)
-    if args.mode == "newton":
-        outcome = newton_solve(boundary, init, cfg)
-    else:
-        outcome = parabolic_relax(boundary, init, cfg)
+    solve = newton_solve if args.mode == "newton" else parabolic_relax
+    outcome = solve(boundary, init, cfg)
     rep.write_grid(args.out, outcome.solution)
-    log_path = args.log if args.log is not None else str(args.out) + ".log"
-    if outcome.status == "converged":
-        word, status, code = "converged", "converged", 0
-    elif outcome.status == "at_rounding_floor":
-        word, status, code = "at-rounding-floor", "at rounding floor", 4
-    else:
-        word, status, code = "not-converged", f"not converged: {outcome.notes}", 2
+    word, status, code = _EXIT.get(
+        outcome.status, ("not-converged", f"not converged: {outcome.notes}", 2))
     lines = [f"{k} {r:.17g}" for k, r in enumerate(outcome.history)]
     lines.append(f"# {status}; final_residual {outcome.final_residual:.17g}; "
                  f"iterations {outcome.iterations}")
-    Path(log_path).write_text("\n".join(lines) + "\n")
+    Path(str(args.out) + ".log").write_text("\n".join(lines) + "\n")
     print(f"{word} final_residual {outcome.final_residual:.17g} "
           f"iterations {outcome.iterations}")
     return code
@@ -225,7 +210,7 @@ def cmd_check(args) -> int:
     reports = ck.run_suite(u, names, ck.SuiteConfig(grim=grim, window=args.window))
     # the flags as given, in parser order, with the suite and skip resolved
     inputs = {("lambda" if k == "lam" else k): v for k, v in vars(args).items()
-              if k not in ("command", "out")}
+              if k not in ("command", "run", "out")}
     inputs.update(suite=",".join(names), skip=",".join(skip))
     report = rep.report_dict("tlab-check", inputs, reports)
     rep.write_report(args.out, report)
@@ -249,13 +234,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "generate":
-            return cmd_generate(args)
-        if args.command == "solve":
-            return cmd_solve(args)
-        if args.command == "check":
-            return cmd_check(args)
-        return cmd_profile_export(args)
+        return args.run(args)
     except CliUsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -239,6 +240,61 @@ class TestSolitonIdentities:
         _, grim = _grim_sample()
         passing = tlab.check_soliton_identities(tlab.geometry_fields(grim), 0.04)
         assert passing.passed and refused.statement_ref == passing.statement_ref
+
+
+# the translator equation's grid symmetries, each mapping the rectangle and
+# the values onto their images
+_GRID_SYMMETRIES = {
+    "transpose": lambda u: tlab.GridFunction(
+        tlab.Rectangle(u.rect.x2_min, u.rect.x2_max, u.rect.x1_min, u.rect.x1_max),
+        u.values.T.copy()),
+    "x1 reflection": lambda u: tlab.GridFunction(
+        tlab.Rectangle(-u.rect.x1_max, -u.rect.x1_min, u.rect.x2_min, u.rect.x2_max),
+        u.values[:, ::-1].copy()),
+    "x2 reflection": lambda u: tlab.GridFunction(
+        tlab.Rectangle(u.rect.x1_min, u.rect.x1_max, -u.rect.x2_max, -u.rect.x2_min),
+        u.values[::-1].copy()),
+}
+# (bump on the bowl, rectangle, n): two fixed defects and one translator
+_INJECTION_INPUTS = {
+    "sin bump": (lambda a, b: 1e-3 * np.sin(3.0 * a), tlab.Rectangle(-1.0, 1.0, -1.0, 1.0), 21),
+    "off-centre bowl": (lambda a, b: 0.0 * a, tlab.Rectangle(-0.5, 1.5, -1.0, 1.0), 41),
+    "cos bump": (lambda a, b: 1e-3 * np.cos(3.0 * a) * np.cos(3.0 * b),
+                 tlab.Rectangle(-1.0, 1.0, -1.0, 1.0), 21),
+}
+
+
+def _bumped_bowl(profile, bump, rect, n):
+    bowl = tlab.bowl_radial_function(profile)
+    return tlab.sample_to_grid(lambda a, b: bowl(a, b) + bump(a, b), rect, n, n)
+
+
+def _injection(u):
+    """Pass bit and notes ratio of the identities check at the suite's tol."""
+    h = max(u.h1, u.h2)
+    rep = tlab.check_soliton_identities(tlab.geometry_fields(u), 100.0 * h * h)
+    return rep.passed, re.search(r"injection ratio (\S+)", rep.notes).group(1)
+
+
+class TestInjectionSymmetries:
+    @pytest.mark.parametrize("symmetry", _GRID_SYMMETRIES)
+    @pytest.mark.parametrize("name", _INJECTION_INPUTS)
+    def test_commutes_on_odd_grids(self, bowl_profile_fine, name, symmetry):
+        # with odd nx and ny, values[::2, ::2] keeps both edges of each axis,
+        # so the coarse grid of the image is the image of the coarse grid
+        u = _bumped_bowl(bowl_profile_fine, *_INJECTION_INPUTS[name])
+        passed, ratio = _injection(u)
+        assert passed == (name == "off-centre bowl")
+        assert _injection(_GRID_SYMMETRIES[symmetry](u)) == (passed, ratio)
+
+    def test_even_grid_reflection_takes_the_other_parity(self, bowl_profile_fine):
+        # at 20x20, [::2] drops the last column; after the x1 reflection that
+        # is the first column of the original, so the coarse grid is the
+        # other parity's and the ratio moves. The refusal holds
+        bump, rect, _ = _INJECTION_INPUTS["sin bump"]
+        u = _bumped_bowl(bowl_profile_fine, bump, rect, 20)
+        assert _injection(u) == (False, "0.990")
+        assert _injection(_GRID_SYMMETRIES["x1 reflection"](u)) == (False, "1.014")
 
 
 class TestStripAsymptotics:

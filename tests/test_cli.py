@@ -219,7 +219,9 @@ def test_solve_bowl_pinned(tmp_path):
     ["generate", "tilted", "--offset", "1"],
     ["solve", "newton", "--boundary", "strip", "--eps-frac", "0.3"],
     ["check", "g.grid", "--run-id", "x"],
-], ids=["generate-offset", "solve-eps-frac", "check-run-id"])
+    ["solve", "newton", "--boundary", "strip", "--smoothing", "2"],
+    ["solve", "newton", "--boundary", "strip", "--log", "x.log"],
+], ids=["generate-offset", "solve-eps-frac", "check-run-id", "solve-smoothing", "solve-log"])
 def test_deleted_flags_are_usage_errors(tmp_path, capsys, argv):
     # the grid check would read is written first, so only the flag can fail
     grid = tmp_path / "g.grid"
