@@ -18,6 +18,19 @@ def _readme_grim():
     return p, tlab.grim_grid(p, tlab.Rectangle(-0.75 * R, 0.75 * R, -5.0, 5.0), 101, 201)
 
 
+def _digest(reports):
+    report = reporting.report_dict("pin", {}, reports)
+    return hashlib.sha256(reporting.format_report(report).encode()).hexdigest()
+
+
+def _readme_bowl():
+    # the README example: tlab generate bowl --nx 101 --ny 101, whose
+    # profile runs at step 1e-3 just past the corner radius of [-4, 4]^2
+    rmax = math.hypot(4.0, 4.0) * (1.0 + 1e-9) + 1e-3
+    bowl = tlab.bowl_radial_function(tlab.bowl_profile_solve(rmax, 1e-3))
+    return tlab.sample_to_grid(bowl, tlab.Rectangle(-4.0, 4.0, -4.0, 4.0), 101, 101)
+
+
 def _digest_without_locations(reports):
     report = reporting.report_dict("pin", {}, reports)
     for entry in report["checks"]:
@@ -577,6 +590,21 @@ class TestSuite:
         reports = tlab.run_suite(u, names, tlab.SuiteConfig(grim=p, window=3.0))
         assert (_digest_without_locations(reports)
                 == "d8abfbad579642089e2b94b92bc40c48a3c4696215a009db3dc87b5c4578ba73")
+
+    # whole reports, locations included, recorded before the multi-term
+    # checks built one violation field at a time
+    def test_readme_grim_report_pinned(self):
+        p, u = _readme_grim()
+        names = [n for n in tlab.default_suite(p, True) if n != "strip_asymptotics_bottom"]
+        reports = tlab.run_suite(u, names, tlab.SuiteConfig(grim=p, window=3.0))
+        assert _digest(reports) == (
+            "68e7ee6f18fb245837ebfbb18115a94912e67975df736eaa591728241506b838")
+
+    def test_readme_bowl_report_pinned(self):
+        reports = tlab.run_suite(_readme_bowl(), tlab.default_suite(None, True),
+                                 tlab.SuiteConfig())
+        assert _digest(reports) == (
+            "88c7e63b31cfe606c03455e0a1d98828bd269026597d40c22dda94a08344365c")
 
     def test_strip_report_pinned_but_for_locations(self, strip_solution, grim2):
         reports = tlab.run_suite(strip_solution.solution, tlab.default_suite(grim2, True),

@@ -209,6 +209,13 @@ _FIELD_SHA256 = {
     "pinch": "e62393760b1696f5cd87bfb7a03b75da4dace00060dfbd31fe98665e2f87c996",
 }
 
+# the same for the three drift_identity_residuals fields, (a), (b) and (c)
+_DRIFT_SHA256 = (
+    "442a0d7cdb98dbf1b47e359d73dcdbeaf28189f53ae266a9f1bba7ce88bda90b",
+    "543ab4ebc4169bc83a9eb71438b7f48ca82f03e9a1ad3a840b3bf19987294b47",
+    "a951624a6fa80edb6efbf47feb8db2c7f1161a70202b69774ba56f88b905328b",
+)
+
 
 def _asymmetric_grid():
     # kappa1 <= 0 at two nodes and kappa2 < 0 < kappa1 at 942, so pinch
@@ -223,6 +230,14 @@ class TestGeometryFieldsPinned:
         f = tlab.geometry_fields(_asymmetric_grid())
         for name, want in _FIELD_SHA256.items():
             arr = getattr(f, name)
+            arr = np.where(np.isnan(arr), np.nan, arr)
+            assert hashlib.sha256(arr.tobytes()).hexdigest() == want, name
+
+    def test_drift_residuals_pinned(self):
+        # recorded from the written expressions, before the function freed
+        # its intermediates as it went
+        res = tlab.drift_identity_residuals(tlab.geometry_fields(_asymmetric_grid()))
+        for name, arr, want in zip(("a", "b", "c"), res, _DRIFT_SHA256):
             arr = np.where(np.isnan(arr), np.nan, arr)
             assert hashlib.sha256(arr.tobytes()).hexdigest() == want, name
 
