@@ -43,16 +43,20 @@ def _report(name, ref, worst, tol, loc=None, notes="") -> CheckReport:
 
 
 def _binding(terms: dict) -> tuple[float, tuple[int, int], str, dict]:
-    """Worst over several grid-shaped violation fields (NaN where not evaluated).
+    """Worst over several violation fields, one field alive at a time.
 
-    Returns (worst, location, binding label, {label: that term's worst});
-    the location follows worst_over's mirror rule, and on a tie between
-    terms the first one binds.
+    terms maps a label to a zero-argument callable that builds a
+    grid-shaped violation field (NaN where not evaluated). The callables
+    run once each, in label order, and each field is dropped once reduced,
+    before the next is built. Returns (worst, location, binding label,
+    {label: that term's worst}); the location follows worst_over's mirror
+    rule, and on a tie between terms the first label binds.
     """
-    each = {label: worst_over(field) for label, field in terms.items()}
-    label = max(each, key=lambda k: each[k][0])
-    worst, loc = each[label]
-    return worst, loc, label, {k: w for k, (w, _) in each.items()}
+    each, where = {}, {}
+    for label, build in terms.items():
+        each[label], where[label] = worst_over(build())
+    label = max(each, key=each.get)
+    return each[label], where[label], label, each
 
 
 def check_convexity(g: GeometryFields, tol: float) -> CheckReport:
@@ -134,27 +138,23 @@ def check_gradient_bounds(g: GeometryFields, tol: float) -> CheckReport:
     """
     p = g.parts
     h1, h2 = g.grid.h1, g.grid.h2
-    with np.errstate(invalid="ignore"):
-        a1_1, _ = first_diffs(np.arctan(p.u1), h1, h2)
-        _, a2_2 = first_diffs(np.arctan(p.u2), h1, h2)
-        v_arctan1 = np.abs(a1_1) - 1.0
-        v_arctan2 = np.abs(a2_2) - 1.0
-        v_h11 = p.u11 - (1.0 + p.u1 * p.u1)
-        v_h22 = p.u22 - (1.0 + p.u2 * p.u2)
-        root1 = np.sqrt(1.0 + p.u1 * p.u1)
-        root2 = np.sqrt(1.0 + p.u2 * p.u2)
-        v_mixed = np.abs(p.u12) - root1 * root2
-        _, w2 = first_diffs(root1, h1, h2)
-        v_slope = np.abs(w2) - np.abs(p.u1) * root2
 
-    worst, loc, which, _ = _binding({
-        "|d/dx1 arctan u1| <= 1": v_arctan1,
-        "|d/dx2 arctan u2| <= 1": v_arctan2,
-        "u11 <= 1 + u1^2": v_h11,
-        "u22 <= 1 + u2^2": v_h22,
-        "|u12| <= sqrt(1+u1^2) sqrt(1+u2^2)": v_mixed,
-        "|d/dx2 sqrt(1+u1^2)| <= |u1| sqrt(1+u2^2)": v_slope,
-    })
+    def root(v):
+        return np.sqrt(1.0 + v * v)
+
+    with np.errstate(invalid="ignore"):
+        worst, loc, which, _ = _binding({
+            "|d/dx1 arctan u1| <= 1":
+                lambda: np.abs(first_diffs(np.arctan(p.u1), h1, h2)[0]) - 1.0,
+            "|d/dx2 arctan u2| <= 1":
+                lambda: np.abs(first_diffs(np.arctan(p.u2), h1, h2)[1]) - 1.0,
+            "u11 <= 1 + u1^2": lambda: p.u11 - (1.0 + p.u1 * p.u1),
+            "u22 <= 1 + u2^2": lambda: p.u22 - (1.0 + p.u2 * p.u2),
+            "|u12| <= sqrt(1+u1^2) sqrt(1+u2^2)":
+                lambda: np.abs(p.u12) - root(p.u1) * root(p.u2),
+            "|d/dx2 sqrt(1+u1^2)| <= |u1| sqrt(1+u2^2)":
+                lambda: np.abs(first_diffs(root(p.u1), h1, h2)[1]) - np.abs(p.u1) * root(p.u2),
+        })
     return _report("gradient_bounds",
                    "first- and second-derivative bounds for convex strip translators",
                    worst, tol, loc, f"binding bound: {which}")
@@ -198,10 +198,10 @@ def check_soliton_identities(g: GeometryFields, tol: float,
                                  f"are only meaningful on (near-)solutions; {order}")
     res_a, res_b, res_c = drift_identity_residuals(g)
     worst, loc, _, each = _binding({
-        "|grad|^2 identity": np.abs(res_a),
-        "drift-H identity": np.abs(res_b),
-        "drift-W identity": np.abs(res_c),
-        "1/2 - |A|^2 W^2 worst": 0.5 - g.A2 * g.W * g.W,
+        "|grad|^2 identity": lambda: np.abs(res_a),
+        "drift-H identity": lambda: np.abs(res_b),
+        "drift-W identity": lambda: np.abs(res_c),
+        "1/2 - |A|^2 W^2 worst": lambda: 0.5 - g.A2 * g.W * g.W,
     })
     notes = ("".join(f"{k} {w:.3e}; " for k, w in each.items())
              + f"input residual {res_max:.3e}; {order}")
@@ -258,12 +258,17 @@ def check_strip_asymptotics(g: GeometryFields, p: GrimParams, window: float,
     with np.errstate(invalid="ignore", divide="ignore"):
         profile_target = (p.lam ** 2) * (-np.log(np.cos(x1 / p.lam)))
     window_nodes = np.outer(rows, cols)
+
+    def in_window(defect):
+        return np.where(window_nodes, defect, np.nan)
+
     # defect of each limit, in the order ties are resolved
-    terms = {"tilt": np.abs(pp.u2 - L_target),
-             "slope": np.abs(pp.u1 - p.lam * np.tan(x1 / p.lam)),
-             "profile": np.abs(V - V[:, i0, None] - (profile_target - profile_target[i0]))}
-    worst, loc, _, each = _binding({k: np.where(window_nodes, t, np.nan)
-                                    for k, t in terms.items()})
+    worst, loc, _, each = _binding({
+        "tilt": lambda: in_window(np.abs(pp.u2 - L_target)),
+        "slope": lambda: in_window(np.abs(pp.u1 - p.lam * np.tan(x1 / p.lam))),
+        "profile": lambda: in_window(np.abs(V - V[:, i0, None]
+                                            - (profile_target - profile_target[i0]))),
+    })
     v_tilt, v_slope, v_prof = each.values()
     notes = (f"{side} window x2 in [{lo:.3g}, {hi:.3g}], |x1| <= "
              f"{p.half_width - margin:.3g}: |u_x2 - ({L_target:+.6g})| "
@@ -295,8 +300,8 @@ def check_symmetry(g: GeometryFields, tol: float) -> CheckReport:
     pp = g.parts
     # u1 is NaN on the ring, so neg_slope is too
     neg_slope = np.where(u.x1() > 0.5 * u.h1, -pp.u1, np.nan)
-    worst, loc, which, each = _binding({"symmetry defect": np.abs(V - V[:, ::-1]),
-                                        "worst -u_x1 over x1>0": neg_slope})
+    worst, loc, which, each = _binding({"symmetry defect": lambda: np.abs(V - V[:, ::-1]),
+                                        "worst -u_x1 over x1>0": lambda: neg_slope})
     if which == "symmetry defect" and worst <= _MIRROR_ROUNDING_RTOL * float(np.max(np.abs(V))):
         loc = None
     notes = ("".join(f"{k} {w:.3e}; " for k, w in each.items())

@@ -36,6 +36,11 @@ class CliUsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    # no prefix matching, so --l is not read as --lambda; add_subparsers
+    # builds every subcommand's parser with this class
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise CliUsageError(message)
 

@@ -10,6 +10,13 @@ built from second differences of derived quantities, a second ring) is NaN:
 one-sided stencils are never used, so NaN marks exactly the untrusted nodes
 and propagates through downstream stencils automatically. Reductions over
 such fields must be NaN-aware.
+
+Memory: the ringed differences are filled in place, with no interior copy,
+and each intermediate is freed after its last use. Besides the five
+partials, geometry_fields holds at most ten full-size arrays at once;
+besides the fields it reads, drift_identity_residuals holds at most nine.
+Freeing early moves no bit: every expression keeps its written
+left-to-right order.
 """
 
 from __future__ import annotations
@@ -118,21 +125,22 @@ def interior_partials(U: np.ndarray, h1: float, h2: float):
     return tuple(out)
 
 
-def _ringed(inner: np.ndarray, shape) -> np.ndarray:
-    """Embed interior values in a full-size array with a NaN edge ring."""
-    out = np.full(shape, np.nan)
-    out[1:-1, 1:-1] = inner
-    return out
+def _ringed(stencil, k: int, F: np.ndarray, h1: float, h2: float):
+    """The stencil's k differences of F, filled into the interiors of
+    full-size arrays with a NaN edge ring (no interior copy is made)."""
+    full = tuple(np.full(F.shape, np.nan) for _ in range(k))
+    stencil(F, h1, h2, [f[1:-1, 1:-1] for f in full])
+    return full
 
 
 def first_diffs(F: np.ndarray, h1: float, h2: float) -> tuple[np.ndarray, np.ndarray]:
     """Centered first differences of a full-size field; NaN edge ring."""
-    return tuple(_ringed(f, F.shape) for f in _centered_first(F, h1, h2, _interior_block(F, 2)))
+    return _ringed(_centered_first, 2, F, h1, h2)
 
 
 def second_diffs(F: np.ndarray, h1: float, h2: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Centered second differences of a full-size field; NaN edge ring."""
-    return tuple(_ringed(f, F.shape) for f in _centered_second(F, h1, h2, _interior_block(F, 3)))
+    return _ringed(_centered_second, 3, F, h1, h2)
 
 
 def partials(u: GridFunction) -> Partials:
@@ -143,8 +151,7 @@ def partials(u: GridFunction) -> Partials:
     """
     if u.nx < 5 or u.ny < 5:
         raise ValueError("partials needs nx, ny >= 5")
-    U = u.values
-    return Partials(*(_ringed(f, U.shape) for f in interior_partials(U, u.h1, u.h2)))
+    return Partials(*first_diffs(u.values, u.h1, u.h2), *second_diffs(u.values, u.h1, u.h2))
 
 
 def quasilinear_residual(u1, u2, u11, u12, u22):
@@ -206,32 +213,29 @@ def geometry_fields(u: GridFunction, parts: Partials | None = None) -> GeometryF
         Wsq = 1.0 + q2
         W = np.sqrt(Wsq)
 
-        h11 = p.u11 / W
-        h12 = p.u12 / W
-        h22 = p.u22 / W
-
         # rotate so the gradient points along the first axis
         q = np.sqrt(q2)
         safe = q > 0.0
         c = np.where(safe, u1 / np.where(safe, q, 1.0), 1.0)
         s = np.where(safe, u2 / np.where(safe, q, 1.0), 0.0)
-        hp11 = c * c * h11 + 2.0 * c * s * h12 + s * s * h22
-        hp12 = c * s * (h22 - h11) + (c * c - s * s) * h12
-        hp22 = s * s * h11 - 2.0 * c * s * h12 + c * c * h22
+        del q2, q, safe
 
-        # symmetric matrix similar to the shape operator
-        a = hp11 / Wsq
-        b = hp12 / W
-        d = hp22
-        # the eigenvalue stage needs only W and (a, b, d): without this del
-        # a 201x401 call peaks 6 MB higher
-        del q2, Wsq, h11, h12, h22, q, safe, c, s, hp11, hp12
+        h11 = p.u11 / W
+        h12 = p.u12 / W
+        h22 = p.u22 / W
+        # symmetric matrix (a, b; b, d) similar to the shape operator
+        a = (c * c * h11 + 2.0 * c * s * h12 + s * s * h22) / Wsq
+        del Wsq
+        b = (c * s * (h22 - h11) + (c * c - s * s) * h12) / W
+        d = s * s * h11 - 2.0 * c * s * h12 + c * c * h22
+        del h11, h12, h22, c, s
 
-        m = 0.5 * (a + d)
+        H = a + d
+        m = 0.5 * H
         rad = np.hypot(0.5 * (a - d), b)
         kappa1 = m + rad
         kappa2 = m - rad
-        H = a + d
+        del a, b, d, m, rad
         A2 = kappa1 * kappa1 + kappa2 * kappa2
 
         # kappa1 is NaN wherever a partial is, and NaN fails kappa1 > 0
@@ -269,25 +273,38 @@ def drift_identity_residuals(g: GeometryFields):
 
     (b) and (c) difference derived fields, so their trusted region is two
     rings deep; all three are O(h^2) on exactly sampled translators.
+
+    Each difference field is freed after its last use, and res_a comes
+    last, on W^2 formed again: besides the fields of g, at most nine
+    full-size arrays are alive at once (the coefficients a^{ij}, the
+    residuals built so far, three ringed differences and two temporaries).
+    Every sum is evaluated in its written left-to-right order.
     """
     p = g.parts
     h1, h2 = g.grid.h1, g.grid.h2
     with np.errstate(invalid="ignore"):
         Wsq = g.W * g.W
-        res_a = (p.u1 * p.u1 + p.u2 * p.u2) / Wsq - (1.0 - 1.0 / Wsq)
-
         a11 = 1.0 - p.u1 * p.u1 / Wsq
-        a12 = -p.u1 * p.u2 / Wsq
+        # every sum reads a12 doubled; doubling is exact
+        a12x2 = 2.0 * (-p.u1 * p.u2 / Wsq)
         a22 = 1.0 - p.u2 * p.u2 / Wsq
+        del Wsq
 
         H11, H12, H22 = second_diffs(g.H, h1, h2)
-        res_b = a11 * H11 + 2.0 * a12 * H12 + a22 * H22 + g.H * g.A2
+        res_b = a11 * H11 + a12x2 * H12 + a22 * H22 + g.H * g.A2
+        del H11, H12, H22
 
-        W1, W2 = first_diffs(g.W, h1, h2)
         W11, W12, W22 = second_diffs(g.W, h1, h2)
-        res_c = (a11 * W11 + 2.0 * a12 * W12 + a22 * W22
-                 - (2.0 / g.W) * (a11 * W1 * W1 + 2.0 * a12 * W1 * W2 + a22 * W2 * W2)
-                 - g.A2 * g.W)
+        res_c = a11 * W11 + a12x2 * W12 + a22 * W22
+        del W11, W12, W22
+        W1, W2 = first_diffs(g.W, h1, h2)
+        # the factor 2/W last, so it is formed after the sum's temporaries
+        res_c -= (a11 * W1 * W1 + a12x2 * W1 * W2 + a22 * W2 * W2) * (2.0 / g.W)
+        res_c -= g.A2 * g.W
+        del a11, a12x2, a22, W1, W2
+
+        Wsq = g.W * g.W
+        res_a = (p.u1 * p.u1 + p.u2 * p.u2) / Wsq - (1.0 - 1.0 / Wsq)
     return res_a, res_b, res_c
 
 

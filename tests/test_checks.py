@@ -2,6 +2,8 @@ import dataclasses
 import hashlib
 import math
 import re
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -651,3 +653,61 @@ class TestSuite:
             assert (m.worst_location is None) == (r.worst_location is None), r.name
             if r.worst_location is not None:
                 assert m.worst_location[0] == r.worst_location[0], r.name
+
+
+class TestOneFieldAtATime:
+    def test_binding_builds_each_field_once_in_order_and_drops_it(self):
+        built, refs = [], []
+
+        def term(label, node, value):
+            def build():
+                # every field built before this one is already freed
+                assert all(ref() is None for ref in refs)
+                built.append(label)
+                field = np.full((5, 7), np.nan)
+                field[node] = value
+                refs.append(weakref.ref(field))
+                return field
+            return build
+
+        worst, loc, label, each = tlab.checks._binding({
+            "a": term("a", (1, 1), -1.0),
+            "b": term("b", (1, 2), 2.0),
+            "c": term("c", (3, 1), 2.0),
+        })
+        assert built == ["a", "b", "c"]
+        # an exact tie: the first label binds, at its own node
+        assert (worst, loc, label) == (2.0, (2, 1), "b")
+        assert each == {"a": -1.0, "b": 2.0, "c": 2.0}
+        assert all(ref() is None for ref in refs)
+
+
+# tracemalloc peak of each stage on the 201x401 tilted grim, in full-size
+# arrays; every check not named here stays within 4
+_PEAK_ARRAYS = {"geometry_fields": 16, "soliton_identities": 10, "gradient_bounds": 6}
+
+
+@pytest.fixture(scope="module")
+def tilted_grim_201x401():
+    p = tlab.GrimParams(2.0)
+    R = p.half_width
+    u = tlab.grim_grid(p, tlab.Rectangle(-0.75 * R, 0.75 * R, -5.0, 5.0), 201, 401)
+    return p, u, tlab.geometry_fields(u)
+
+
+@pytest.mark.parametrize("stage", ["geometry_fields", *tlab.checks.CANONICAL_ORDER])
+def test_peak_memory_in_full_size_arrays(stage, tilted_grim_201x401):
+    p, u, g = tilted_grim_201x401
+    if stage == "geometry_fields":
+        def run():
+            tlab.geometry_fields(u)
+    else:
+        def run():
+            tlab.checks._SUITE[stage](g, max(u.h1, u.h2), tlab.SuiteConfig(grim=p, window=3.0))
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _PEAK_ARRAYS.get(stage, 4) * u.values.nbytes

@@ -221,7 +221,13 @@ def test_solve_bowl_pinned(tmp_path):
     ["check", "g.grid", "--run-id", "x"],
     ["solve", "newton", "--boundary", "strip", "--smoothing", "2"],
     ["solve", "newton", "--boundary", "strip", "--log", "x.log"],
-], ids=["generate-offset", "solve-eps-frac", "check-run-id", "solve-smoothing", "solve-log"])
+    # prefixes of live flags: --lambda, --step, --window, --init-file
+    ["solve", "relax", "--boundary", "strip", "--l", "3"],
+    ["solve", "relax", "--boundary", "strip", "--s", "0.5"],
+    ["check", "g.grid", "--w", "2"],
+    ["solve", "newton", "--boundary", "strip", "--init", "file", "--init-f", "g.grid"],
+], ids=["generate-offset", "solve-eps-frac", "check-run-id", "solve-smoothing", "solve-log",
+        "solve-l", "solve-s", "check-w", "solve-init-f"])
 def test_deleted_flags_are_usage_errors(tmp_path, capsys, argv):
     # the grid check would read is written first, so only the flag can fail
     grid = tmp_path / "g.grid"
