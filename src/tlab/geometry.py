@@ -285,23 +285,22 @@ def drift_identity_residuals(g: GeometryFields):
     with np.errstate(invalid="ignore"):
         Wsq = g.W * g.W
         a11 = 1.0 - p.u1 * p.u1 / Wsq
-        # every sum reads a12 doubled; doubling is exact
-        a12x2 = 2.0 * (-p.u1 * p.u2 / Wsq)
+        a12 = -p.u1 * p.u2 / Wsq
         a22 = 1.0 - p.u2 * p.u2 / Wsq
         del Wsq
 
         H11, H12, H22 = second_diffs(g.H, h1, h2)
-        res_b = a11 * H11 + a12x2 * H12 + a22 * H22 + g.H * g.A2
+        res_b = a11 * H11 + 2.0 * a12 * H12 + a22 * H22 + g.H * g.A2
         del H11, H12, H22
 
         W11, W12, W22 = second_diffs(g.W, h1, h2)
-        res_c = a11 * W11 + a12x2 * W12 + a22 * W22
+        res_c = a11 * W11 + 2.0 * a12 * W12 + a22 * W22
         del W11, W12, W22
         W1, W2 = first_diffs(g.W, h1, h2)
         # the factor 2/W last, so it is formed after the sum's temporaries
-        res_c -= (a11 * W1 * W1 + a12x2 * W1 * W2 + a22 * W2 * W2) * (2.0 / g.W)
+        res_c -= (a11 * W1 * W1 + 2.0 * a12 * W1 * W2 + a22 * W2 * W2) * (2.0 / g.W)
         res_c -= g.A2 * g.W
-        del a11, a12x2, a22, W1, W2
+        del a11, a12, a22, W1, W2
 
         Wsq = g.W * g.W
         res_a = (p.u1 * p.u1 + p.u2 * p.u2) / Wsq - (1.0 - 1.0 / Wsq)
