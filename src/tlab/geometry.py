@@ -8,15 +8,19 @@ residuals used to certify translator solutions.
 Derived fields are full-size arrays whose boundary ring (and, for fields
 built from second differences of derived quantities, a second ring) is NaN:
 one-sided stencils are never used, so NaN marks exactly the untrusted nodes
-and propagates through downstream stencils automatically. Reductions over
-such fields must be NaN-aware.
+and propagates through downstream stencils automatically. Every reduction
+over such fields, here and in the checks, follows one rule: NaN is
+untrusted and skipped, and +-inf is a value like any other. It is applied
+through numpy's NaN-skipping np.fmax.reduce and np.fmin.reduce.
 
 Memory: the ringed differences are filled in place, with no interior copy,
 and each intermediate is freed after its last use. Besides the five
 partials, geometry_fields holds at most ten full-size arrays at once;
 besides the fields it reads, drift_identity_residuals holds at most nine.
 Freeing early moves no bit: every expression keeps its written
-left-to-right order.
+left-to-right order. A reduction runs over its field in place: worst_over
+adds one boolean array of the field's shape, and the checks' side
+statistics add nothing.
 """
 
 from __future__ import annotations
@@ -311,24 +315,23 @@ def worst_over(arr: np.ndarray):
     """Max over trusted (non-NaN) nodes and its (i, j) location.
 
     NaN marks an untrusted node; a value that overflowed to +inf is a
-    violation like any other. Fields of even solutions tie between a node
-    and its mirror images (nx-1-i, j), (i, ny-1-j) and (nx-1-i, ny-1-j).
-    Of those that are trusted and within _MIRROR_TIE_RTOL of the max, the
-    one with the largest (j, i) is reported (x1, x2 >= 0 on a grid centred
-    at the origin), so rounding cannot move the location across an axis.
-    The returned value is always the true max.
+    violation like any other. The max is np.fmax.reduce over the field in
+    place, and its location the first node equal to it: besides the field,
+    only one boolean array of its shape is alive. Fields of even solutions
+    tie between a node and its mirror images (nx-1-i, j), (i, ny-1-j) and
+    (nx-1-i, ny-1-j). Of those that are trusted and within _MIRROR_TIE_RTOL
+    of the max, the one with the largest (j, i) is reported (x1, x2 >= 0 on
+    a grid centred at the origin), so rounding cannot move the location
+    across an axis. The returned value is always the true max.
     """
-    trusted = ~np.isnan(arr)
-    if not np.any(trusted):
+    worst = np.fmax.reduce(arr, axis=None)
+    if np.isnan(worst):
         raise ValueError("field has no trusted nodes")
-    masked = np.where(trusted, arr, -np.inf)
-    flat = int(np.argmax(masked))
-    j, i = np.unravel_index(flat, arr.shape)
+    j, i = np.unravel_index(int(np.argmax(arr == worst)), arr.shape)
     worst = float(arr[j, i])
     ny, nx = arr.shape
     mirrors = [(j, i), (j, nx - 1 - i), (ny - 1 - j, i), (ny - 1 - j, nx - 1 - i)]
-    # an infinite max ties only with an equal value
+    # an infinite max ties only with an equal value, and NaN never ties
     gap = _MIRROR_TIE_RTOL * abs(worst) if np.isfinite(worst) else 0.0
-    with np.errstate(invalid="ignore"):  # -inf - -inf beside an all -inf field
-        j, i = max(m for m in mirrors if arr[m] == worst or worst - masked[m] <= gap)
+    j, i = max(m for m in mirrors if arr[m] == worst or worst - arr[m] <= gap)
     return worst, (int(i), int(j))

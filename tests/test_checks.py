@@ -79,6 +79,11 @@ class TestConvexity:
         assert rep.worst_violation > 0.5
         assert rep.worst_location is not None
 
+    def test_no_trusted_pinch_reads_nan(self, grim_setup):
+        _, _, _, fields = grim_setup
+        fake = dataclasses.replace(fields, pinch=np.full(fields.pinch.shape, np.nan))
+        assert tlab.check_convexity(fake, 1e-6).notes == "max pinching ratio nan"
+
 
 class TestStripHBound:
     def test_exact_grim_passes_with_margin(self, grim_setup):
@@ -473,6 +478,15 @@ class TestABound:
         assert not rep.passed
         assert rep.worst_violation > 0.0
 
+    def test_overflowed_node_binds_and_is_observed(self, grim_setup):
+        # +inf is a value, in the worst and in the notes' observed max alike
+        _, _, _, fields = grim_setup
+        A2 = fields.A2.copy()
+        A2[5, 7] = np.inf
+        rep = tlab.check_A_bound(dataclasses.replace(fields, A2=A2))
+        assert (rep.worst_violation, rep.worst_location) == (np.inf, (7, 5))
+        assert rep.notes == "cap 1; observed max |A|^2 = inf"
+
 
 class TestHalfstripWBound:
     def test_exact_grim_passes(self, grim_setup):
@@ -537,6 +551,16 @@ class TestSuite:
         reports = tlab.run_suite(u, names, cfg)
         assert [r.name for r in reports] == list(names)
         assert len({r.name for r in reports}) == len(reports)
+
+    def test_default_suite_filters_the_canonical_order(self, grim2):
+        core = ("convexity", "harnack", "gradient_bounds", "soliton_identities")
+        strip = ("convexity", "strip_H_bound", "harnack", "gradient_bounds",
+                 "soliton_identities", "strip_asymptotics_top", "strip_asymptotics_bottom")
+        assert tlab.default_suite(None, False) == (*core, "A_bound")
+        assert tlab.default_suite(None, True) == (*core, "symmetry", "A_bound")
+        assert tlab.default_suite(grim2, False) == (*strip, "A_bound", "halfstrip_W_bound")
+        assert tlab.default_suite(grim2, True) == (*strip, "symmetry", "A_bound",
+                                                   "halfstrip_W_bound")
 
     def test_unknown_name_rejected(self, grim_setup):
         _, u, _, _ = grim_setup
@@ -683,8 +707,10 @@ class TestOneFieldAtATime:
 
 
 # tracemalloc peak of each stage on the 201x401 tilted grim, in full-size
-# arrays; every check not named here stays within 4
-_PEAK_ARRAYS = {"geometry_fields": 16, "soliton_identities": 10, "gradient_bounds": 6}
+# arrays; every check not named here stays within 4. A reduction adds at
+# most one boolean array to the field it reads.
+_PEAK_ARRAYS = {"geometry_fields": 16, "soliton_identities": 10, "gradient_bounds": 6,
+                "worst_over": 0.5, "convexity": 1.5, "strip_H_bound": 1.5, "A_bound": 1.5}
 
 
 @pytest.fixture(scope="module")
@@ -695,12 +721,16 @@ def tilted_grim_201x401():
     return p, u, tlab.geometry_fields(u)
 
 
-@pytest.mark.parametrize("stage", ["geometry_fields", *tlab.checks.CANONICAL_ORDER])
+@pytest.mark.parametrize("stage", ["geometry_fields", "worst_over",
+                                   *tlab.checks.CANONICAL_ORDER])
 def test_peak_memory_in_full_size_arrays(stage, tilted_grim_201x401):
     p, u, g = tilted_grim_201x401
     if stage == "geometry_fields":
         def run():
             tlab.geometry_fields(u)
+    elif stage == "worst_over":
+        def run():
+            tlab.geometry.worst_over(g.H)
     else:
         def run():
             tlab.checks._SUITE[stage](g, max(u.h1, u.h2), tlab.SuiteConfig(grim=p, window=3.0))

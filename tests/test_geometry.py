@@ -372,3 +372,10 @@ class TestWorstOver:
         field[3, 5] = 1e308  # the mirror of the overflowed node does not tie
         assert worst_over(field) == (np.inf, (1, 3))
         assert worst_over(np.full((3, 3), -np.inf)) == (-np.inf, (2, 2))
+
+    def test_all_minus_inf_interior_is_trusted(self):
+        # -inf is a value: the max lies on the trusted interior, never the NaN ring
+        field = np.full((5, 5), -np.inf)
+        field[[0, -1], :] = np.nan
+        field[:, [0, -1]] = np.nan
+        assert worst_over(field) == (-np.inf, (3, 3))
