@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (_MIRROR_ROUNDING_RTOL, GeometryFields,
-                       drift_identity_residuals, first_diffs, geometry_fields,
+                       drift_identity_residuals, first_diff, geometry_fields,
                        interior_partials, quasilinear_residual, worst_over)
 from .grids import GridFunction
 from .solitons import GrimParams
@@ -137,20 +137,22 @@ def check_gradient_bounds(g: GeometryFields, tol: float) -> CheckReport:
     h1, h2 = g.grid.h1, g.grid.h2
 
     def root(v):
-        return np.sqrt(1.0 + v * v)
+        r = v * v
+        r += 1.0
+        return np.sqrt(r, out=r)
 
     with np.errstate(invalid="ignore"):
         worst, loc, which, _ = _binding({
             "|d/dx1 arctan u1| <= 1":
-                lambda: np.abs(first_diffs(np.arctan(p.u1), h1, h2)[0]) - 1.0,
+                lambda: np.abs(first_diff(np.arctan(p.u1), h1, 1)) - 1.0,
             "|d/dx2 arctan u2| <= 1":
-                lambda: np.abs(first_diffs(np.arctan(p.u2), h1, h2)[1]) - 1.0,
+                lambda: np.abs(first_diff(np.arctan(p.u2), h2, 0)) - 1.0,
             "u11 <= 1 + u1^2": lambda: p.u11 - (1.0 + p.u1 * p.u1),
             "u22 <= 1 + u2^2": lambda: p.u22 - (1.0 + p.u2 * p.u2),
             "|u12| <= sqrt(1+u1^2) sqrt(1+u2^2)":
                 lambda: np.abs(p.u12) - root(p.u1) * root(p.u2),
             "|d/dx2 sqrt(1+u1^2)| <= |u1| sqrt(1+u2^2)":
-                lambda: np.abs(first_diffs(root(p.u1), h1, h2)[1]) - np.abs(p.u1) * root(p.u2),
+                lambda: np.abs(first_diff(root(p.u1), h2, 0)) - np.abs(p.u1) * root(p.u2),
         })
     return _report("gradient_bounds",
                    "first- and second-derivative bounds for convex strip translators",

@@ -79,13 +79,21 @@ class GeometryFields:
     pinch: np.ndarray
 
 
+def _centered_diff(F: np.ndarray, h: float, axis: int, out: np.ndarray) -> np.ndarray:
+    """Centered first difference along x1 (axis 1) or x2 (axis 0) at the
+    interior nodes of F, h that axis's spacing, into out."""
+    if axis == 1:
+        np.subtract(F[1:-1, 2:], F[1:-1, :-2], out=out)
+    else:
+        np.subtract(F[2:, 1:-1], F[:-2, 1:-1], out=out)
+    out /= 2.0 * h
+    return out
+
+
 def _centered_first(F: np.ndarray, h1: float, h2: float, out: np.ndarray) -> np.ndarray:
     """Centered first differences (F1, F2) at the interior nodes of F, into out."""
-    F1, F2 = out
-    np.subtract(F[1:-1, 2:], F[1:-1, :-2], out=F1)
-    F1 /= 2.0 * h1
-    np.subtract(F[2:, 1:-1], F[:-2, 1:-1], out=F2)
-    F2 /= 2.0 * h2
+    _centered_diff(F, h1, 1, out[0])
+    _centered_diff(F, h2, 0, out[1])
     return out
 
 
@@ -140,6 +148,14 @@ def _ringed(stencil, k: int, F: np.ndarray, h1: float, h2: float):
 def first_diffs(F: np.ndarray, h1: float, h2: float) -> tuple[np.ndarray, np.ndarray]:
     """Centered first differences of a full-size field; NaN edge ring."""
     return _ringed(_centered_first, 2, F, h1, h2)
+
+
+def first_diff(F: np.ndarray, h: float, axis: int) -> np.ndarray:
+    """The one centered first difference of first_diffs along x1 (axis 1)
+    or x2 (axis 0), h that axis's spacing; NaN edge ring."""
+    full = np.full(F.shape, np.nan)
+    _centered_diff(F, h, axis, full[1:-1, 1:-1])
+    return full
 
 
 def second_diffs(F: np.ndarray, h1: float, h2: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

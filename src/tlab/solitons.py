@@ -206,9 +206,14 @@ def bowl_profile_solve(r_max: float, step: float) -> BowlProfile:
     if h * r_max > RK4_STABILITY_LIMIT:
         raise ValueError(f"step {step!r} is too coarse for r_max {r_max!r}: RK4 is "
                          f"stable only for steps up to {RK4_STABILITY_LIMIT / r_max:.6g}")
+    from array import array
+
     r = np.linspace(0.0, r_max, n + 1)
     # the slope steps run on Python floats: numpy scalars round the same but
-    # cost several times more per operation. The slope rate
+    # cost several times more per operation. The radii and slopes sit in
+    # array.array buffers, 8 bytes a value, which yield and take Python
+    # floats without a list of float objects; array is imported here, so
+    # only a bowl integration loads it. The slope rate
     # (1 + s^2)(1 - s/r) is written out at each stage, because a Python
     # call per stage cost about a quarter of the loop. 0.5 * h * k and
     # (h / 6.0) * (...) evaluate left to right, so they form 0.5 * h and
@@ -216,8 +221,8 @@ def bowl_profile_solve(r_max: float, step: float) -> BowlProfile:
     hh = 0.5 * h
     h6 = h / 6.0
     yp = 0.5 * h
-    fp = [0.0, yp]
-    for rk in r.tolist()[1:n]:
+    fp = array("d", (0.0, yp))
+    for rk in array("d", r[1:n].tobytes()):
         k1 = (1.0 + yp * yp) * (1.0 - yp / rk)
         s2 = yp + hh * k1
         rm = rk + hh
@@ -228,7 +233,7 @@ def bowl_profile_solve(r_max: float, step: float) -> BowlProfile:
         k4 = (1.0 + s4 * s4) * (1.0 - s4 / (rk + h))
         yp += h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         fp.append(yp)
-    fp = np.array(fp)
+    fp = np.frombuffer(fp)
     # f's steps need only the stage slopes, which the stored f' gives back
     # on whole arrays in the loop's operations and order. The weighted sum
     # yp + 2 s2 + 2 s3 + s4 is built in f's own storage, and cumsum adds

@@ -113,7 +113,6 @@ def _residual(U: np.ndarray, h1: float, h2: float, f_int=None):
 # increasing order.
 _OFFSETS = ((1, 1), (0, 1), (-1, 1), (1, 0), (0, 0), (-1, 0),
             (1, -1), (0, -1), (-1, -1))
-_SLOT = {o: k for k, o in enumerate(_OFFSETS)}
 
 
 def _stencil_pattern(mi: int, mj: int):
@@ -150,6 +149,16 @@ def _jacobian(U: np.ndarray, h1: float, h2: float, pattern=None, axes=()):
     ghost neighbour's coefficient is added onto its mirror node's, the x1
     fold first, so the corner ghost (-1, -1) lands on (1, 1). Returns a
     CSC matrix.
+
+    The nine coefficients are written into one (9, mj, mi) block in
+    _OFFSETS order, each rounding like its written expression:
+        (0, 0): -2 A / h1^2 - 2 C / h2^2,
+        (+-1, 0): A / h1^2 +- D1 / (2 h1),   (0, +-1): C / h2^2 +- D2 / (2 h2),
+        (1, 1), (-1, -1): B / (4 h1 h2),     (1, -1), (-1, 1): -B / (4 h1 h2),
+    with A = 1 + u2^2, B = -2 u1 u2, C = 1 + u1^2, D1 = 2 (u1 u22 - u2 u12 - u1)
+    and D2 = 2 (u2 u11 - u1 u12 - u2). The partials and A, B, C, D1, D2 are
+    dropped after their last use, so at the peak only the block and the CSC
+    data gathered from it are alive, beside the caller's pattern.
     """
     from scipy.sparse import csc_matrix
 
@@ -164,25 +173,39 @@ def _jacobian(U: np.ndarray, h1: float, h2: float, pattern=None, axes=()):
     Cc = 1.0 + u1 * u1
     D1 = 2.0 * (u1 * u22 - u2 * u12 - u1)
     D2 = 2.0 * (u2 * u11 - u1 * u12 - u2)
+    del u1, u2, u11, u12, u22
 
-    coef = {
-        (0, 0): -2.0 * A / (h1 * h1) - 2.0 * Cc / (h2 * h2),
-        (1, 0): A / (h1 * h1) + D1 / (2.0 * h1),
-        (-1, 0): A / (h1 * h1) - D1 / (2.0 * h1),
-        (0, 1): Cc / (h2 * h2) + D2 / (2.0 * h2),
-        (0, -1): Cc / (h2 * h2) - D2 / (2.0 * h2),
-        (1, 1): B / (4.0 * h1 * h2),
-        (-1, -1): B / (4.0 * h1 * h2),
-        (1, -1): -B / (4.0 * h1 * h2),
-        (-1, 1): -B / (4.0 * h1 * h2),
-    }
-    stack = np.stack([coef[o] for o in _OFFSETS])
+    stack = np.empty((len(_OFFSETS), mj, mi))
+    # views of the block's slots by offset
+    c = dict(zip(_OFFSETS, stack))
+    np.multiply(-2.0, A, out=c[0, 0])
+    c[0, 0] /= h1 * h1
+    # (0, 1) holds 2 C / h2^2 until its own coefficient is written
+    np.multiply(2.0, Cc, out=c[0, 1])
+    c[0, 1] /= h2 * h2
+    c[0, 0] -= c[0, 1]
+    A /= h1 * h1
+    D1 /= 2.0 * h1
+    np.add(A, D1, out=c[1, 0])
+    np.subtract(A, D1, out=c[-1, 0])
+    del A, D1
+    Cc /= h2 * h2
+    D2 /= 2.0 * h2
+    np.add(Cc, D2, out=c[0, 1])
+    np.subtract(Cc, D2, out=c[0, -1])
+    del Cc, D2
+    np.divide(B, 4.0 * h1 * h2, out=c[1, 1])
+    np.negative(B, out=B)
+    np.divide(B, 4.0 * h1 * h2, out=c[1, -1])
+    del B
+    c[-1, -1][...] = c[1, 1]
+    c[-1, 1][...] = c[1, -1]
     if "x1" in axes:
         for d in (1, 0, -1):
-            stack[_SLOT[1, d], :, 0] += stack[_SLOT[-1, d], :, 0]
+            c[1, d][:, 0] += c[-1, d][:, 0]
     if "x2" in axes:
         for d in (1, 0, -1):
-            stack[_SLOT[d, 1], 0, :] += stack[_SLOT[d, -1], 0, :]
+            c[d, 1][0, :] += c[d, -1][0, :]
     n = mi * mj
     return csc_matrix((stack.ravel()[gather], indices, indptr), shape=(n, n))
 
@@ -448,7 +471,13 @@ def newton_solve(boundary, init: GridFunction, cfg: SolveConfig,
     current Jacobian is factored and the cycle runs on that fresh factor.
     If it misses too, a nonfinite value included, the fresh factor's own
     direct step is taken; a nonfinite direct step ends the solve
-    "singular". The sparsity pattern is built once per solve.
+    "singular". The sparsity pattern is built once per pass (see below).
+
+    At an iteration's peak a solve holds the factor, one Jacobian and its
+    pattern, and the iterate's vectors: the grid, the residual, the step,
+    and the line search's start and trial residual. The last Jacobian is
+    dropped before the next is assembled, and a folded pass drops its
+    factor, Jacobian and pattern before the full-grid residual.
 
     A problem that is mirror-even across the middle column or row (odd
     node count along the axis, and init and forcing even to within a few
@@ -536,6 +565,7 @@ def newton_solve(boundary, init: GridFunction, cfg: SolveConfig,
         solve = None
 
         while rn > cfg.tol and iterations < cfg.max_newton_iters:
+            J = None  # free the last Jacobian before assembling the next
             J = _jacobian(block, h1, h2, pattern, axes)
             rhs = -F.ravel()
             rtol = min(1e-2, rn)
@@ -584,6 +614,8 @@ def newton_solve(boundary, init: GridFunction, cfg: SolveConfig,
                 status = stop
                 break
 
+        # the next pass builds its own; the full-grid residual runs without them
+        solve = J = pattern = None
         if not axes:
             break
         rn_fold, rn = rn, float(np.max(np.abs(_residual(U, h1, h2, f_full)[0])))

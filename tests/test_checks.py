@@ -709,7 +709,7 @@ class TestOneFieldAtATime:
 # tracemalloc peak of each stage on the 201x401 tilted grim, in full-size
 # arrays; every check not named here stays within 4. A reduction adds at
 # most one boolean array to the field it reads.
-_PEAK_ARRAYS = {"geometry_fields": 16, "soliton_identities": 10, "gradient_bounds": 6,
+_PEAK_ARRAYS = {"geometry_fields": 16, "soliton_identities": 10, "gradient_bounds": 3.25,
                 "worst_over": 0.5, "convexity": 1.5, "strip_H_bound": 1.5, "A_bound": 1.5}
 
 

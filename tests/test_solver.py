@@ -1,5 +1,8 @@
 import hashlib
 import math
+import tracemalloc
+import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -679,16 +682,20 @@ class TestStatus:
         assert out.status == "unstable" and out.notes.startswith("instability")
 
 
-def _start_jacobian(boundary, init):
-    # the Jacobian and Newton right-hand side of a solve's first iteration,
-    # on the fold block when the start is mirror-even
+def _start_block(boundary, init):
+    # the block a solve's first iteration reads, (block, h1, h2, axes): the
+    # fold block when the start is mirror-even
     U = init.values.copy()
     axes = _mirror_axes(init, None)
     _mirror(U, axes)
     j0, i0 = _fold_origin(U.shape, axes)
-    block = U[j0:, i0:]
-    return (_jacobian(block, init.h1, init.h2, axes=axes),
-            -_residual(block, init.h1, init.h2)[0].ravel())
+    return U[j0:, i0:], init.h1, init.h2, axes
+
+
+def _start_jacobian(boundary, init):
+    # the Jacobian and Newton right-hand side of a solve's first iteration
+    block, h1, h2, axes = _start_block(boundary, init)
+    return _jacobian(block, h1, h2, axes=axes), -_residual(block, h1, h2)[0].ravel()
 
 
 def _noisy_cli_grim():
@@ -839,6 +846,90 @@ def test_stencil_pattern_matches_the_column_construction(mi, mj):
     for got, want in zip(_stencil_pattern(mi, mj), _stencil_pattern_by_column(mi, mj)):
         assert got.dtype == want.dtype == np.int32
         assert np.array_equal(got, want)
+
+
+class _WeakFactor:
+    """A SuperLU factor behind a weak-referenceable wrapper (SuperLU itself
+    takes no weak references); the wrapper holds the factor's only reference."""
+
+    def __init__(self, lu):
+        self.lu = lu
+
+    def solve(self, rhs):
+        return self.lu.solve(rhs)
+
+
+class TestWorkingSet:
+    @pytest.mark.parametrize("problem, axes, digests", [
+        (lambda: _grim_box(303, 303), ("x1",),
+         ("289f7e0a3e711ac6ab6bd285cd70163719d45f4417f18735dfe47c2b95f51d1c",
+          "7e425da545fca24aeab3e8978f2d28c388be84806bee120fa13e46991d4b1d56",
+          "68883479b631ed4b06f032b0f1dfa9c5224be67875847bc65e808a843439f0ac")),
+        (_bowl_box, (),
+         ("871d76a3661d674fad1443839468bd3b5d017ff4907699a3b5007dc26f563d3e",
+          "670b2780c0dba266ecbe9f7f6f459aac6b10d8356ffe78179deb019f79d8182a",
+          "b4bd907aa9a1e1cc9cc8cb14aa374d501daa5014d92b997b55b41645d2713131")),
+    ], ids=["grim 303x303 start", "off-centre bowl 41x33 start"])
+    def test_jacobian_bytes_pinned(self, problem, axes, digests):
+        # sha256 of the CSC data, indices and indptr, recorded when every
+        # coefficient was its own array and the nine were stacked
+        block, h1, h2, got_axes = _start_block(*problem())
+        assert got_axes == axes
+        J = _jacobian(block, h1, h2, axes=axes)
+        assert tuple(hashlib.sha256(a.tobytes()).hexdigest()
+                     for a in (J.data, J.indices, J.indptr)) == digests
+
+    def test_jacobian_peak_in_interior_arrays(self):
+        # the coefficient block and the CSC data gathered from it read 18.1
+        # interior-sized arrays; with a dict of coefficients and its stacked
+        # copy, 37.1
+        block, h1, h2, axes = _start_block(*_grim_box(303, 303))
+        mj, mi = block.shape[0] - 2, block.shape[1] - 2
+        pattern = _stencil_pattern(mi, mj)
+        tracemalloc.start()
+        try:
+            _jacobian(block, h1, h2, pattern, axes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 22 * mi * mj * 8
+
+    def test_newton_drops_what_the_next_step_rebuilds(self, monkeypatch):
+        # every earlier Jacobian is dead when the next is assembled, and the
+        # folded pass's factor and Jacobian when the full-grid residual runs
+        from scipy.sparse.linalg import splu
+        boundary, init = _grim_fill()
+        factors, jacobians, alive_at = [], [], {}
+
+        def weak_splu(*args, **kwargs):
+            factor = _WeakFactor(splu(*args, **kwargs))
+            factors.append(weakref.ref(factor))
+            return factor
+
+        jacobian = tlab.solver._jacobian
+
+        def tracked_jacobian(*args, **kwargs):
+            alive_at.setdefault("jacobian", []).append(
+                sum(r() is not None for r in jacobians))
+            J = jacobian(*args, **kwargs)
+            jacobians.append(weakref.ref(J))
+            return J
+
+        residual = tlab.solver._residual
+
+        def tracked_residual(U, *args, **kwargs):
+            if U.shape == init.values.shape and factors:
+                alive_at.setdefault("full grid", []).append(
+                    sum(r() is not None for r in factors + jacobians))
+            return residual(U, *args, **kwargs)
+
+        monkeypatch.setattr(tlab.solver, "spla", SimpleNamespace(splu=weak_splu))
+        monkeypatch.setattr(tlab.solver, "_jacobian", tracked_jacobian)
+        monkeypatch.setattr(tlab.solver, "_residual", tracked_residual)
+        out = tlab.newton_solve(boundary, init, tlab.SolveConfig())
+        assert out.mirror_axes == ("x1",) and out.converged
+        assert (out.iterations, out.factorizations) == (3, 1) == (len(jacobians), len(factors))
+        assert alive_at == {"jacobian": [0, 0, 0], "full grid": [0]}
 
 
 class TestParabolicRelax:
