@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (_MIRROR_ROUNDING_RTOL, GeometryFields,
-                       drift_identity_residuals, first_diff, geometry_fields,
+from .geometry import (_MIRROR_ROUNDING_RTOL, GeometryFields, _drift_H_identity,
+                       _drift_W_identity, _gradient_identity, first_diff, geometry_fields,
                        interior_partials, quasilinear_residual, worst_over)
 from .grids import GridFunction
 from .solitons import GrimParams
@@ -47,7 +47,7 @@ def _binding(terms: dict) -> tuple[float, tuple[int, int], str, dict]:
 
     terms maps a label to a zero-argument callable that builds a
     grid-shaped violation field (NaN where not evaluated). The callables
-    run once each, in label order, and each field is dropped once reduced,
+    run once each, in label order; each field is reduced and dropped
     before the next is built. Returns (worst, location, binding label,
     {label: that term's worst}); the location follows worst_over's mirror
     rule, and on a tie between terms the first label binds.
@@ -161,46 +161,56 @@ def check_gradient_bounds(g: GeometryFields, tol: float) -> CheckReport:
 
 _IDENTITIES_REF = "|grad u|^2 = 1 - H^2, drift identities for H and W, |A|^2 W^2 >= 1/2"
 
+# check_soliton_identities' refusal gate, in units of its tol, and the
+# least injection ratio it accepts
+_GATE_FACTOR = 10.0
+_MIN_RATIO = 1.5
 
-def check_soliton_identities(g: GeometryFields, tol: float,
-                             min_ratio: float = 1.5) -> CheckReport:
+
+def _magnitude(res: np.ndarray) -> np.ndarray:
+    return np.abs(res, out=res)
+
+
+def check_soliton_identities(g: GeometryFields, tol: float) -> CheckReport:
     """Drift-operator identities plus |A|^2 W^2 >= 1/2 on a near-solution.
 
     Refuses an input that is not a translator at its resolution: one whose
-    translator residual exceeds the gate, 10x tol, or does not fall under
-    injection. The injection ratio is max|residual| of the samples
-    values[::2, ::2] at spacing 2h over max|residual| at h; a translator's
-    discretization error falls about 4x per halving of h, a fixed defect's
-    not at all, and the ratio must reach min_ratio (a zero residual at h
-    reads an infinite ratio). With even nx or ny the coarse samples end one
-    h short of that edge: they are a grid on a rectangle of their own. A
-    refusal is a failed report with the residual as its worst violation,
-    no location, and notes starting "refused: ". The notes give the ratio
-    and the observed order log2(ratio).
+    translator residual exceeds the gate, _GATE_FACTOR x tol, or does not
+    fall under injection. The injection ratio is max|residual| of the
+    samples values[::2, ::2] at spacing 2h over max|residual| at h; a
+    translator's discretization error falls about 4x per halving of h, a
+    fixed defect's not at all, and the ratio must reach _MIN_RATIO (a zero
+    residual at h reads an infinite ratio). With even nx or ny the coarse
+    samples end one h short of that edge: they are a grid on a rectangle of
+    their own. A refusal is a failed report with the residual as its worst
+    violation, no location, and notes starting "refused: ". The notes give
+    the ratio and the observed order log2(ratio). The three drift residuals
+    are built and reduced one at a time: at the peak, the drift-W builder's
+    four full-size arrays are alive besides g.
     """
-    gate = 10.0 * tol
+    gate = _GATE_FACTOR * tol
     p = g.parts
     res_max = float(np.fmax.reduce(
-        np.abs(quasilinear_residual(p.u1, p.u2, p.u11, p.u12, p.u22)), axis=None))
+        _magnitude(quasilinear_residual(p.u1, p.u2, p.u11, p.u12, p.u22)), axis=None))
     U, h1, h2 = g.grid.values, g.grid.h1, g.grid.h2
-    coarse = quasilinear_residual(*interior_partials(U[::2, ::2], 2.0 * h1, 2.0 * h2))
+    coarse = float(np.max(_magnitude(
+        quasilinear_residual(*interior_partials(U[::2, ::2], 2.0 * h1, 2.0 * h2)))))
     with np.errstate(divide="ignore"):
-        ratio = float(np.max(np.abs(coarse))) / res_max if res_max > 0.0 else np.inf
+        ratio = coarse / res_max if res_max > 0.0 else np.inf
         order = f"injection ratio {ratio:.3f} (order {np.log2(ratio):.2f})"
     why = None
     if not res_max <= gate:
         why = f"exceeds the gate {gate:.3e}"
-    elif not ratio >= min_ratio:
-        why = f"does not fall under injection by the bound {min_ratio:g}"
+    elif not ratio >= _MIN_RATIO:
+        why = f"does not fall under injection by the bound {_MIN_RATIO:g}"
     if why is not None:
         return CheckReport("soliton_identities", _IDENTITIES_REF, res_max, float(tol), False,
                            notes=f"refused: translator residual {res_max:.3e} {why}; identities "
                                  f"are only meaningful on (near-)solutions; {order}")
-    res_a, res_b, res_c = drift_identity_residuals(g)
     worst, loc, _, each = _binding({
-        "|grad|^2 identity": lambda: np.abs(res_a),
-        "drift-H identity": lambda: np.abs(res_b),
-        "drift-W identity": lambda: np.abs(res_c),
+        "|grad|^2 identity": lambda: _magnitude(_gradient_identity(g)),
+        "drift-H identity": lambda: _magnitude(_drift_H_identity(g)),
+        "drift-W identity": lambda: _magnitude(_drift_W_identity(g)),
         "1/2 - |A|^2 W^2 worst": lambda: 0.5 - g.A2 * g.W * g.W,
     })
     notes = ("".join(f"{k} {w:.3e}; " for k, w in each.items())
@@ -391,7 +401,7 @@ _SUITE = {
     "strip_H_bound": lambda g, h, cfg: check_strip_H_bound(g, cfg.grim),
     "harnack": lambda g, h, cfg: check_harnack(g, 1e-8),
     "gradient_bounds": lambda g, h, cfg: check_gradient_bounds(g, 10.0 * h * h),
-    "soliton_identities": lambda g, h, cfg: check_soliton_identities(g, 100.0 * h * h, 1.5),
+    "soliton_identities": lambda g, h, cfg: check_soliton_identities(g, 100.0 * h * h),
     "strip_asymptotics_top": lambda g, h, cfg: check_strip_asymptotics(
         g, cfg.grim, cfg.window, 0.05, "top"),
     "strip_asymptotics_bottom": lambda g, h, cfg: check_strip_asymptotics(

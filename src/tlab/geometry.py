@@ -13,18 +13,15 @@ over such fields, here and in the checks, follows one rule: NaN is
 untrusted and skipped, and +-inf is a value like any other. It is applied
 through numpy's NaN-skipping np.fmax.reduce and np.fmin.reduce.
 
-Memory: the ringed differences are filled in place, with no interior copy,
-and each intermediate is freed after its last use. Besides the five
-partials, geometry_fields holds at most ten full-size arrays at once;
-besides the fields it reads, drift_identity_residuals holds at most nine.
-Freeing early moves no bit: every expression keeps its written
-left-to-right order. A reduction runs over its field in place: worst_over
-adds one boolean array of the field's shape, and the checks' side
-statistics add nothing.
+Every field is evaluated in its written left-to-right order, so freeing
+an intermediate early or reusing its room in place moves no bit. A
+reduction runs over its field in place: worst_over adds one boolean array
+of the field's shape.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,6 +87,26 @@ def _centered_diff(F: np.ndarray, h: float, axis: int, out: np.ndarray) -> np.nd
     return out
 
 
+def _centered_pure(F: np.ndarray, h: float, axis: int, out: np.ndarray) -> np.ndarray:
+    """Centered second difference along x1 (axis 1) or x2 (axis 0) at the
+    interior nodes of F, h that axis's spacing, into out."""
+    ahead, behind = (F[1:-1, 2:], F[1:-1, :-2]) if axis == 1 else (F[2:, 1:-1], F[:-2, 1:-1])
+    np.multiply(F[1:-1, 1:-1], 2.0, out=out)
+    np.subtract(ahead, out, out=out)
+    out += behind
+    out /= h * h
+    return out
+
+
+def _centered_mixed(F: np.ndarray, h1: float, h2: float, out: np.ndarray) -> np.ndarray:
+    """Centered mixed second difference at the interior nodes of F, into out."""
+    np.subtract(F[2:, 2:], F[2:, :-2], out=out)
+    out -= F[:-2, 2:]
+    out += F[:-2, :-2]
+    out /= 4.0 * h1 * h2
+    return out
+
+
 def _centered_first(F: np.ndarray, h1: float, h2: float, out: np.ndarray) -> np.ndarray:
     """Centered first differences (F1, F2) at the interior nodes of F, into out."""
     _centered_diff(F, h1, 1, out[0])
@@ -99,18 +116,9 @@ def _centered_first(F: np.ndarray, h1: float, h2: float, out: np.ndarray) -> np.
 
 def _centered_second(F: np.ndarray, h1: float, h2: float, out: np.ndarray) -> np.ndarray:
     """Centered second differences (F11, F12, F22) at the interior nodes of F, into out."""
-    F11, F12, F22 = out
-    C2 = 2.0 * F[1:-1, 1:-1]
-    np.subtract(F[1:-1, 2:], C2, out=F11)
-    F11 += F[1:-1, :-2]
-    F11 /= h1 * h1
-    np.subtract(F[2:, 2:], F[2:, :-2], out=F12)
-    F12 -= F[:-2, 2:]
-    F12 += F[:-2, :-2]
-    F12 /= 4.0 * h1 * h2
-    np.subtract(F[2:, 1:-1], C2, out=F22)
-    F22 += F[:-2, 1:-1]
-    F22 /= h2 * h2
+    _centered_pure(F, h1, 1, out[0])
+    _centered_mixed(F, h1, h2, out[1])
+    _centered_pure(F, h2, 0, out[2])
     return out
 
 
@@ -125,11 +133,8 @@ def interior_partials(U: np.ndarray, h1: float, h2: float):
     The one difference stencil of the lab: the solver's residual and
     Jacobian use it directly, and partials, first_diffs and second_diffs
     embed the same differences in a NaN ring. The five partials are rows
-    of one block, filled in place; each difference rounds exactly like its
-    written left-to-right expression. One block in place of a dozen
-    temporaries matters on mid-size grids: there each temporary fell under
-    the allocator's mmap threshold, and a relax step's freed temporaries
-    were trimmed from the heap and faulted back in on the next step.
+    of one block, filled in place with no temporary; each difference
+    rounds exactly like its written left-to-right expression.
     """
     out = _interior_block(U, 5)
     _centered_first(U, h1, h2, out[:2])
@@ -137,30 +142,35 @@ def interior_partials(U: np.ndarray, h1: float, h2: float):
     return tuple(out)
 
 
-def _ringed(stencil, k: int, F: np.ndarray, h1: float, h2: float):
-    """The stencil's k differences of F, filled into the interiors of
-    full-size arrays with a NaN edge ring (no interior copy is made)."""
-    full = tuple(np.full(F.shape, np.nan) for _ in range(k))
-    stencil(F, h1, h2, [f[1:-1, 1:-1] for f in full])
+def _ringed(stencil, F: np.ndarray, *args) -> np.ndarray:
+    """stencil(F, *args) filled into the interior of a full-size array with
+    a NaN edge ring (no interior copy is made)."""
+    full = np.full(F.shape, np.nan)
+    stencil(F, *args, full[1:-1, 1:-1])
     return full
+
+
+def _difference(F: np.ndarray, h1: float, h2: float, k: int) -> np.ndarray:
+    """Difference k of (F1, F2, F11, F12, F22) of a full-size field; NaN edge ring."""
+    stencil, *args = ((_centered_diff, h1, 1), (_centered_diff, h2, 0), (_centered_pure, h1, 1),
+                      (_centered_mixed, h1, h2), (_centered_pure, h2, 0))[k]
+    return _ringed(stencil, F, *args)
 
 
 def first_diffs(F: np.ndarray, h1: float, h2: float) -> tuple[np.ndarray, np.ndarray]:
     """Centered first differences of a full-size field; NaN edge ring."""
-    return _ringed(_centered_first, 2, F, h1, h2)
+    return _difference(F, h1, h2, 0), _difference(F, h1, h2, 1)
 
 
 def first_diff(F: np.ndarray, h: float, axis: int) -> np.ndarray:
     """The one centered first difference of first_diffs along x1 (axis 1)
     or x2 (axis 0), h that axis's spacing; NaN edge ring."""
-    full = np.full(F.shape, np.nan)
-    _centered_diff(F, h, axis, full[1:-1, 1:-1])
-    return full
+    return _ringed(_centered_diff, F, h, axis)
 
 
 def second_diffs(F: np.ndarray, h1: float, h2: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Centered second differences of a full-size field; NaN edge ring."""
-    return _ringed(_centered_second, 3, F, h1, h2)
+    return tuple(_difference(F, h1, h2, k) for k in (2, 3, 4))
 
 
 def partials(u: GridFunction) -> Partials:
@@ -189,9 +199,8 @@ def _residual_and_wsq(u1, u2, u11, u12, u22):
     Each square is formed once. The in-place steps round exactly like the
     written expression evaluated left to right: a - b is computed as
     (-b) + a, the same IEEE result. At most three full-size temporaries
-    are alive at once, and the result is allocated first, so freeing the
-    temporaries leaves no heap hole below it (with the result allocated
-    second, a 303x303 Newton solve peaked 1.7 MB higher).
+    are alive at once, and the result is allocated first, so the freed
+    temporaries leave no heap hole below it.
     """
     R = -2.0 * u1
     R *= u2
@@ -224,58 +233,75 @@ def geometry_fields(u: GridFunction, parts: Partials | None = None) -> GeometryF
     form (upward normal) is hess u / W, and the shape operator S = g^{-1} h.
     Eigenvalues are computed from the symmetric congruent matrix obtained by
     rotating the gradient onto the first axis and scaling by diag(W, 1), so
-    the discriminant is a stable hypot and kappa1 >= kappa2 always.
+    the discriminant is a stable hypot and kappa1 >= kappa2 always. At the
+    peak, seven full-size arrays are alive besides the five partials.
     """
     p = parts if parts is not None else partials(u)
     u1, u2 = p.u1, p.u2
     with np.errstate(invalid="ignore", divide="ignore"):
-        q2 = u1 * u1 + u2 * u2
-        Wsq = 1.0 + q2
+        q = u1 * u1 + u2 * u2
+        Wsq = 1.0 + q
         W = np.sqrt(Wsq)
 
-        # rotate so the gradient points along the first axis
-        q = np.sqrt(q2)
-        safe = q > 0.0
-        c = np.where(safe, u1 / np.where(safe, q, 1.0), 1.0)
-        s = np.where(safe, u2 / np.where(safe, q, 1.0), 0.0)
-        del q2, q, safe
+        # rotate so the gradient points along the first axis: (c, s) is
+        # grad u / |grad u|, or (1, 0) where the gradient vanishes
+        np.sqrt(q, out=q)
+        flat = ~(q > 0.0)
+        q[flat] = 1.0
+        c = u1 / q
+        c[flat] = 1.0
+        s = np.divide(u2, q, out=q)
+        s[flat] = 0.0
+        del flat, q
 
-        h11 = p.u11 / W
-        h12 = p.u12 / W
-        h22 = p.u22 / W
-        # symmetric matrix (a, b; b, d) similar to the shape operator
-        a = (c * c * h11 + 2.0 * c * s * h12 + s * s * h22) / Wsq
+        # symmetric matrix (a, b; b, d) similar to the shape operator, with
+        # the second fundamental form h_ij = u_ij / W formed where it is read
+        a = (c * c * (p.u11 / W) + 2.0 * c * s * (p.u12 / W) + s * s * (p.u22 / W)) / Wsq
         del Wsq
-        b = (c * s * (h22 - h11) + (c * c - s * s) * h12) / W
-        d = s * s * h11 - 2.0 * c * s * h12 + c * c * h22
-        del h11, h12, h22, c, s
+        b = (c * s * (p.u22 / W - p.u11 / W) + (c * c - s * s) * (p.u12 / W)) / W
+        # d = s s h11 - 2 c s h12 + c c h22, the last reader of c and s
+        d = s * s * (p.u11 / W)
+        y = 2.0 * c * s
+        y *= np.divide(p.u12, W, out=s)
+        d -= y
+        c *= c
+        c *= np.divide(p.u22, W, out=y)
+        d += c
+        del c, s, y
 
         H = a + d
-        m = 0.5 * H
         rad = np.hypot(0.5 * (a - d), b)
+        del a, b, d
+        m = 0.5 * H
         kappa1 = m + rad
         kappa2 = m - rad
-        del a, b, d, m, rad
+        del m, rad
         A2 = kappa1 * kappa1 + kappa2 * kappa2
 
         # kappa1 is NaN wherever a partial is, and NaN fails kappa1 > 0
-        pinch = np.where(kappa1 > 0.0, _phi(kappa2 / np.where(kappa1 > 0.0, kappa1, 1.0)), np.nan)
+        convex = kappa1 > 0.0
+        r = np.where(convex, kappa1, 1.0)
+        pinch = _phi(np.divide(kappa2, r, out=r))
+        del r
+        pinch[~convex] = np.nan
     return GeometryFields(grid=u, parts=p, W=W, H=H, kappa1=kappa1, kappa2=kappa2,
                           A2=A2, pinch=pinch)
 
 
 def _phi(r: np.ndarray) -> np.ndarray:
-    """Convexity weight: r^4 exp(-1/r^2) for r < 0, else 0."""
+    """Convexity weight: r^4 exp(-1/r^2) for r < 0, else 0; NaN where r is."""
     r = np.asarray(r, dtype=float)
-    out = np.zeros_like(r)
-    neg = r < 0.0
-    rn = r[neg]
+    out = np.multiply(r, r, out=np.empty_like(r))
     with np.errstate(over="ignore", divide="ignore"):
-        z = np.where(rn > -1e-150, -np.inf, -1.0 / (rn * rn))
-    # rounding-level negatives all flush: skip rn ** 4's discarded subnormal work
-    if not np.all(z < _EXP_FLUSH):
-        out[neg] = np.where(z < _EXP_FLUSH, 0.0, rn ** 4 * np.exp(np.maximum(z, _EXP_FLUSH)))
-    return np.where(np.isnan(r), np.nan, out)
+        np.divide(-1.0, out, out=out)
+    # a weight below exp(_EXP_FLUSH) is exactly zero: only the others are formed
+    live = r < 0.0
+    live &= out >= _EXP_FLUSH
+    weight = r[live] ** 4 * np.exp(out[live])
+    out.fill(0.0)
+    out[live] = weight
+    out[np.isnan(r)] = np.nan
+    return out
 
 
 def drift_identity_residuals(g: GeometryFields):
@@ -292,39 +318,52 @@ def drift_identity_residuals(g: GeometryFields):
         consistent with the lower bound |A|^2 W >= 1/(2W).
 
     (b) and (c) difference derived fields, so their trusted region is two
-    rings deep; all three are O(h^2) on exactly sampled translators.
-
-    Each difference field is freed after its last use, and res_a comes
-    last, on W^2 formed again: besides the fields of g, at most nine
-    full-size arrays are alive at once (the coefficients a^{ij}, the
-    residuals built so far, three ringed differences and two temporaries).
-    Every sum is evaluated in its written left-to-right order.
+    rings deep; all three are O(h^2) on exactly sampled translators. Each
+    residual has its own builder, which the identities check runs one at a
+    time; every sum is evaluated in its written left-to-right order.
     """
+    return _gradient_identity(g), _drift_H_identity(g), _drift_W_identity(g)
+
+
+def _coefficient(g: GeometryFields, i: int, j: int) -> np.ndarray:
+    """a^{ij} = delta_ij - u_i u_j / W^2, as drift_identity_residuals writes it."""
+    u = (g.parts.u1, g.parts.u2)
+    if i == j:
+        return 1.0 - u[i] * u[i] / (g.W * g.W)
+    return -u[0] * u[1] / (g.W * g.W)
+
+
+# Each residual builder below is one expression in its written order, with
+# a(i, j) = a^{ij} and d(k) the k-th of (F1, F2, F11, F12, F22). numpy
+# reuses the room of a large temporary in place, so besides the fields of g
+# only the sum so far and its current term are alive.
+
+@np.errstate(invalid="ignore")
+def _gradient_identity(g: GeometryFields) -> np.ndarray:
+    """Residual (a) of drift_identity_residuals."""
     p = g.parts
-    h1, h2 = g.grid.h1, g.grid.h2
-    with np.errstate(invalid="ignore"):
-        Wsq = g.W * g.W
-        a11 = 1.0 - p.u1 * p.u1 / Wsq
-        a12 = -p.u1 * p.u2 / Wsq
-        a22 = 1.0 - p.u2 * p.u2 / Wsq
-        del Wsq
+    return (p.u1 * p.u1 + p.u2 * p.u2) / (g.W * g.W) - (1.0 - 1.0 / (g.W * g.W))
 
-        H11, H12, H22 = second_diffs(g.H, h1, h2)
-        res_b = a11 * H11 + 2.0 * a12 * H12 + a22 * H22 + g.H * g.A2
-        del H11, H12, H22
 
-        W11, W12, W22 = second_diffs(g.W, h1, h2)
-        res_c = a11 * W11 + 2.0 * a12 * W12 + a22 * W22
-        del W11, W12, W22
-        W1, W2 = first_diffs(g.W, h1, h2)
-        # the factor 2/W last, so it is formed after the sum's temporaries
-        res_c -= (a11 * W1 * W1 + 2.0 * a12 * W1 * W2 + a22 * W2 * W2) * (2.0 / g.W)
-        res_c -= g.A2 * g.W
-        del a11, a12, a22, W1, W2
+@np.errstate(invalid="ignore")
+def _drift_H_identity(g: GeometryFields) -> np.ndarray:
+    """Residual (b) of drift_identity_residuals: three full-size arrays at its peak."""
+    d = functools.partial(_difference, g.H, g.grid.h1, g.grid.h2)
+    a = functools.partial(_coefficient, g)
+    return a(0, 0) * d(2) + 2.0 * a(0, 1) * d(3) + a(1, 1) * d(4) + g.H * g.A2
 
-        Wsq = g.W * g.W
-        res_a = (p.u1 * p.u1 + p.u2 * p.u2) / Wsq - (1.0 - 1.0 / Wsq)
-    return res_a, res_b, res_c
+
+@np.errstate(invalid="ignore")
+def _drift_W_identity(g: GeometryFields) -> np.ndarray:
+    """Residual (c) of drift_identity_residuals: four full-size arrays at its peak."""
+    d = functools.partial(_difference, g.W, g.grid.h1, g.grid.h2)
+    a = functools.partial(_coefficient, g)
+    res = a(0, 0) * d(2) + 2.0 * a(0, 1) * d(3) + a(1, 1) * d(4)
+    # each first difference is formed again where it is read
+    res -= (a(0, 0) * d(0) * d(0) + 2.0 * a(0, 1) * d(0) * d(1)
+            + a(1, 1) * d(1) * d(1)) * (2.0 / g.W)
+    res -= g.A2 * g.W
+    return res
 
 
 def worst_over(arr: np.ndarray):

@@ -49,7 +49,10 @@ def parse_grid(text: str) -> GridFunction:
         row = ln.split()
         if len(row) != nx:
             raise ValueError(f"row {j} has {len(row)} values, expected {nx}")
-        vals[j, :] = [float(tok) for tok in row]
+        try:
+            vals[j, :] = [float(tok) for tok in row]
+        except ValueError as err:
+            raise ValueError(f"row {j}: {err}") from None
     if not np.all(np.isfinite(vals)):
         raise ValueError("grid file contains nonfinite values")
     return GridFunction(rect, vals)

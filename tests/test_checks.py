@@ -708,9 +708,12 @@ class TestOneFieldAtATime:
 
 # tracemalloc peak of each stage on the 201x401 tilted grim, in full-size
 # arrays; every check not named here stays within 4. A reduction adds at
-# most one boolean array to the field it reads.
-_PEAK_ARRAYS = {"geometry_fields": 16, "soliton_identities": 10, "gradient_bounds": 3.25,
-                "worst_over": 0.5, "convexity": 1.5, "strip_H_bound": 1.5, "A_bound": 1.5}
+# most one boolean array to the field it reads. run_suite builds the fields
+# and keeps them for every check, so its peak is theirs plus the largest
+# check's, soliton_identities'.
+_PEAK_ARRAYS = {"geometry_fields": 12.5, "soliton_identities": 4.5, "run_suite": 15.5,
+                "gradient_bounds": 3.25, "worst_over": 0.5, "convexity": 1.5,
+                "strip_H_bound": 1.5, "A_bound": 1.5}
 
 
 @pytest.fixture(scope="module")
@@ -721,13 +724,16 @@ def tilted_grim_201x401():
     return p, u, tlab.geometry_fields(u)
 
 
-@pytest.mark.parametrize("stage", ["geometry_fields", "worst_over",
+@pytest.mark.parametrize("stage", ["geometry_fields", "worst_over", "run_suite",
                                    *tlab.checks.CANONICAL_ORDER])
 def test_peak_memory_in_full_size_arrays(stage, tilted_grim_201x401):
     p, u, g = tilted_grim_201x401
     if stage == "geometry_fields":
         def run():
             tlab.geometry_fields(u)
+    elif stage == "run_suite":
+        def run():
+            tlab.run_suite(u, tlab.checks.CANONICAL_ORDER, tlab.SuiteConfig(grim=p, window=3.0))
     elif stage == "worst_over":
         def run():
             tlab.geometry.worst_over(g.H)

@@ -55,6 +55,17 @@ class TestGridFile:
         with pytest.raises(ValueError, match="rows"):
             reporting.parse_grid(truncated)
 
+    def test_short_row_named(self):
+        text = "TLAB-GRID v1 3 3 0 1 0 1\n0 0 0\n0 0\n0 0 0\n"
+        with pytest.raises(ValueError, match=r"^row 1 has 2 values, expected 3$"):
+            reporting.parse_grid(text)
+
+    def test_bad_token_row_named(self):
+        text = "TLAB-GRID v1 3 3 0 1 0 1\n0 0 0\n0 0 0\n0 1e 0\n"
+        with pytest.raises(ValueError,
+                           match=r"^row 2: could not convert string to float: '1e'$"):
+            reporting.parse_grid(text)
+
     def test_nonfinite_rejected(self):
         text = "TLAB-GRID v1 3 3 0 1 0 1\n0 0 0\n0 inf 0\n0 0 0\n"
         with pytest.raises(ValueError):
