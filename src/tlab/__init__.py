@@ -15,6 +15,6 @@ from .checks import (CheckReport, SuiteConfig, check_A_bound, check_convexity,
                      check_gradient_bounds, check_halfstrip_W_bound,
                      check_harnack, check_soliton_identities,
                      check_strip_H_bound, check_strip_asymptotics,
-                     check_symmetry, default_suite, run_suite)
+                     check_symmetry, check_translator, default_suite, run_suite)
 
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (_MIRROR_ROUNDING_RTOL, GeometryFields, _drift_H_identity,
-                       _drift_W_identity, _gradient_identity, first_diff, geometry_fields,
+                       _drift_W_identity, _gradient_identity, difference, geometry_fields,
                        interior_partials, quasilinear_residual, worst_over)
 from .grids import GridFunction
 from .solitons import GrimParams
@@ -24,7 +24,7 @@ from .solitons import GrimParams
 @dataclass(frozen=True)
 class CheckReport:
     """Outcome of one certified statement: passed iff worst <= tolerance,
-    unless the check refused its input, which always fails."""
+    and for the translator check only if the residual falls under injection."""
 
     name: str
     statement_ref: str
@@ -144,78 +144,75 @@ def check_gradient_bounds(g: GeometryFields, tol: float) -> CheckReport:
     with np.errstate(invalid="ignore"):
         worst, loc, which, _ = _binding({
             "|d/dx1 arctan u1| <= 1":
-                lambda: np.abs(first_diff(np.arctan(p.u1), h1, 1)) - 1.0,
+                lambda: np.abs(difference(np.arctan(p.u1), h1, h2, 0)) - 1.0,
             "|d/dx2 arctan u2| <= 1":
-                lambda: np.abs(first_diff(np.arctan(p.u2), h2, 0)) - 1.0,
+                lambda: np.abs(difference(np.arctan(p.u2), h1, h2, 1)) - 1.0,
             "u11 <= 1 + u1^2": lambda: p.u11 - (1.0 + p.u1 * p.u1),
             "u22 <= 1 + u2^2": lambda: p.u22 - (1.0 + p.u2 * p.u2),
             "|u12| <= sqrt(1+u1^2) sqrt(1+u2^2)":
                 lambda: np.abs(p.u12) - root(p.u1) * root(p.u2),
             "|d/dx2 sqrt(1+u1^2)| <= |u1| sqrt(1+u2^2)":
-                lambda: np.abs(first_diff(root(p.u1), h2, 0)) - np.abs(p.u1) * root(p.u2),
+                lambda: np.abs(difference(root(p.u1), h1, h2, 1)) - np.abs(p.u1) * root(p.u2),
         })
     return _report("gradient_bounds",
                    "first- and second-derivative bounds for convex strip translators",
                    worst, tol, loc, f"binding bound: {which}")
 
 
-_IDENTITIES_REF = "|grad u|^2 = 1 - H^2, drift identities for H and W, |A|^2 W^2 >= 1/2"
-
-# check_soliton_identities' refusal gate, in units of its tol, and the
-# least injection ratio it accepts
-_GATE_FACTOR = 10.0
-_MIN_RATIO = 1.5
+# the least injection ratio check_translator accepts
+_MIN_INJECTION_RATIO = 1.5
 
 
 def _magnitude(res: np.ndarray) -> np.ndarray:
     return np.abs(res, out=res)
 
 
-def check_soliton_identities(g: GeometryFields, tol: float) -> CheckReport:
-    """Drift-operator identities plus |A|^2 W^2 >= 1/2 on a near-solution.
+def check_translator(g: GeometryFields, tol: float) -> CheckReport:
+    """Translator residual within tol and falling under injection.
 
-    Refuses an input that is not a translator at its resolution: one whose
-    translator residual exceeds the gate, _GATE_FACTOR x tol, or does not
-    fall under injection. The injection ratio is max|residual| of the
-    samples values[::2, ::2] at spacing 2h over max|residual| at h; a
-    translator's discretization error falls about 4x per halving of h, a
-    fixed defect's not at all, and the ratio must reach _MIN_RATIO (a zero
-    residual at h reads an infinite ratio). With even nx or ny the coarse
-    samples end one h short of that edge: they are a grid on a rectangle of
-    their own. A refusal is a failed report with the residual as its worst
-    violation, no location, and notes starting "refused: ". The notes give
-    the ratio and the observed order log2(ratio). The three drift residuals
-    are built and reduced one at a time: at the peak, the drift-W builder's
-    four full-size arrays are alive besides g.
+    Every other check certifies a statement about translators; this one
+    says whether the grid is one at its resolution. The worst violation is
+    max|residual|. The injection ratio is max|residual| of the samples
+    values[::2, ::2] at spacing 2h over max|residual| at h: a translator's
+    discretization error falls about 4x per halving of h, a fixed defect's
+    not at all. The check fails when the ratio is under
+    _MIN_INJECTION_RATIO (a zero residual at h reads an infinite ratio).
+    With even nx or ny the coarse samples end one h short of that edge:
+    they are a grid on a rectangle of their own. The notes give the ratio
+    and the observed order log2(ratio).
     """
-    gate = _GATE_FACTOR * tol
     p = g.parts
-    res_max = float(np.fmax.reduce(
-        _magnitude(quasilinear_residual(p.u1, p.u2, p.u11, p.u12, p.u22)), axis=None))
+    worst, loc = worst_over(_magnitude(quasilinear_residual(p.u1, p.u2, p.u11, p.u12, p.u22)))
     U, h1, h2 = g.grid.values, g.grid.h1, g.grid.h2
     coarse = float(np.max(_magnitude(
         quasilinear_residual(*interior_partials(U[::2, ::2], 2.0 * h1, 2.0 * h2)))))
     with np.errstate(divide="ignore"):
-        ratio = coarse / res_max if res_max > 0.0 else np.inf
-        order = f"injection ratio {ratio:.3f} (order {np.log2(ratio):.2f})"
-    why = None
-    if not res_max <= gate:
-        why = f"exceeds the gate {gate:.3e}"
-    elif not ratio >= _MIN_RATIO:
-        why = f"does not fall under injection by the bound {_MIN_RATIO:g}"
-    if why is not None:
-        return CheckReport("soliton_identities", _IDENTITIES_REF, res_max, float(tol), False,
-                           notes=f"refused: translator residual {res_max:.3e} {why}; identities "
-                                 f"are only meaningful on (near-)solutions; {order}")
+        ratio = coarse / worst if worst > 0.0 else np.inf
+        notes = f"injection ratio {ratio:.3f} (order {np.log2(ratio):.2f})"
+    falls = bool(ratio >= _MIN_INJECTION_RATIO)
+    if not falls:
+        notes += f"; does not fall under injection by the bound {_MIN_INJECTION_RATIO:g}"
+    return CheckReport("translator", "the translator equation holds to O(h^2) on the grid",
+                       worst, float(tol), bool(worst <= tol) and falls, loc, notes)
+
+
+def check_soliton_identities(g: GeometryFields, tol: float) -> CheckReport:
+    """Drift-operator identities plus |A|^2 W^2 >= 1/2 on a near-solution.
+
+    The identities hold on translators; check_translator says whether the
+    grid is one. The three drift residuals are built and reduced one at a
+    time: at the peak, the drift-W builder's four full-size arrays are
+    alive besides g.
+    """
     worst, loc, _, each = _binding({
         "|grad|^2 identity": lambda: _magnitude(_gradient_identity(g)),
         "drift-H identity": lambda: _magnitude(_drift_H_identity(g)),
         "drift-W identity": lambda: _magnitude(_drift_W_identity(g)),
         "1/2 - |A|^2 W^2 worst": lambda: 0.5 - g.A2 * g.W * g.W,
     })
-    notes = ("".join(f"{k} {w:.3e}; " for k, w in each.items())
-             + f"input residual {res_max:.3e}; {order}")
-    return _report("soliton_identities", _IDENTITIES_REF, worst, tol, loc, notes)
+    return _report("soliton_identities",
+                   "|grad u|^2 = 1 - H^2, drift identities for H and W, |A|^2 W^2 >= 1/2",
+                   worst, tol, loc, "; ".join(f"{k} {w:.3e}" for k, w in each.items()))
 
 
 def _nearest_column(u: GridFunction, x1_target: float) -> int:
@@ -395,8 +392,10 @@ class SuiteConfig:
 
 # check name -> check(fields, h, config) with h = max(h1, h2): each entry
 # sets its tolerance and region from the grid. The suite runs them in this
-# (canonical) order. Only a Harnack worst <= 0 certifies every grid path.
+# (canonical) order. The translator tolerance is ten times the identities'.
+# Only a Harnack worst <= 0 certifies every grid path.
 _SUITE = {
+    "translator": lambda g, h, cfg: check_translator(g, 10.0 * (100.0 * h * h)),
     "convexity": lambda g, h, cfg: check_convexity(g, max(1e-10, 0.01 * h * h)),
     "strip_H_bound": lambda g, h, cfg: check_strip_H_bound(g, cfg.grim),
     "harnack": lambda g, h, cfg: check_harnack(g, 1e-8),
@@ -432,11 +431,16 @@ def require_known(names) -> None:
 
 
 def run_suite(u: GridFunction, names, cfg: SuiteConfig) -> list[CheckReport]:
-    """Run the named checks (at least one) in canonical order over one grid."""
+    """Run the named checks (at least one) in canonical order over one grid.
+
+    The translator check always runs, first: every other check certifies a
+    statement about translators.
+    """
     requested = list(names)
     require_known(requested)
     if not requested:
         raise ValueError("no checks to run: the suite is empty")
+    requested.append("translator")
     needs_grim = [n for n in requested if n in STRIP_CHECKS]
     if needs_grim:
         if cfg.grim is None:

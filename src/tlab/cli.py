@@ -6,9 +6,9 @@ from the grid (its step, its x1 extent and, for the strip checks,
 checks passing, 1 usage or file errors, 2 solver non-convergence, 3 check
 failures, 4 a Newton solve stopped at its rounding floor above --tol. An
 unconverged solve, a singular Newton step included, still writes its last
-iterate and its log, <out>.log. A refused identities check is a
-failed report that the check returns. Runs are deterministic: the same
-command line produces byte-identical output files.
+iterate and its log, <out>.log. The translator check runs first in
+every check command and cannot be skipped. Runs are deterministic: the
+same command line produces byte-identical output files.
 """
 
 from __future__ import annotations
@@ -210,13 +210,16 @@ def cmd_check(args) -> int:
         requested = {n.strip() for n in args.suite.split(",") if n.strip()}
     skip = sorted({n.strip() for n in args.skip.split(",") if n.strip()})
     ck.require_known([*skip, *requested])
-    # each check runs once, in canonical order, and the report echoes that
+    if "translator" in skip:
+        raise CliUsageError("the translator check cannot be skipped: every other "
+                            "check certifies a statement about translators")
     names = [n for n in ck.CANONICAL_ORDER if n in requested and n not in skip]
     reports = ck.run_suite(u, names, ck.SuiteConfig(grim=grim, window=args.window))
-    # the flags as given, in parser order, with the suite and skip resolved
+    # the flags as given, in parser order, with the suite and skip resolved;
+    # each check runs once, in canonical order, and the suite echoes that
     inputs = {("lambda" if k == "lam" else k): v for k, v in vars(args).items()
               if k not in ("command", "run", "out")}
-    inputs.update(suite=",".join(names), skip=",".join(skip))
+    inputs.update(suite=",".join(r.name for r in reports), skip=",".join(skip))
     report = rep.report_dict("tlab-check", inputs, reports)
     rep.write_report(args.out, report)
     for r in reports:

@@ -1,9 +1,9 @@
 """Discrete differential geometry on height-field grids.
 
-Centered second-order stencils produce gradient and Hessian fields; from
-those come the area element W, the principal curvatures of the shape
-operator, the convexity pinching ratio, and the drift-operator identity
-residuals used to certify translator solutions.
+One centered second-order stencil, _centered, produces the gradient and
+Hessian fields; from those come the area element W, the principal
+curvatures of the shape operator, the convexity pinching ratio, and the
+drift-operator identity residuals used to certify translator solutions.
 
 Derived fields are full-size arrays whose boundary ring (and, for fields
 built from second differences of derived quantities, a second ring) is NaN:
@@ -76,101 +76,50 @@ class GeometryFields:
     pinch: np.ndarray
 
 
-def _centered_diff(F: np.ndarray, h: float, axis: int, out: np.ndarray) -> np.ndarray:
-    """Centered first difference along x1 (axis 1) or x2 (axis 0) at the
-    interior nodes of F, h that axis's spacing, into out."""
-    if axis == 1:
-        np.subtract(F[1:-1, 2:], F[1:-1, :-2], out=out)
+def _centered(F: np.ndarray, h1: float, h2: float, k: int, out: np.ndarray) -> np.ndarray:
+    """Difference k of (F1, F2, F11, F12, F22) at the interior nodes of F, into out.
+
+    The one difference stencil of the lab. Each difference rounds exactly
+    like its written left-to-right expression, with no temporary.
+    """
+    if k == 3:
+        np.subtract(F[2:, 2:], F[2:, :-2], out=out)
+        out -= F[:-2, 2:]
+        out += F[:-2, :-2]
+        out /= 4.0 * h1 * h2
+        return out
+    # F1 and F11 along x1 (axis 1), F2 and F22 along x2 (axis 0)
+    ahead, behind, h = ((F[1:-1, 2:], F[1:-1, :-2], h1) if k in (0, 2)
+                        else (F[2:, 1:-1], F[:-2, 1:-1], h2))
+    if k < 2:
+        np.subtract(ahead, behind, out=out)
+        out /= 2.0 * h
     else:
-        np.subtract(F[2:, 1:-1], F[:-2, 1:-1], out=out)
-    out /= 2.0 * h
+        np.multiply(F[1:-1, 1:-1], 2.0, out=out)
+        np.subtract(ahead, out, out=out)
+        out += behind
+        out /= h * h
     return out
-
-
-def _centered_pure(F: np.ndarray, h: float, axis: int, out: np.ndarray) -> np.ndarray:
-    """Centered second difference along x1 (axis 1) or x2 (axis 0) at the
-    interior nodes of F, h that axis's spacing, into out."""
-    ahead, behind = (F[1:-1, 2:], F[1:-1, :-2]) if axis == 1 else (F[2:, 1:-1], F[:-2, 1:-1])
-    np.multiply(F[1:-1, 1:-1], 2.0, out=out)
-    np.subtract(ahead, out, out=out)
-    out += behind
-    out /= h * h
-    return out
-
-
-def _centered_mixed(F: np.ndarray, h1: float, h2: float, out: np.ndarray) -> np.ndarray:
-    """Centered mixed second difference at the interior nodes of F, into out."""
-    np.subtract(F[2:, 2:], F[2:, :-2], out=out)
-    out -= F[:-2, 2:]
-    out += F[:-2, :-2]
-    out /= 4.0 * h1 * h2
-    return out
-
-
-def _centered_first(F: np.ndarray, h1: float, h2: float, out: np.ndarray) -> np.ndarray:
-    """Centered first differences (F1, F2) at the interior nodes of F, into out."""
-    _centered_diff(F, h1, 1, out[0])
-    _centered_diff(F, h2, 0, out[1])
-    return out
-
-
-def _centered_second(F: np.ndarray, h1: float, h2: float, out: np.ndarray) -> np.ndarray:
-    """Centered second differences (F11, F12, F22) at the interior nodes of F, into out."""
-    _centered_pure(F, h1, 1, out[0])
-    _centered_mixed(F, h1, h2, out[1])
-    _centered_pure(F, h2, 0, out[2])
-    return out
-
-
-def _interior_block(F: np.ndarray, k: int) -> np.ndarray:
-    """Uninitialized room for k interior-sized fields of F, in one allocation."""
-    return np.empty((k, F.shape[0] - 2, F.shape[1] - 2))
 
 
 def interior_partials(U: np.ndarray, h1: float, h2: float):
     """(u1, u2, u11, u12, u22) at the interior nodes of U.
 
-    The one difference stencil of the lab: the solver's residual and
-    Jacobian use it directly, and partials, first_diffs and second_diffs
-    embed the same differences in a NaN ring. The five partials are rows
-    of one block, filled in place with no temporary; each difference
-    rounds exactly like its written left-to-right expression.
+    The solver's residual and Jacobian read these directly; partials and
+    difference embed the same differences in a NaN ring. The five partials
+    are rows of one block, filled in place.
     """
-    out = _interior_block(U, 5)
-    _centered_first(U, h1, h2, out[:2])
-    _centered_second(U, h1, h2, out[2:])
+    out = np.empty((5, U.shape[0] - 2, U.shape[1] - 2))
+    for k in range(5):
+        _centered(U, h1, h2, k, out[k])
     return tuple(out)
 
 
-def _ringed(stencil, F: np.ndarray, *args) -> np.ndarray:
-    """stencil(F, *args) filled into the interior of a full-size array with
-    a NaN edge ring (no interior copy is made)."""
-    full = np.full(F.shape, np.nan)
-    stencil(F, *args, full[1:-1, 1:-1])
-    return full
-
-
-def _difference(F: np.ndarray, h1: float, h2: float, k: int) -> np.ndarray:
+def difference(F: np.ndarray, h1: float, h2: float, k: int) -> np.ndarray:
     """Difference k of (F1, F2, F11, F12, F22) of a full-size field; NaN edge ring."""
-    stencil, *args = ((_centered_diff, h1, 1), (_centered_diff, h2, 0), (_centered_pure, h1, 1),
-                      (_centered_mixed, h1, h2), (_centered_pure, h2, 0))[k]
-    return _ringed(stencil, F, *args)
-
-
-def first_diffs(F: np.ndarray, h1: float, h2: float) -> tuple[np.ndarray, np.ndarray]:
-    """Centered first differences of a full-size field; NaN edge ring."""
-    return _difference(F, h1, h2, 0), _difference(F, h1, h2, 1)
-
-
-def first_diff(F: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """The one centered first difference of first_diffs along x1 (axis 1)
-    or x2 (axis 0), h that axis's spacing; NaN edge ring."""
-    return _ringed(_centered_diff, F, h, axis)
-
-
-def second_diffs(F: np.ndarray, h1: float, h2: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Centered second differences of a full-size field; NaN edge ring."""
-    return tuple(_difference(F, h1, h2, k) for k in (2, 3, 4))
+    full = np.full(F.shape, np.nan)
+    _centered(F, h1, h2, k, full[1:-1, 1:-1])
+    return full
 
 
 def partials(u: GridFunction) -> Partials:
@@ -181,7 +130,7 @@ def partials(u: GridFunction) -> Partials:
     """
     if u.nx < 5 or u.ny < 5:
         raise ValueError("partials needs nx, ny >= 5")
-    return Partials(*first_diffs(u.values, u.h1, u.h2), *second_diffs(u.values, u.h1, u.h2))
+    return Partials(*(difference(u.values, u.h1, u.h2, k) for k in range(5)))
 
 
 def quasilinear_residual(u1, u2, u11, u12, u22):
@@ -348,7 +297,7 @@ def _gradient_identity(g: GeometryFields) -> np.ndarray:
 @np.errstate(invalid="ignore")
 def _drift_H_identity(g: GeometryFields) -> np.ndarray:
     """Residual (b) of drift_identity_residuals: three full-size arrays at its peak."""
-    d = functools.partial(_difference, g.H, g.grid.h1, g.grid.h2)
+    d = functools.partial(difference, g.H, g.grid.h1, g.grid.h2)
     a = functools.partial(_coefficient, g)
     return a(0, 0) * d(2) + 2.0 * a(0, 1) * d(3) + a(1, 1) * d(4) + g.H * g.A2
 
@@ -356,7 +305,7 @@ def _drift_H_identity(g: GeometryFields) -> np.ndarray:
 @np.errstate(invalid="ignore")
 def _drift_W_identity(g: GeometryFields) -> np.ndarray:
     """Residual (c) of drift_identity_residuals: four full-size arrays at its peak."""
-    d = functools.partial(_difference, g.W, g.grid.h1, g.grid.h2)
+    d = functools.partial(difference, g.W, g.grid.h1, g.grid.h2)
     a = functools.partial(_coefficient, g)
     res = a(0, 0) * d(2) + 2.0 * a(0, 1) * d(3) + a(1, 1) * d(4)
     # each first difference is formed again where it is read

@@ -209,15 +209,10 @@ def bowl_profile_solve(r_max: float, step: float) -> BowlProfile:
     from array import array
 
     r = np.linspace(0.0, r_max, n + 1)
-    # the slope steps run on Python floats: numpy scalars round the same but
-    # cost several times more per operation. The radii and slopes sit in
-    # array.array buffers, 8 bytes a value, which yield and take Python
-    # floats without a list of float objects; array is imported here, so
-    # only a bowl integration loads it. The slope rate
-    # (1 + s^2)(1 - s/r) is written out at each stage, because a Python
-    # call per stage cost about a quarter of the loop. 0.5 * h * k and
-    # (h / 6.0) * (...) evaluate left to right, so they form 0.5 * h and
-    # h / 6.0 first: hoisting them as hh and h6 moves no bit.
+    # the slope steps run on Python floats from array.array buffers (array
+    # is imported above, so only a bowl integration loads it), with the rate
+    # (1 + s^2)(1 - s/r) written out at each stage. The written steps form
+    # 0.5 * h and h / 6.0 first, so hoisting them moves no bit
     hh = 0.5 * h
     h6 = h / 6.0
     yp = 0.5 * h

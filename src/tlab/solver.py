@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (_MIRROR_ROUNDING_RTOL, _centered_first, _interior_block,
-                       _residual_and_wsq, interior_partials)
+from .geometry import _MIRROR_ROUNDING_RTOL, _centered, _residual_and_wsq, interior_partials
 from .grids import GridFunction, Rectangle
 from .solitons import GrimParams
 
@@ -156,9 +155,8 @@ def _jacobian(U: np.ndarray, h1: float, h2: float, pattern=None, axes=()):
         (+-1, 0): A / h1^2 +- D1 / (2 h1),   (0, +-1): C / h2^2 +- D2 / (2 h2),
         (1, 1), (-1, -1): B / (4 h1 h2),     (1, -1), (-1, 1): -B / (4 h1 h2),
     with A = 1 + u2^2, B = -2 u1 u2, C = 1 + u1^2, D1 = 2 (u1 u22 - u2 u12 - u1)
-    and D2 = 2 (u2 u11 - u1 u12 - u2). The partials and A, B, C, D1, D2 are
-    dropped after their last use, so at the peak only the block and the CSC
-    data gathered from it are alive, beside the caller's pattern.
+    and D2 = 2 (u2 u11 - u1 u12 - u2). At the peak only the block and the
+    CSC data gathered from it are alive, beside the caller's pattern.
     """
     from scipy.sparse import csc_matrix
 
@@ -268,8 +266,7 @@ def _preconditioned_step(J, rhs: np.ndarray, solve, rtol: float):
     in the m = _GMRES_RESTART iterations (r_k c^(m-k) > target); or on a
     nonfinite value.
 
-    Inner products are einsum's, not numpy's BLAS, whose threaded dot
-    products were measured far slower on these vectors in some processes.
+    Inner products are einsum's, not numpy's threaded BLAS dot.
     """
     m = _GMRES_RESTART
     with np.errstate(all="ignore"):
@@ -437,7 +434,9 @@ def _rounding_floor(U: np.ndarray, h1: float, h2: float) -> float:
     estimate next to the ring. On the converged and stopped solves the
     tests pin, it was 2.4 to 3.3 times max|F|.
     """
-    u1, u2 = _centered_first(U, h1, h2, _interior_block(U, 2))
+    u1, u2 = np.empty((2, U.shape[0] - 2, U.shape[1] - 2))
+    _centered(U, h1, h2, 0, u1)
+    _centered(U, h1, h2, 1, u2)
     a = np.abs(U)
     centre = 2.0 * a[1:-1, 1:-1]
     est = ((1.0 + u2 * u2) / (h1 * h1) * (a[1:-1, 2:] + centre + a[1:-1, :-2])
@@ -472,12 +471,6 @@ def newton_solve(boundary, init: GridFunction, cfg: SolveConfig,
     If it misses too, a nonfinite value included, the fresh factor's own
     direct step is taken; a nonfinite direct step ends the solve
     "singular". The sparsity pattern is built once per pass (see below).
-
-    At an iteration's peak a solve holds the factor, one Jacobian and its
-    pattern, and the iterate's vectors: the grid, the residual, the step,
-    and the line search's start and trial residual. The last Jacobian is
-    dropped before the next is assembled, and a folded pass drops its
-    factor, Jacobian and pattern before the full-grid residual.
 
     A problem that is mirror-even across the middle column or row (odd
     node count along the axis, and init and forcing even to within a few

@@ -205,13 +205,13 @@ def test_criterion_8_harness_falsifiability(saddle_grid, bowl_profile_fine):
     results.append(("parabola gradient bound", not rep.passed and rep.worst_violation > 0))
 
     # bowl + 1e-3 cos(3 x1) cos(3 x2): a residual of 2e-2 that does not fall
-    # with h, inside the identities' magnitude gate at 21x21
+    # with h, inside the translator check's tolerance at 21x21
     bowl = tlab.bowl_radial_function(bowl_profile_fine)
     bumped = tlab.sample_to_grid(
         lambda a, b: bowl(a, b) + 1e-3 * np.cos(3.0 * a) * np.cos(3.0 * b), rect, 21, 21)
     reports = tlab.run_suite(bumped, tlab.default_suite(None, True), tlab.SuiteConfig())
-    rep = next(r for r in reports if r.name == "soliton_identities")
-    results.append(("perturbed bowl identities", not rep.passed and rep.worst_violation > 0))
+    rep = next(r for r in reports if r.name == "translator")
+    results.append(("perturbed bowl translator", not rep.passed and rep.worst_violation > 0))
 
     bad = [name for name, good in results if not good]
     ok = not bad

@@ -246,20 +246,48 @@ class TestSolitonIdentities:
         assert fields.kappa2[j0, i0] == pytest.approx(0.5, abs=1e-3)
         assert fields.A2[j0, i0] * fields.W[j0, i0] ** 2 == pytest.approx(0.5, abs=1e-3)
 
+
+def _translator_tol(u):
+    # the suite's: ten times the identities' 100 h^2
+    h = max(u.h1, u.h2)
+    return 10.0 * (100.0 * h * h)
+
+
+class TestTranslator:
     def test_far_from_solution_refused(self):
         # the zero function misses the translator equation by 1; at h = 0.02
-        # the suite's own gate, 10 x 100 h^2 = 0.4, refuses it
+        # the suite's tolerance, 10 x 100 h^2 = 0.4, refuses it, and so
+        # does the injection ratio 1. The translator check runs in front of
+        # any request
         rect = tlab.Rectangle(-1.0, 1.0, -1.0, 1.0)
         u = tlab.sample_to_grid(lambda a, b: np.zeros_like(a), rect, 101, 101)
         fields = tlab.geometry_fields(u)
-        (refused,) = tlab.run_suite(u, ["soliton_identities"], tlab.SuiteConfig())
-        h = max(u.h1, u.h2)
-        assert tlab.check_soliton_identities(fields, 100.0 * h * h) == refused
-        assert not refused.passed and refused.notes.startswith("refused: ")
+        refused, _ = tlab.run_suite(u, ["soliton_identities"], tlab.SuiteConfig())
+        assert tlab.check_translator(fields, _translator_tol(u)) == refused
+        assert not refused.passed and refused.worst_violation > refused.tolerance
+        assert "does not fall under injection by the bound 1.5" in refused.notes
         assert refused.worst_violation == float(np.nanmax(np.abs(tlab.translator_residual(u))))
         _, grim = _grim_sample()
-        passing = tlab.check_soliton_identities(tlab.geometry_fields(grim), 0.04)
+        passing = tlab.check_translator(tlab.geometry_fields(grim), _translator_tol(grim))
         assert passing.passed and refused.statement_ref == passing.statement_ref
+        assert "does not fall" not in passing.notes
+
+    @pytest.mark.parametrize("nx, ny", [(5, 5), (6, 6), (5, 8)])
+    def test_smallest_grids_inject(self, nx, ny):
+        # every grid that partials accepts injects onto at least 3x3 nodes,
+        # so the coarse residual has a node and the ratio is a number
+        rect = tlab.Rectangle(-1.0, 1.0, -1.0, 1.0)
+        u = tlab.sample_to_grid(lambda a, b: -np.log(np.cos(a)) + 0.0 * b, rect, nx, ny)
+        rep = tlab.check_translator(tlab.geometry_fields(u), 1.0)
+        assert np.isfinite(float(re.search(r"injection ratio (\S+)", rep.notes).group(1)))
+
+    def test_location_is_the_worst_residual_node(self, saddle_grid):
+        # the saddle's residual 4 x2^2 - 12 x1^2 - 1 is largest in magnitude
+        # next to the x1 edges on x2 = 0: the mirror rule reports x1 > 0
+        rep = tlab.check_translator(tlab.geometry_fields(saddle_grid), 1.0)
+        res = np.abs(tlab.translator_residual(saddle_grid))
+        assert rep.worst_violation == float(np.nanmax(res))
+        assert rep.worst_location == (39, 20) and res[20, 39] == rep.worst_violation
 
 
 # the translator equation's grid symmetries, each mapping the rectangle and
@@ -290,9 +318,8 @@ def _bumped_bowl(profile, bump, rect, n):
 
 
 def _injection(u):
-    """Pass bit and notes ratio of the identities check at the suite's tol."""
-    h = max(u.h1, u.h2)
-    rep = tlab.check_soliton_identities(tlab.geometry_fields(u), 100.0 * h * h)
+    """Pass bit and notes ratio of the translator check at the suite's tol."""
+    rep = tlab.check_translator(tlab.geometry_fields(u), _translator_tol(u))
     return rep.passed, re.search(r"injection ratio (\S+)", rep.notes).group(1)
 
 
@@ -553,8 +580,8 @@ class TestSuite:
         assert len({r.name for r in reports}) == len(reports)
 
     def test_default_suite_filters_the_canonical_order(self, grim2):
-        core = ("convexity", "harnack", "gradient_bounds", "soliton_identities")
-        strip = ("convexity", "strip_H_bound", "harnack", "gradient_bounds",
+        core = ("translator", "convexity", "harnack", "gradient_bounds", "soliton_identities")
+        strip = ("translator", "convexity", "strip_H_bound", "harnack", "gradient_bounds",
                  "soliton_identities", "strip_asymptotics_top", "strip_asymptotics_bottom")
         assert tlab.default_suite(None, False) == (*core, "A_bound")
         assert tlab.default_suite(None, True) == (*core, "symmetry", "A_bound")
@@ -594,49 +621,53 @@ class TestSuite:
 
     def test_unknown_names_listed_sorted(self):
         # the message must not depend on set iteration order
-        with pytest.raises(ValueError, match=r"\['bogus', 'zeta'\]; valid names: convexity,"):
+        with pytest.raises(ValueError,
+                           match=r"\['bogus', 'zeta'\]; valid names: translator, convexity,"):
             tlab.checks.require_known(["zeta", "convexity", "bogus", "zeta"])
         tlab.checks.require_known(tlab.checks.CANONICAL_ORDER)
 
     def test_refusal_becomes_failed_report(self, saddle_grid):
         reports = tlab.run_suite(saddle_grid, ["convexity", "soliton_identities"],
                                  tlab.SuiteConfig())
-        by_name = {r.name: r for r in reports}
-        assert not by_name["convexity"].passed
-        ident = by_name["soliton_identities"]
-        assert not ident.passed
-        assert "refused" in ident.notes
+        assert [r.name for r in reports] == ["translator", "convexity", "soliton_identities"]
+        translator, convexity, _ = reports
+        assert not convexity.passed
+        assert not translator.passed and translator.worst_violation > translator.tolerance
+        assert "does not fall under injection" in translator.notes
 
     # every report field but worst_location, as recorded before the
     # multi-term checks shared one reduction; the harnack entry as recorded
-    # when the check moved from random paths to every grid edge
+    # when the check moved from random paths to every grid edge; the
+    # translator entry and the identities notes as recorded when the
+    # translator check took the residual and its injection ratio
     def test_readme_grim_report_pinned_but_for_locations(self):
         p, u = _readme_grim()
         names = [n for n in tlab.default_suite(p, True) if n != "strip_asymptotics_bottom"]
         reports = tlab.run_suite(u, names, tlab.SuiteConfig(grim=p, window=3.0))
         assert (_digest_without_locations(reports)
-                == "d8abfbad579642089e2b94b92bc40c48a3c4696215a009db3dc87b5c4578ba73")
+                == "eaf66f511b183dcb03d966e60ff2d46b7a02b51bfeb69b5b9b9603666fa47bab")
 
     # whole reports, locations included, recorded before the multi-term
-    # checks built one violation field at a time
+    # checks built one violation field at a time; re-recorded when the
+    # translator check became the suite's first entry
     def test_readme_grim_report_pinned(self):
         p, u = _readme_grim()
         names = [n for n in tlab.default_suite(p, True) if n != "strip_asymptotics_bottom"]
         reports = tlab.run_suite(u, names, tlab.SuiteConfig(grim=p, window=3.0))
         assert _digest(reports) == (
-            "68e7ee6f18fb245837ebfbb18115a94912e67975df736eaa591728241506b838")
+            "83b3bbd91e6106db587224056a7dae1af0724e49677a5ff84e62b59d00a0bd26")
 
     def test_readme_bowl_report_pinned(self):
         reports = tlab.run_suite(_readme_bowl(), tlab.default_suite(None, True),
                                  tlab.SuiteConfig())
         assert _digest(reports) == (
-            "88c7e63b31cfe606c03455e0a1d98828bd269026597d40c22dda94a08344365c")
+            "98525ab96675e089a4db20d93bf29c6a09fdadc6f75445d77ddbe9375c01ecde")
 
     def test_strip_report_pinned_but_for_locations(self, strip_solution, grim2):
         reports = tlab.run_suite(strip_solution.solution, tlab.default_suite(grim2, True),
                                  tlab.SuiteConfig(grim=grim2))
         assert (_digest_without_locations(reports)
-                == "b14401d2f990a00266abe2af70a84ed4a7b5f39f7f08a4236a19e3db9b6e39c6")
+                == "95ae8536f702619fa09770c506269401b3791ab4c4c10610e630fbe701666d3b")
 
     def test_strip_checks_need_grim_params(self, grim_setup):
         _, u, _, _ = grim_setup

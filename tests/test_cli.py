@@ -281,28 +281,57 @@ class TestCheck:
         r = run_cli("check", grid, "--out", report)
         assert r.returncode == 3
         doc = json.loads(report.read_text())
-        failures = [c for c in doc["checks"] if not c["pass"]]
-        assert failures
-        assert doc["checks"][0]["name"] == "convexity"
-        assert not doc["checks"][0]["pass"]
+        # the translator check runs first, and the saddle fails it too
+        assert [c["name"] for c in doc["checks"][:2]] == ["translator", "convexity"]
+        assert not doc["checks"][0]["pass"] and not doc["checks"][1]["pass"]
 
-    def test_perturbed_bowl_fails_the_identities(self, capsys, tmp_path, bowl_profile_fine):
+    @staticmethod
+    def _perturbed_bowl(bowl_profile_fine, path, n):
         # bowl + 1e-3 cos(3 x1) cos(3 x2) is no translator: its residual, 2e-2
-        # at 21x21, does not fall with h. Only the injection ratio sees it
+        # at 21x21 and at 41x41, does not fall with h
         bowl = tlab.bowl_radial_function(bowl_profile_fine)
-        grid = tmp_path / "bumped.grid"
-        reporting.write_grid(grid, tlab.sample_to_grid(
+        reporting.write_grid(path, tlab.sample_to_grid(
             lambda a, b: bowl(a, b) + 1e-3 * np.cos(3.0 * a) * np.cos(3.0 * b),
-            tlab.Rectangle(-1.0, 1.0, -1.0, 1.0), 21, 21))
+            tlab.Rectangle(-1.0, 1.0, -1.0, 1.0), n, n))
+        return path
+
+    def test_perturbed_bowl_fails_the_translator_check(self, capsys, tmp_path,
+                                                       bowl_profile_fine):
+        # at 21x21 the residual is within the tolerance: only the injection
+        # ratio sees it
+        grid = self._perturbed_bowl(bowl_profile_fine, tmp_path / "bumped.grid", 21)
         report = tmp_path / "report.json"
         r = run_main(capsys, "check", grid, "--out", report)
         assert r.returncode == 3
         failed = [c for c in json.loads(report.read_text())["checks"] if not c["pass"]]
-        assert [c["name"] for c in failed] == ["soliton_identities"]
-        assert failed[0]["notes"].startswith("refused: ")
+        assert [c["name"] for c in failed] == ["translator"]
+        assert failed[0]["worst_violation"] <= failed[0]["tolerance"]
         assert "does not fall under injection" in failed[0]["notes"]
 
-    def test_default_grim_on_21_columns_fails_the_identities(self, capsys, tmp_path):
+    @pytest.mark.parametrize("flags", [["--skip", "soliton_identities"], ["--suite", "convexity"]],
+                             ids=["skip-identities", "suite-convexity"])
+    def test_no_request_drops_the_translator_check(self, capsys, tmp_path, bowl_profile_fine,
+                                                   flags):
+        grid = self._perturbed_bowl(bowl_profile_fine, tmp_path / "bumped.grid", 41)
+        report = tmp_path / "report.json"
+        r = run_main(capsys, "check", grid, *flags, "--out", report)
+        assert r.returncode == 3
+        assert r.stdout.startswith("FAIL translator ")
+        doc = json.loads(report.read_text())
+        assert [c["name"] for c in doc["checks"] if not c["pass"]] == ["translator"]
+        assert doc["inputs"]["suite"].startswith("translator,")
+
+    def test_skipping_the_translator_check_is_a_usage_error(self, capsys, tmp_path):
+        grid = tmp_path / "g.grid"
+        assert run_main(capsys, "generate", "grim", "--nx", 41, "--ny", 21,
+                        "--out", grid).returncode == 0
+        report = tmp_path / "r.json"
+        r = run_main(capsys, "check", grid, "--skip", "convexity,translator", "--out", report)
+        assert r.returncode == 1
+        assert "usage error" in r.stderr and "translator" in r.stderr
+        assert not report.exists()
+
+    def test_default_grim_on_21_columns_fails_the_translator_check(self, capsys, tmp_path):
         # a true translator, but at h = 0.5 across the strip its residual
         # falls only 1.36x under injection, below the bound 1.5: the check
         # refuses what it cannot certify at this resolution
@@ -312,7 +341,7 @@ class TestCheck:
         report = tmp_path / "report.json"
         assert run_main(capsys, "check", grid, "--out", report).returncode == 3
         failed = [c for c in json.loads(report.read_text())["checks"] if not c["pass"]]
-        assert [c["name"] for c in failed] == ["soliton_identities"]
+        assert [c["name"] for c in failed] == ["translator"]
         assert "does not fall under injection" in failed[0]["notes"]
         assert "injection ratio 1.36" in failed[0]["notes"]
 
@@ -336,7 +365,7 @@ class TestCheck:
             assert not report.exists()
 
     def test_seed_changes_only_its_echo(self, capsys, tmp_path):
-        # 41 columns, not 21: on 21 the identities check refuses the sample,
+        # 41 columns, not 21: on 21 the translator check refuses the sample,
         # whose residual falls only 1.36x under injection (2.26x on 41)
         grid = tmp_path / "g.grid"
         assert run_main(capsys, "generate", "grim", "--nx", 41, "--ny", 21,
@@ -350,17 +379,20 @@ class TestCheck:
         assert docs[0] == docs[1]
 
     def test_suite_echo_is_the_checks_that_ran(self, capsys, tmp_path):
+        # the translator check fails this 21-column grim (see
+        # test_default_grim_on_21_columns_fails_the_translator_check), so
+        # both runs exit 3
         grid = tmp_path / "g.grid"
         assert run_main(capsys, "generate", "grim", "--nx", 21, "--ny", 21,
                         "--out", grid).returncode == 0
         given, canonical = tmp_path / "given.json", tmp_path / "canonical.json"
         assert run_main(capsys, "check", grid, "--suite", " A_bound,convexity,A_bound,",
-                        "--out", given).returncode == 0
+                        "--out", given).returncode == 3
         assert run_main(capsys, "check", grid, "--suite", "convexity,A_bound",
-                        "--out", canonical).returncode == 0
+                        "--out", canonical).returncode == 3
         doc = json.loads(given.read_text())
-        assert doc["inputs"]["suite"] == "convexity,A_bound"
-        assert [c["name"] for c in doc["checks"]] == ["convexity", "A_bound"]
+        assert doc["inputs"]["suite"] == "translator,convexity,A_bound"
+        assert [c["name"] for c in doc["checks"]] == ["translator", "convexity", "A_bound"]
         assert given.read_bytes() == canonical.read_bytes()
 
     def test_readme_bowl_tolerances_follow_the_grid(self, capsys, tmp_path, readme_bowl):
@@ -368,7 +400,8 @@ class TestCheck:
         assert run_main(capsys, "check", readme_bowl, "--out", report).returncode == 0
         u = reporting.read_grid(readme_bowl)
         h = max(u.h1, u.h2)
-        documented = {"convexity": max(1e-10, 0.01 * h * h), "harnack": 1e-8,
+        documented = {"translator": 10.0 * (100.0 * h * h),
+                      "convexity": max(1e-10, 0.01 * h * h), "harnack": 1e-8,
                       "gradient_bounds": 10.0 * h * h, "soliton_identities": 100.0 * h * h,
                       "symmetry": 1e-6 * max(1.0, float(np.max(np.abs(u.values)))),
                       "A_bound": 0.0}

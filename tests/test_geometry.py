@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tlab
-from tlab.geometry import _phi, first_diffs, second_diffs, worst_over
+from tlab.geometry import _phi, worst_over
 
 
 def _grid(fn, rect=(-1.0, 1.0, -1.0, 1.0), nx=41, ny=41):

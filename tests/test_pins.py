@@ -17,9 +17,10 @@ from scipy.interpolate import CubicHermiteSpline
 
 import tlab
 import tlab.cli
-from tlab.geometry import (_EXP_FLUSH, _phi, _residual_and_wsq, first_diffs,
-                           interior_partials, quasilinear_residual, second_diffs)
+from tlab.geometry import (_EXP_FLUSH, _phi, _residual_and_wsq, difference,
+                           interior_partials, quasilinear_residual)
 from tlab.solitons import RK4_STABILITY_LIMIT, _hermite_coefficients, _piecewise_cubic
+from tlab.solver import _rounding_floor
 
 
 def _fields(seed, shape, k=5):
@@ -72,10 +73,37 @@ def test_stencil_matches_the_written_differences():
                 (F[1:-1, 2:] - 2.0 * C + F[1:-1, :-2]) / (h1 * h1),
                 (F[2:, 2:] - F[2:, :-2] - F[:-2, 2:] + F[:-2, :-2]) / (4.0 * h1 * h2),
                 (F[2:, 1:-1] - 2.0 * C + F[:-2, 1:-1]) / (h2 * h2))
-    ringed = (*first_diffs(F, h1, h2), *second_diffs(F, h1, h2))
-    for got, full, want in zip(interior_partials(F, h1, h2), ringed, expected):
+    for k, (got, want) in enumerate(zip(interior_partials(F, h1, h2), expected)):
         assert np.array_equal(got, want)
+        full = difference(F, h1, h2, k)
         assert np.array_equal(full[1:-1, 1:-1], want)
+        assert np.isnan(full[[0, -1]]).all() and np.isnan(full[:, [0, -1]]).all()
+
+
+def _rounding_floor_written(U, h1, h2):
+    u1 = (U[1:-1, 2:] - U[1:-1, :-2]) / (2.0 * h1)
+    u2 = (U[2:, 1:-1] - U[:-2, 1:-1]) / (2.0 * h2)
+    a = np.abs(U)
+    centre = 2.0 * a[1:-1, 1:-1]
+    est = ((1.0 + u2 * u2) / (h1 * h1) * (a[1:-1, 2:] + centre + a[1:-1, :-2])
+           + (1.0 + u1 * u1) / (h2 * h2) * (a[2:, 1:-1] + centre + a[:-2, 1:-1])
+           + np.abs(u1 * u2) / (2.0 * h1 * h2)
+           * (a[2:, 2:] + a[2:, :-2] + a[:-2, 2:] + a[:-2, :-2]))
+    return float(np.finfo(float).eps * np.max(est))
+
+
+@pytest.mark.parametrize("grid", ["random", "strip"])
+def test_rounding_floor_matches_the_written_expression(grid, request):
+    # and the values recorded from that expression
+    if grid == "random":
+        (U,) = _fields(5, (41, 29), k=1)
+        h1, h2, recorded = 0.3, 0.07, "0x1.693cf0d456f0fp+39"
+    else:
+        u = request.getfixturevalue("strip_solution").solution
+        U, h1, h2, recorded = u.values, u.h1, u.h2, "0x1.39fc5cf60dc0dp-32"
+    floor = _rounding_floor(U, h1, h2)
+    assert floor == _rounding_floor_written(U, h1, h2)
+    assert floor.hex() == recorded
 
 
 def _phi_written(r):
