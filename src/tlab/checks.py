@@ -436,12 +436,12 @@ def run_suite(u: GridFunction, names, cfg: SuiteConfig) -> list[CheckReport]:
     The translator check always runs, first: every other check certifies a
     statement about translators.
     """
-    requested = list(names)
+    requested = set(names)
     require_known(requested)
     if not requested:
         raise ValueError("no checks to run: the suite is empty")
-    requested.append("translator")
-    needs_grim = [n for n in requested if n in STRIP_CHECKS]
+    ordered = [n for n in CANONICAL_ORDER if n in requested or n == "translator"]
+    needs_grim = [n for n in ordered if n in STRIP_CHECKS]
     if needs_grim:
         if cfg.grim is None:
             raise ValueError(f"checks {needs_grim} need grim-family parameters")
@@ -457,4 +457,4 @@ def run_suite(u: GridFunction, names, cfg: SuiteConfig) -> list[CheckReport]:
 
     g = geometry_fields(u)
     h = max(u.h1, u.h2)
-    return [_SUITE[name](g, h, cfg) for name in CANONICAL_ORDER if name in requested]
+    return [_SUITE[name](g, h, cfg) for name in ordered]

@@ -259,23 +259,23 @@ def _preconditioned_step(J, rhs: np.ndarray, solve, rtol: float):
     beside the Arnoldi basis v_k of J M^-1, so x = x0 + Z y costs no
     further solve. Right preconditioning makes the Hessenberg
     least-squares residual, kept by Givens rotations, the true residual
-    |rhs - J x| in exact arithmetic. Returns x once that
-    residual, evaluated afresh, is within target = rtol * |rhs|. Returns
-    None when the cycle ends short of it; when, from the second iteration
-    on, its mean contraction so far, c = (r_k / r_0)^(1/k), cannot reach it
-    in the m = _GMRES_RESTART iterations (r_k c^(m-k) > target); or on a
-    nonfinite value.
+    |rhs - J x| in exact arithmetic. Returns (x, met): (x, True) once that
+    residual, evaluated afresh, is within target = rtol * |rhs|, and
+    (x0, False) on a miss: when the cycle ends short of it; when, from the
+    second iteration on, its mean contraction so far,
+    c = (r_k / r_0)^(1/k), cannot reach it in the m = _GMRES_RESTART
+    iterations (r_k c^(m-k) > target); or on a nonfinite value.
 
     Inner products are einsum's, not numpy's threaded BLAS dot.
     """
     m = _GMRES_RESTART
     with np.errstate(all="ignore"):
         target = rtol * _norm(rhs)
-        x = solve(rhs)
-        r = rhs - J @ x
+        x0 = solve(rhs)
+        r = rhs - J @ x0
         r0 = rk = _norm(r)
         if not np.isfinite(r0):
-            return None
+            return x0, False
         V = np.empty((m + 1, r.size))
         Z = np.empty((m, r.size))
         R = np.zeros((m + 1, m))  # the Hessenberg matrix, rotated to upper triangular
@@ -286,7 +286,7 @@ def _preconditioned_step(J, rhs: np.ndarray, solve, rtol: float):
         k = 0
         while rk > target:
             if k == m or (k >= 2 and rk * (rk / r0) ** ((m - k) / k) > target):
-                return None
+                return x0, False
             Z[k] = solve(V[k])
             w = J @ Z[k]
             # modified Gram-Schmidt
@@ -306,13 +306,13 @@ def _preconditioned_step(J, rhs: np.ndarray, solve, rtol: float):
             k += 1
             rk = abs(g[k])
             if not np.isfinite(rk):
-                return None
-        if k:
-            y = np.linalg.solve(R[:k, :k], g[:k])
-            x = x + np.einsum("ij,i->j", Z[:k], y)
-            if not _norm(rhs - J @ x) <= target:
-                return None
-    return x
+                return x0, False
+        if not k:
+            return x0, True
+        x = x0 + np.einsum("ij,i->j", Z[:k], np.linalg.solve(R[:k, :k], g[:k]))
+        if not _norm(rhs - J @ x) <= target:
+            return x0, False
+    return x, True
 
 
 def _ring(V: np.ndarray):
@@ -467,10 +467,11 @@ def newton_solve(boundary, init: GridFunction, cfg: SolveConfig,
     times the right-hand side (Eisenstat & Walker, SIAM J. Sci. Comput. 17,
     1996). Every LU is of the Jacobian in float32. The LU is kept while
     cycles are accepted. When one misses, the old factor is dropped, the
-    current Jacobian is factored and the cycle runs on that fresh factor.
-    If it misses too, a nonfinite value included, the fresh factor's own
-    direct step is taken; a nonfinite direct step ends the solve
-    "singular". The sparsity pattern is built once per pass (see below).
+    current Jacobian is factored and the cycle runs on that fresh factor,
+    whose step is taken whether it meets the forcing term or not: a missed
+    cycle gives back its start, that factor's own step. A nonfinite step
+    ends the solve "singular". The sparsity pattern is built once per pass
+    (see below).
 
     A problem that is mirror-even across the middle column or row (odd
     node count along the axis, and init and forcing even to within a few
@@ -513,11 +514,13 @@ def newton_solve(boundary, init: GridFunction, cfg: SolveConfig,
     -------
     SolveOutcome
         status is "converged" (final_residual <= tol), "at_rounding_floor",
-        "stalled" (no decrease along the step, refined or direct, above the
-        floor), "singular" (a nonfinite direct step: a singular Jacobian or
-        an overflow) or "budget" (max_newton_iters used up); every status
-        but the first comes back with converged=False, not an exception,
-        and notes renders it. The solution is the last accepted iterate.
+        "stalled" (no decrease along the step above the floor: the refined
+        step, or a fresh factor's own step where its cycle missed),
+        "singular" (a nonfinite step from a fresh factor: a singular
+        Jacobian or an overflow) or "budget" (max_newton_iters used up);
+        every status but the first comes back with converged=False, not an
+        exception, and notes renders it. The solution is the last accepted
+        iterate.
         factorizations counts the LUs built; mirror_axes names the folds.
         final_residual, converged and the last history entry are those of
         the returned full grid; earlier entries of a folded solve are
@@ -562,22 +565,20 @@ def newton_solve(boundary, init: GridFunction, cfg: SolveConfig,
             J = _jacobian(block, h1, h2, pattern, axes)
             rhs = -F.ravel()
             rtol = min(1e-2, rn)
-            delta = None
+            met = False
             if solve is not None:
-                delta = _preconditioned_step(J, rhs, solve, rtol)
-            if delta is None:
-                solve = None  # free the old factor before building the new one
+                delta, met = _preconditioned_step(J, rhs, solve, rtol)
+            if not met:
+                delta = solve = None  # free the old factor and its step first
                 solve = _factorize(J)
                 factorizations += 1
-                delta = _preconditioned_step(J, rhs, solve, rtol)
-                if delta is None:
-                    delta = solve(rhs)
+                delta, _ = _preconditioned_step(J, rhs, solve, rtol)
             if not np.all(np.isfinite(delta)):
                 status = "singular"
                 break
             delta = delta.reshape(mj, mi)
 
-            # trial steps are written into U in place; start restores it
+            # trial steps are written into U in place; a failed one is undone at once
             start = inner.copy()
             alpha = 1.0
             stop = "stalled"
@@ -590,10 +591,10 @@ def newton_solve(boundary, init: GridFunction, cfg: SolveConfig,
                     F, rn = F_try, rn_try
                     stop = None
                     break
+                inner[...] = start
+                _mirror(U, axes)
                 if alpha == 1.0:
                     # within the rounding floor no shorter step is tried
-                    inner[...] = start
-                    _mirror(U, axes)
                     floor = _rounding_floor(U, h1, h2)
                     if rn <= floor:
                         stop = "at_rounding_floor"
@@ -602,8 +603,6 @@ def newton_solve(boundary, init: GridFunction, cfg: SolveConfig,
             iterations += 1
             history.append(rn)
             if stop is not None:
-                inner[...] = start
-                _mirror(U, axes)
                 status = stop
                 break
 
@@ -695,18 +694,16 @@ def parabolic_relax(boundary, init: GridFunction, cfg: SolveConfig) -> SolveOutc
                          f"steps (dt={dt:.3e} vs stability bound ~{min(h1, h2) ** 2 / 4:.3e})")
                 break
 
-    converged = bool(np.isfinite(rn) and rn <= cfg.tol)
-    if converged:
+    if rn <= cfg.tol:
         status = "converged"
-    elif not notes:
+    elif status == "budget":
         notes = f"step budget exhausted after {steps} steps"
     if not np.all(np.isfinite(U)):
         U = init.values.copy()
         notes += "; iterate discarded (nonfinite), returning init"
     return SolveOutcome(solution=GridFunction(init.rect, U),
                         final_residual=rn if np.isfinite(rn) else float("inf"),
-                        iterations=steps, status=status,
-                        history=history, notes="" if converged else notes)
+                        iterations=steps, status=status, history=history, notes=notes)
 
 
 def strip_boundary_data(p: GrimParams, epsilon: float, Y: float,

@@ -673,6 +673,12 @@ class TestSuite:
         _, u, _, _ = grim_setup
         with pytest.raises(ValueError, match="grim"):
             tlab.run_suite(u, ["strip_H_bound"], tlab.SuiteConfig())
+        # the message lists them in canonical order, whatever order or
+        # collection the names came in
+        for names in (["halfstrip_W_bound", "strip_H_bound"],
+                      {"halfstrip_W_bound", "strip_H_bound"}):
+            with pytest.raises(ValueError, match=r"\['strip_H_bound', 'halfstrip_W_bound'\]"):
+                tlab.run_suite(u, names, tlab.SuiteConfig())
 
     def test_refinement_consistency_gradient_bound(self):
         # FD-limited worst violation of the lam=1 sample drops >= 3x per halving

@@ -178,8 +178,8 @@ class TestNewton:
             seen.append(np.array_equal(v, rhs))
             return solve(v)
 
-        x = _preconditioned_step(J, rhs, counted, 1e-8)
-        assert x is not None
+        x, met = _preconditioned_step(J, rhs, counted, 1e-8)
+        assert met
         assert seen.count(True) == 1 and len(seen) >= 2
         assert np.linalg.norm(J @ x - rhs) <= 1e-8 * np.linalg.norm(rhs)
 
@@ -199,9 +199,9 @@ class TestNewton:
 
         def counted(J, rhs, solve, rtol):
             solves = []
-            x = step(J, rhs, lambda v: solves.append(v) or solve(v), rtol)
-            cycles.append((len(solves), x is not None))
-            return x
+            x, met = step(J, rhs, lambda v: solves.append(v) or solve(v), rtol)
+            cycles.append((len(solves), met))
+            return x, met
 
         monkeypatch.setattr(tlab.solver, "_preconditioned_step", counted)
         g, init = _cli_strip(2.0, 121, 601, 30.0)
@@ -223,7 +223,7 @@ class TestNewton:
         U = sample.values + _bump(25, 21, 0.2)
         J = _jacobian(U, h1, h2)
         rhs = -_residual(U, h1, h2)[0].ravel()
-        assert _preconditioned_step(J, rhs, solve, 1e-8) is not None
+        assert _preconditioned_step(J, rhs, solve, 1e-8)[1]
 
         class Poisoned:
             products = 0
@@ -233,7 +233,10 @@ class TestNewton:
                 y = J @ x
                 return y if self.products < bad_from else np.full_like(y, bad)
 
-        assert _preconditioned_step(Poisoned(), rhs, solve, 1e-8) is None
+        # a miss gives back the cycle's start, the factor's own step
+        x, met = _preconditioned_step(Poisoned(), rhs, solve, 1e-8)
+        assert not met
+        assert np.array_equal(x, solve(rhs))
 
     def test_ring_mismatch_rejected(self):
         p, rect, boundary, sample = _grim_problem(nx=11, ny=11)
@@ -659,12 +662,33 @@ class TestStatus:
         assert (out.status, out.notes) == ("singular", "singular Jacobian at iteration 0")
 
     def test_missed_cycle_takes_the_direct_step(self, monkeypatch):
-        # every cycle misses: each iteration factors afresh and takes that
-        # factor's direct step, which still converges
-        monkeypatch.setattr(tlab.solver, "_preconditioned_step", lambda J, rhs, solve, rtol: None)
+        # at rtol 0 every cycle abandons at k = 2 and gives back its start,
+        # the factor's own step: each iteration factors afresh, takes that
+        # step and still converges. The iteration's rhs is solved once by
+        # its fresh factor, as that cycle's start, and never again
+        step, factorize = tlab.solver._preconditioned_step, tlab.solver._factorize
+        solved = []  # per factor, the vectors it solved
+        rhss = []  # per iteration, its rhs
+
+        def counted_factorize(J):
+            solve, seen = factorize(J), []
+            solved.append(seen)
+            return lambda v: seen.append(v.copy()) or solve(v)
+
+        def missed(J, rhs, solve, rtol):
+            x, met = step(J, rhs, solve, 0.0)
+            assert not met
+            if not rhss or rhss[-1] is not rhs:
+                rhss.append(rhs)
+            return x, met
+
+        monkeypatch.setattr(tlab.solver, "_factorize", counted_factorize)
+        monkeypatch.setattr(tlab.solver, "_preconditioned_step", missed)
         out = tlab.newton_solve(*_grim_fill(), tlab.SolveConfig())
         assert out.status == "converged"
-        assert out.factorizations == out.iterations
+        assert out.factorizations == out.iterations == len(rhss) == len(solved)
+        assert [sum(np.array_equal(v, rhs) for v in seen)
+                for rhs, seen in zip(rhss, solved)] == [1] * out.iterations
 
     def test_budget(self):
         out = tlab.newton_solve(*_grim_fill(), tlab.SolveConfig(tol=1e-12, max_newton_iters=1))
