@@ -8,7 +8,10 @@ failures, 4 a Newton solve stopped at its rounding floor above --tol. An
 unconverged solve, a singular Newton step included, still writes its last
 iterate and its log, <out>.log. The translator check runs first in
 every check command and cannot be skipped. Runs are deterministic: the
-same command line produces byte-identical output files.
+same command line produces byte-identical output files. An existing output
+is replaced whole by a new file, never truncated: a symlink is followed,
+the permission bits are kept, and other hard links to the old file keep
+the old bytes.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -193,7 +195,7 @@ def cmd_solve(args) -> int:
     lines = [f"{k} {r:.17g}" for k, r in enumerate(outcome.history)]
     lines.append(f"# {status}; final_residual {outcome.final_residual:.17g}; "
                  f"iterations {outcome.iterations}")
-    Path(str(args.out) + ".log").write_text("\n".join(lines) + "\n")
+    rep.write_text(str(args.out) + ".log", "\n".join(lines) + "\n")
     print(f"{word} final_residual {outcome.final_residual:.17g} "
           f"iterations {outcome.iterations}")
     return code
@@ -234,7 +236,7 @@ def cmd_profile_export(args) -> int:
     for r, f, fp in zip(profile.r.tolist(), profile.f.tolist(), profile.fp.tolist()):
         gap = "" if r < 1.0 else format(f - 0.5 * r * r + math.log(r), ".17g")
         lines.append(f"{r:.17g},{f:.17g},{fp:.17g},{gap}")
-    Path(args.out).write_text("\n".join(lines) + "\n")
+    rep.write_text(args.out, "\n".join(lines) + "\n")
     return 0
 
 

@@ -3,12 +3,15 @@
 The grid format is a diff-able plain-text table with a one-line header;
 values carry 17 significant digits so write-read-write is byte-identical.
 Reports are JSON documents whose summary tallies always match the check
-list.
+list. Every file tlab writes goes through ``write_text``.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import stat
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -58,8 +61,43 @@ def parse_grid(text: str) -> GridFunction:
     return GridFunction(rect, vals)
 
 
+def write_text(path, text: str) -> None:
+    """Write text to path; an existing regular file is replaced whole, never truncated.
+
+    The text goes to a temporary sibling of the resolved path (a symlink stays
+    a link and its target is replaced) that takes the old file's permission
+    bits; the old file is unlinked and the temporary one renamed onto the
+    name, so the name holds the old bytes or all of the new ones, and other
+    hard links to the old file keep the old bytes. ext4 forces writeback of
+    the new data when a file with data is truncated or renamed over, but not
+    after an unlink. A missing name, or a path that is not a regular file
+    (/dev/null, a FIFO), is written through. Any error names path, and no
+    temporary file is left.
+    """
+    target = os.path.realpath(path)
+    if not os.path.isfile(target):
+        Path(path).write_text(text)
+        return
+    tmp = None
+    try:
+        mode = stat.S_IMODE(os.stat(target).st_mode)
+        fd, tmp = tempfile.mkstemp(prefix=os.path.basename(target) + ".", suffix=".tmp",
+                                   dir=os.path.dirname(target))
+        with os.fdopen(fd, "w") as f:
+            os.fchmod(fd, mode)
+            f.write(text)
+        os.unlink(target)
+        os.rename(tmp, target)
+    except BaseException as err:
+        if tmp is not None:
+            os.unlink(tmp)
+        if isinstance(err, OSError):
+            raise OSError(err.errno, err.strerror, os.fspath(path)) from None
+        raise
+
+
 def write_grid(path, u: GridFunction) -> None:
-    Path(path).write_text(format_grid(u))
+    write_text(path, format_grid(u))
 
 
 def read_grid(path) -> GridFunction:
@@ -104,7 +142,7 @@ def format_report(report: dict) -> str:
 
 
 def write_report(path, report: dict) -> None:
-    Path(path).write_text(format_report(report))
+    write_text(path, format_report(report))
 
 
 def read_report(path) -> dict:

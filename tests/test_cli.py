@@ -1,5 +1,7 @@
+import errno
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -498,3 +500,45 @@ def test_bowl_step_rk4_cannot_integrate_is_refused(tmp_path, capsys, command, rm
     assert f"step {step} is too coarse for r_max {rmax}" in err
     assert f"stable only for steps up to {stable}" in err
     assert list(tmp_path.iterdir()) == []
+
+
+class TestOutputFiles:
+    def test_missing_directory_exits_1_naming_the_out_path(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        r = run_main(capsys, "generate", "grim", "--nx", 11, "--ny", 11,
+                     "--out", "missing_dir/x.grid")
+        assert r.returncode == 1
+        assert r.stderr.startswith("error: ") and "missing_dir/x.grid" in r.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_replace_keeps_the_old_grid(self, capsys, tmp_path, monkeypatch):
+        out = tmp_path / "x.grid"
+        assert run_main(capsys, "generate", "grim", "--nx", 11, "--ny", 11,
+                        "--out", out).returncode == 0
+        before = out.read_bytes()
+
+        def full_disk(fd, *args, **kwargs):
+            os.close(fd)
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        monkeypatch.setattr(os, "fdopen", full_disk)
+        r = run_main(capsys, "generate", "grim", "--nx", 13, "--ny", 11, "--out", out)
+        assert r.returncode == 1
+        assert r.stderr == f"error: [Errno 28] No space left on device: '{out}'\n"
+        assert out.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["x.grid"]
+
+    def test_replaced_outputs_match_fresh_ones(self, capsys, tmp_path):
+        # a solve and a profile export over their own earlier outputs
+        fresh, again = tmp_path / "fresh", tmp_path / "again"
+        fresh.mkdir()
+        again.mkdir()
+        solve = ["solve", "relax", "--boundary", "strip", "--Y", 3, "--nx", 13, "--ny", 25,
+                 "--tol", 1e-2]
+        export = ["profile-export", "--rmax", 2, "--step", 0.1]
+        for d, runs in ((fresh, 1), (again, 2)):
+            for _ in range(runs):
+                assert run_main(capsys, *solve, "--out", d / "w.grid").returncode == 0
+                assert run_main(capsys, *export, "--out", d / "p.csv").returncode == 0
+        for name in ("w.grid", "w.grid.log", "p.csv"):
+            assert (again / name).read_bytes() == (fresh / name).read_bytes()
+        assert sorted(p.name for p in again.iterdir()) == ["p.csv", "w.grid", "w.grid.log"]

@@ -1,6 +1,9 @@
+import errno
 import hashlib
 import json
 import math
+import os
+import stat
 from types import SimpleNamespace
 
 import numpy as np
@@ -178,3 +181,84 @@ class TestReportFile:
         for entry in doc["checks"]:
             assert set(entry.keys()) == {"name", "statement_ref", "worst_violation",
                                          "tolerance", "pass", "worst_location", "notes"}
+
+
+class TestReplaceExisting:
+    def test_grid_and_report_replaced_with_new_bytes(self, tmp_path):
+        grid, report = tmp_path / "g.grid", tmp_path / "r.json"
+        grid.write_text("old grid, longer than nothing\n" * 200)
+        report.write_text("{}\n")
+        u = _sample_grid()
+        rep = reporting.report_dict("run-1", {"lambda": 2.0}, _reports())
+        reporting.write_grid(grid, u)
+        reporting.write_report(report, rep)
+        assert grid.read_text() == reporting.format_grid(u)
+        assert report.read_text() == reporting.format_report(rep)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["g.grid", "r.json"]
+
+    def test_symlink_kept_and_its_target_replaced(self, tmp_path):
+        target, link = tmp_path / "target.grid", tmp_path / "link.grid"
+        target.write_text("old\n")
+        link.symlink_to(target)
+        reporting.write_grid(link, _sample_grid())
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_text() == reporting.format_grid(_sample_grid())
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_permission_bits_kept(self, tmp_path):
+        path = tmp_path / "r.json"
+        path.write_text("old\n")
+        path.chmod(0o640)
+        reporting.write_report(path, reporting.report_dict("run-1", {}, _reports()))
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+
+    def test_other_hard_links_keep_the_old_bytes(self, tmp_path):
+        path, other = tmp_path / "g.grid", tmp_path / "old.grid"
+        path.write_text("old\n")
+        os.link(path, other)
+        reporting.write_grid(path, _sample_grid())
+        assert other.read_text() == "old\n"
+        assert path.read_text() == reporting.format_grid(_sample_grid())
+
+    def test_non_regular_path_written_through_never_unlinked(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            pytest.fail(f"unlink called on {args}")
+        monkeypatch.setattr(os, "unlink", refuse)
+        reporting.write_grid(os.devnull, _sample_grid())
+        reporting.write_text(os.devnull, "text\n")
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+    def test_directory_is_an_error_naming_it(self, tmp_path):
+        with pytest.raises(IsADirectoryError, match=str(tmp_path)):
+            reporting.write_text(tmp_path, "text\n")
+        assert tmp_path.is_dir()
+
+    def test_failed_write_keeps_the_old_file_and_names_it(self, tmp_path, monkeypatch):
+        # the temporary file takes the first half of the text, then the disk fills
+        path = tmp_path / "g.grid"
+        reporting.write_grid(path, _sample_grid())
+        before = path.read_bytes()
+        real_fdopen = os.fdopen
+
+        class HalfWritten:
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, text):
+                self.f.write(text[:len(text) // 2])
+                self.f.flush()
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "fdopen", lambda fd, *a, **k: HalfWritten(real_fdopen(fd, *a, **k)))
+        u = tlab.GridFunction(_sample_grid().rect, np.ones((3, 3)))
+        with pytest.raises(OSError, match=r"No space left on device: '.*g\.grid'$") as err:
+            reporting.write_grid(path, u)
+        assert err.value.filename == str(path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["g.grid"]
