@@ -18,7 +18,7 @@ from .geometry import (_MIRROR_ROUNDING_RTOL, GeometryFields, _drift_H_identity,
                        _drift_W_identity, _gradient_identity, difference, geometry_fields,
                        interior_partials, quasilinear_residual, worst_over)
 from .grids import GridFunction
-from .solitons import GrimParams
+from .solitons import GrimParams, _grim_profile, _grim_slope
 
 
 @dataclass(frozen=True)
@@ -263,7 +263,7 @@ def check_strip_asymptotics(g: GeometryFields, p: GrimParams, window: float,
     i0 = _nearest_column(u, 0.0)
     # read only inside the window, where |x1| < R and the log is defined
     with np.errstate(invalid="ignore", divide="ignore"):
-        profile_target = (p.lam ** 2) * (-np.log(np.cos(x1 / p.lam)))
+        profile_target = _grim_profile(p.lam, x1)
     window_nodes = np.outer(rows, cols)
 
     def in_window(defect):
@@ -272,7 +272,7 @@ def check_strip_asymptotics(g: GeometryFields, p: GrimParams, window: float,
     # defect of each limit, in the order ties are resolved
     worst, loc, _, each = _binding({
         "tilt": lambda: in_window(np.abs(pp.u2 - L_target)),
-        "slope": lambda: in_window(np.abs(pp.u1 - p.lam * np.tan(x1 / p.lam))),
+        "slope": lambda: in_window(np.abs(pp.u1 - _grim_slope(p.lam, x1))),
         "profile": lambda: in_window(np.abs(V - V[:, i0, None]
                                             - (profile_target - profile_target[i0]))),
     })
@@ -355,7 +355,7 @@ def check_halfstrip_W_bound(g: GeometryFields, p: GrimParams, delta: float) -> C
     x2 = u.x2()
     j0 = int(np.argmin(np.abs(x2)))
     base_cols = np.abs(x1) <= R - delta
-    C0 = _trusted_max(W[j0, base_cols], "base row")
+    C0 = _trusted_max(W[j0, base_cols], "base row x2 = 0")
     C1 = _trusted_max(W[x2 >= 0.0, _nearest_column(u, 0.0)], "x1 = 0 column on x2 >= 0")
     bound = 2.0 * (R - delta) / delta * max(C0, C1)
 

@@ -28,9 +28,8 @@ from .grids import Rectangle
 from .geometry import translator_residual
 from .solitons import (CylinderParams, GrimParams, bowl_profile_solve,
                        bowl_radial_function, grim_cylinder_value, sample_to_grid,
-                       tilted_cylinder_value)
-from .solver import (SolveConfig, fill_from_boundary, newton_solve,
-                     parabolic_relax, strip_boundary_data)
+                       strip_boundary_data, tilted_cylinder_value)
+from .solver import SolveConfig, fill_from_boundary, newton_solve, parabolic_relax
 
 
 class CliUsageError(Exception):
@@ -158,7 +157,7 @@ def _solve_problem(args):
     if args.boundary in ("grim", "bowl"):
         rect, boundary = _closed_form(args, args.boundary, grim_x2=3.0)
     elif args.boundary == "strip":
-        p = GrimParams(args.lam, 1 if args.tilt == "+" else -1)
+        p = GrimParams(args.lam)
         # corner rounding max(1, lambda^2 - 1) keeps the data within the
         # translator Hessian bounds
         rect, boundary = strip_boundary_data(p, 0.25 * p.half_width, args.Y,

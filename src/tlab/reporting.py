@@ -43,6 +43,11 @@ def parse_grid(text: str) -> GridFunction:
         raise ValueError(f"bad grid header: expected '{GRID_MAGIC} {GRID_VERSION} "
                          "nx ny x1_min x1_max x2_min x2_max'")
     nx, ny = int(head[2]), int(head[3])
+    # each value takes at least one character and one separator, so a file
+    # of len(text) characters holds at most len(text) // 2 of them
+    if min(nx, ny) < 1 or nx * ny > len(text) // 2:
+        raise ValueError(f"grid header nx={nx} ny={ny} does not fit a file of "
+                         f"{len(text)} characters")
     rect = Rectangle(float(head[4]), float(head[5]), float(head[6]), float(head[7]))
     body = [ln for ln in lines[1:] if ln.strip()]
     if len(body) != ny:
@@ -71,8 +76,10 @@ def write_text(path, text: str) -> None:
     hard links to the old file keep the old bytes. ext4 forces writeback of
     the new data when a file with data is truncated or renamed over, but not
     after an unlink. A missing name, or a path that is not a regular file
-    (/dev/null, a FIFO), is written through. Any error names path, and no
-    temporary file is left.
+    (/dev/null, a FIFO), is written through. Any error names path. No
+    temporary file is left, except after the old file is unlinked: if the
+    rename then fails, or an interrupt lands, the temporary file is the only
+    complete copy and is kept, holding the whole text.
     """
     target = os.path.realpath(path)
     if not os.path.isfile(target):
@@ -89,7 +96,9 @@ def write_text(path, text: str) -> None:
         os.unlink(target)
         os.rename(tmp, target)
     except BaseException as err:
-        if tmp is not None:
+        # the temporary file is removed only while the old file still stands;
+        # once that is unlinked, the temporary file is the only complete copy
+        if tmp is not None and os.path.lexists(target) and os.path.lexists(tmp):
             os.unlink(tmp)
         if isinstance(err, OSError):
             raise OSError(err.errno, err.strerror, os.fspath(path)) from None

@@ -84,25 +84,33 @@ def _require_strip(x1, half_width: float):
     return x1a
 
 
+def _grim_profile(lam: float, x1):
+    """The grim family's x1 profile lam^2 log sec(x1/lam), unchecked."""
+    return (lam * lam) * (-np.log(np.cos(x1 / lam)))
+
+
+def _grim_slope(lam: float, x1):
+    """The profile's slope lam tan(x1/lam), unchecked."""
+    return lam * np.tan(x1 / lam)
+
+
 def grim_reaper_value(x1):
     """Height log sec(x1) of the grim reaper curve, |x1| < pi/2."""
-    x1a = _require_strip(x1, math.pi / 2.0)
-    return -np.log(np.cos(x1a))
+    return _grim_profile(1.0, _require_strip(x1, math.pi / 2.0))
 
 
 def grim_cylinder_value(p: GrimParams, x1, x2):
     """Height lam^2 log sec(x1/lam) + tilt * sqrt(lam^2-1) * x2."""
     x1a = _require_strip(x1, p.half_width)
     x2a = np.asarray(x2, dtype=float)
-    return (p.lam * p.lam) * (-np.log(np.cos(x1a / p.lam))) \
-        + p.tilt_sign * p.tilt_slope * x2a
+    return _grim_profile(p.lam, x1a) + p.tilt_sign * p.tilt_slope * x2a
 
 
 def grim_cylinder_gradient(p: GrimParams, x1, x2):
     """Gradient (lam tan(x1/lam), tilt * sqrt(lam^2-1)); the constant u2
     has the broadcast shape of x1 and x2."""
     x1a = _require_strip(x1, p.half_width)
-    g1 = p.lam * np.tan(x1a / p.lam)
+    g1 = _grim_slope(p.lam, x1a)
     g2 = np.full(np.broadcast_shapes(x1a.shape, np.shape(x2)), p.tilt_sign * p.tilt_slope)
     return g1, g2[()]
 
@@ -138,6 +146,37 @@ def grim_partials(p: GrimParams, u: GridFunction) -> Partials:
         f[0, :] = f[-1, :] = np.nan
         f[:, 0] = f[:, -1] = np.nan
     return Partials(*fields)
+
+
+def strip_boundary_data(p: GrimParams, epsilon: float, Y: float,
+                        smoothing: float):
+    """Dirichlet data emulating a two-ended convex strip translator.
+
+    Returns the truncated rectangle [-R+eps, R-eps] x [-Y, Y] and the data
+    g(x1, x2) = lam^2 log sec(x1/lam) + sqrt(L^2 x2^2 + smoothing^2), which
+    is even in both variables (p.tilt_sign is not read) and asymptotically
+    tilted by +-L for large |x2|.
+    """
+    R = p.half_width
+    if not (0.0 < epsilon < R):
+        raise ValueError("need 0 < epsilon < strip half-width")
+    if epsilon < 0.1 * R:
+        # the area element grows like 1/(R - |x1|); thinner truncations make
+        # the discrete problem needlessly stiff
+        raise ValueError("epsilon must be at least 0.1 of the strip half-width")
+    if not Y > 0.0:
+        raise ValueError("Y must be positive")
+    if not smoothing > 0.0:
+        raise ValueError("smoothing must be positive")
+    rect = Rectangle(-(R - epsilon), R - epsilon, -Y, Y)
+    lam = p.lam
+    L = p.tilt_slope
+
+    def g(x1, x2):
+        return _grim_profile(lam, np.asarray(x1, dtype=float)) \
+            + np.hypot(L * np.asarray(x2, dtype=float), smoothing)
+
+    return rect, g
 
 
 def tilted_cylinder_value(c: CylinderParams, x1, x2):

@@ -3,8 +3,7 @@
 Damped Newton on the centered-difference discretization of the
 nondivergence form, with an explicit parabolic relaxation, taken in
 Runge-Kutta-Legendre super-steps, usable both as a standalone solver and
-as a globalizer that manufactures Newton initial guesses from hard starts,
-plus the boundary-data generator for truncated-strip experiments.
+as a globalizer that manufactures Newton initial guesses from hard starts.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import numpy as np
 
 from .geometry import _MIRROR_ROUNDING_RTOL, _centered, _residual_and_wsq, interior_partials
 from .grids import GridFunction, Rectangle
-from .solitons import GrimParams
 
 _MIN_STEP_FRACTION = 2.0 ** -30
 # SuperLU's supernode settings, measured in CHANGES.md
@@ -704,36 +702,3 @@ def parabolic_relax(boundary, init: GridFunction, cfg: SolveConfig) -> SolveOutc
     return SolveOutcome(solution=GridFunction(init.rect, U),
                         final_residual=rn if np.isfinite(rn) else float("inf"),
                         iterations=steps, status=status, history=history, notes=notes)
-
-
-def strip_boundary_data(p: GrimParams, epsilon: float, Y: float,
-                        smoothing: float):
-    """Dirichlet data emulating a two-ended convex strip translator.
-
-    Returns the truncated rectangle [-R+eps, R-eps] x [-Y, Y] and the data
-    g(x1, x2) = lam^2 log sec(x1/lam) + sqrt(L^2 x2^2 + smoothing^2), which
-    is even in both variables and asymptotically tilted by +-L for large
-    |x2|.
-    """
-    R = p.half_width
-    if not (0.0 < epsilon < R):
-        raise ValueError("need 0 < epsilon < strip half-width")
-    if epsilon < 0.1 * R:
-        # the area element grows like 1/(R - |x1|); thinner truncations make
-        # the discrete problem needlessly stiff
-        raise ValueError("epsilon must be at least 0.1 of the strip half-width")
-    if not Y > 0.0:
-        raise ValueError("Y must be positive")
-    if not smoothing > 0.0:
-        raise ValueError("smoothing must be positive")
-    rect = Rectangle(-(R - epsilon), R - epsilon, -Y, Y)
-    lam = p.lam
-    L = p.tilt_slope
-
-    def g(x1, x2):
-        x1a = np.asarray(x1, dtype=float)
-        x2a = np.asarray(x2, dtype=float)
-        return (lam * lam) * (-np.log(np.cos(x1a / lam))) \
-            + np.hypot(L * x2a, smoothing)
-
-    return rect, g

@@ -148,6 +148,17 @@ class TestSolve:
         assert r.returncode == 1
         assert "corner radius" in r.stderr
 
+    def test_tilt_is_ignored_by_the_strip(self, capsys, tmp_path):
+        # the strip data is even in x2, so both tilts write the same files
+        for tilt in "-+":
+            r = run_main(capsys, "solve", "newton", "--boundary", "strip", "--lambda", 2,
+                         "--Y", 3, "--nx", 13, "--ny", 25, "--tilt", tilt,
+                         "--out", tmp_path / f"s{tilt}.grid")
+            assert r.returncode == 0, r.stderr
+        for name in ("s{}.grid", "s{}.grid.log"):
+            minus, plus = (tmp_path / name.format(t) for t in "-+")
+            assert minus.read_bytes() == plus.read_bytes()
+
     def test_nonconvergence_exit_code(self, tmp_path):
         # one Newton iteration cannot reach 1e-12 from a cold start
         r = run_cli("solve", "newton", "--boundary", "grim", "--lambda", 2,
@@ -436,6 +447,23 @@ class TestCheck:
         assert r.returncode == 1
         assert "lambda" in r.stderr and "x1 extent" in r.stderr
         assert not report.exists()
+
+    def test_half_strip_base_row_on_the_edge_refused(self, capsys, tmp_path):
+        grid, report = tmp_path / "g.grid", tmp_path / "r.json"
+        assert run_main(capsys, "generate", "grim", "--lambda", 2, "--nx", 41, "--ny", 41,
+                        "--x2-min", 0, "--x2-max", 5, "--out", grid).returncode == 0
+        r = run_main(capsys, "check", grid, "--lambda", 2, "--out", report)
+        assert r.returncode == 1
+        assert r.stderr == "error: base row x2 = 0 has no trusted nodes\n"
+        assert not report.exists()
+
+    def test_header_larger_than_its_file_is_an_error_line(self, tmp_path):
+        grid = tmp_path / "huge.grid"
+        grid.write_text("TLAB-GRID v1 1000000000000000 3 0 1 0 1\n0 0 0\n0 0 0\n0 0 0\n")
+        r = run_cli("check", grid, "--out", tmp_path / "r.json")
+        assert r.returncode == 1
+        assert r.stderr.startswith("error: ") and "Traceback" not in r.stderr
+        assert "nx=1000000000000000 ny=3" in r.stderr
 
     def test_report_roundtrip_and_determinism(self, capsys, tmp_path):
         grid = tmp_path / "g.grid"

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import stat
 from types import SimpleNamespace
 
@@ -68,6 +69,17 @@ class TestGridFile:
         with pytest.raises(ValueError,
                            match=r"^row 2: could not convert string to float: '1e'$"):
             reporting.parse_grid(text)
+
+    def test_header_larger_than_its_file_refused_before_allocating(self):
+        # 3 x 10**15 float64 values would take 24 PB, beyond any address space
+        text = "TLAB-GRID v1 1000000000000000 3 0 1 0 1\n0 0 0\n0 0 0\n0 0 0\n"
+        with pytest.raises(ValueError, match=r"nx=1000000000000000 ny=3"):
+            reporting.parse_grid(text)
+
+    @pytest.mark.parametrize("nx, ny", [(0, 3), (3, 0), (-1, 3)])
+    def test_header_without_nodes_refused(self, nx, ny):
+        with pytest.raises(ValueError, match=rf"nx={nx} ny={ny}"):
+            reporting.parse_grid(f"TLAB-GRID v1 {nx} {ny} 0 1 0 1\n0 0 0\n0 0 0\n0 0 0\n")
 
     def test_nonfinite_rejected(self):
         text = "TLAB-GRID v1 3 3 0 1 0 1\n0 0 0\n0 inf 0\n0 0 0\n"
@@ -262,3 +274,23 @@ class TestReplaceExisting:
         assert err.value.filename == str(path)
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["g.grid"]
+
+    @pytest.mark.parametrize("failure", [OSError(errno.EIO, os.strerror(errno.EIO)),
+                                         KeyboardInterrupt()],
+                             ids=["EIO", "KeyboardInterrupt"])
+    def test_failed_rename_keeps_the_whole_temporary_file(self, tmp_path, monkeypatch,
+                                                          failure):
+        # the old file is already unlinked, so the temporary one is the only copy
+        path = tmp_path / "g.grid"
+        path.write_text("old\n")
+
+        def fail(*args, **kwargs):
+            raise failure
+        monkeypatch.setattr(os, "rename", fail)
+        with pytest.raises(type(failure)) as err:
+            reporting.write_grid(path, _sample_grid())
+        if isinstance(failure, OSError):
+            assert err.value.filename == str(path)
+        left = list(tmp_path.iterdir())
+        assert len(left) == 1 and re.fullmatch(r"g\.grid\.\w{8}\.tmp", left[0].name)
+        assert left[0].read_text() == reporting.format_grid(_sample_grid())
