@@ -122,14 +122,29 @@ def difference(F: np.ndarray, h1: float, h2: float, k: int) -> np.ndarray:
     return full
 
 
+def _require_steps(u: GridFunction) -> None:
+    """Refuse a grid whose squared steps h1^2 and h2^2 are not both finite
+    and positive: its rectangle's width overflows, or a step squares to 0
+    or to inf, and no difference on it means anything."""
+    sq1, sq2 = u.h1 * u.h1, u.h2 * u.h2
+    if not (0.0 < sq1 < np.inf and 0.0 < sq2 < np.inf):
+        r = u.rect
+        raise ValueError(f"cannot difference a {u.nx}x{u.ny} grid on the rectangle "
+                         f"[{r.x1_min!r}, {r.x1_max!r}] x [{r.x2_min!r}, {r.x2_max!r}]: "
+                         f"h1^2 = {sq1:.3g} and h2^2 = {sq2:.3g} must be finite "
+                         f"and positive")
+
+
 def partials(u: GridFunction) -> Partials:
     """Gradient and Hessian by centered second-order differences.
 
     Requires at least a 5x5 grid so the trusted interior is nonempty after
-    excluding the boundary ring.
+    excluding the boundary ring, and finite positive squared steps
+    (_require_steps).
     """
     if u.nx < 5 or u.ny < 5:
         raise ValueError("partials needs nx, ny >= 5")
+    _require_steps(u)
     return Partials(*(difference(u.values, u.h1, u.h2, k) for k in range(5)))
 
 

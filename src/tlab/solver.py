@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import _MIRROR_ROUNDING_RTOL, _centered, _residual_and_wsq, interior_partials
+from .geometry import (_MIRROR_ROUNDING_RTOL, _centered, _require_steps, _residual_and_wsq,
+                       interior_partials)
 from .grids import GridFunction, Rectangle
 
 _MIN_STEP_FRACTION = 2.0 ** -30
@@ -262,7 +263,10 @@ def _preconditioned_step(J, rhs: np.ndarray, solve, rtol: float):
     (x0, False) on a miss: when the cycle ends short of it; when, from the
     second iteration on, its mean contraction so far,
     c = (r_k / r_0)^(1/k), cannot reach it in the m = _GMRES_RESTART
-    iterations (r_k c^(m-k) > target); or on a nonfinite value.
+    iterations (r_k c^(m-k) > target); or on a nonfinite value. Norms
+    are 2-norms. newton_solve's rtol, max(min(1e-2, max|rhs|),
+    0.5 tol / |rhs|), makes the target its forcing term times |rhs| but
+    never under tol / 2.
 
     Inner products are einsum's, not numpy's threaded BLAS dot.
     """
@@ -338,11 +342,13 @@ def boundary_ring_values(boundary, rect: Rectangle, nx: int, ny: int):
 def _dirichlet_start(boundary, init: GridFunction, solver: str) -> np.ndarray:
     """A copy of init's values, the start of a Dirichlet solve.
 
-    Refuses a grid under 5x5, nonfinite boundary data, and an init whose
-    ring is off the data by more than 1e-9 (1 + max|data|).
+    Refuses a grid under 5x5 or with squared steps that are not finite
+    and positive (_require_steps), nonfinite boundary data, and an init
+    whose ring is off the data by more than 1e-9 (1 + max|data|).
     """
     if init.nx < 5 or init.ny < 5:
         raise ValueError(f"{solver} needs at least a 5x5 grid")
+    _require_steps(init)
     data = np.concatenate(boundary_ring_values(boundary, init.rect, init.nx, init.ny))
     if not np.all(np.isfinite(data)):
         raise ValueError("boundary data is not finite on the ring")
@@ -461,9 +467,14 @@ def newton_solve(boundary, init: GridFunction, cfg: SolveConfig,
     Each iteration assembles the Jacobian and solves for the Newton step
     by one GMRES cycle right-preconditioned by a kept sparse LU
     (_preconditioned_step). The step is accepted only when its true
-    float64 linear residual is within the forcing term min(1e-2, residual)
-    times the right-hand side (Eisenstat & Walker, SIAM J. Sci. Comput. 17,
-    1996). Every LU is of the Jacobian in float32. The LU is kept while
+    float64 linear residual is within max(min(1e-2, residual),
+    0.5 tol / |F|) times the right-hand side F, in the 2-norm (Eisenstat &
+    Walker, SIAM J. Sci. Comput. 17, 1996): the forcing term, floored so
+    that no cycle is asked for a linear residual under tol / 2, which the
+    stop does not need (Kelley, Iterative Methods for Linear and Nonlinear
+    Equations, SIAM 1995, 6.3). The 2-norm bounds the max-norm, so the
+    floor leaves the accepted step's linear residual within tol / 2 at
+    every node. Every LU is of the Jacobian in float32. The LU is kept while
     cycles are accepted. When one misses, the old factor is dropped, the
     current Jacobian is factored and the cycle runs on that fresh factor,
     whose step is taken whether it meets the forcing term or not: a missed
@@ -562,7 +573,7 @@ def newton_solve(boundary, init: GridFunction, cfg: SolveConfig,
             J = None  # free the last Jacobian before assembling the next
             J = _jacobian(block, h1, h2, pattern, axes)
             rhs = -F.ravel()
-            rtol = min(1e-2, rn)
+            rtol = max(min(1e-2, rn), 0.5 * cfg.tol / _norm(rhs))
             met = False
             if solve is not None:
                 delta, met = _preconditioned_step(J, rhs, solve, rtol)

@@ -667,7 +667,7 @@ class TestSuite:
         reports = tlab.run_suite(strip_solution.solution, tlab.default_suite(grim2, True),
                                  tlab.SuiteConfig(grim=grim2))
         assert (_digest_without_locations(reports)
-                == "95ae8536f702619fa09770c506269401b3791ab4c4c10610e630fbe701666d3b")
+                == "e49c302c28432214d69587d2ffff7f14b57e7ba871329c4b18d52be296b5beb4")
 
     def test_strip_checks_need_grim_params(self, grim_setup):
         _, u, _, _ = grim_setup

@@ -223,9 +223,9 @@ def test_solve_bowl_pinned(tmp_path):
     out = tmp_path / "bowl.grid"
     assert tlab.cli.main(["solve", "newton", "--boundary", "bowl", "--nx", "21",
                           "--ny", "21", "--out", str(out)]) == 0
-    assert _sha256(out) == "1c43db8ca0eeb33411accfd6fc29b620153688ac089ed491619f3ba61138161d"
+    assert _sha256(out) == "2c7009c8af64427676485296b805a0d1264823615fc38c22c181ee3e25dcf159"
     assert (_sha256(tmp_path / "bowl.grid.log")
-            == "af9fdc1a684ffe9634ce3f845f675de5a17a770a9ebb2c0885f2255cedc70fd3")
+            == "7284b53c37e958828c543cabb4464171b03b23a6e4eb5c99f2a7cd8f42dbfc4a")
 
 
 @pytest.mark.parametrize("argv", [
@@ -464,6 +464,22 @@ class TestCheck:
         assert r.returncode == 1
         assert r.stderr.startswith("error: ") and "Traceback" not in r.stderr
         assert "nx=1000000000000000 ny=3" in r.stderr
+
+    # a finite increasing rectangle is a valid Rectangle, but one whose width
+    # overflows or whose step squares to 0 cannot be differenced; the check
+    # refuses it before any difference is taken, so numpy warns of nothing
+    @pytest.mark.parametrize("extents, named", [
+        ("-1.7e308 1.7e308 0 1", "[-1.7e+308, 1.7e+308] x [0.0, 1.0]"),
+        ("0 1e-310 0 1", "[0.0, 1e-310] x [0.0, 1.0]"),
+    ], ids=["width overflows", "step squares to 0"])
+    def test_grid_that_cannot_be_differenced_is_an_error_line(self, tmp_path, extents, named):
+        grid = tmp_path / "flat.grid"
+        grid.write_text(f"TLAB-GRID v1 5 5 {extents}\n" + "0 0 0 0 0\n" * 5)
+        r = run_cli("check", grid, "--out", tmp_path / "r.json")
+        assert r.returncode == 1
+        assert len(r.stderr.splitlines()) == 1 and r.stderr.startswith("error: ")
+        assert named in r.stderr
+        assert "Warning" not in r.stderr and "Traceback" not in r.stderr
 
     def test_report_roundtrip_and_determinism(self, capsys, tmp_path):
         grid = tmp_path / "g.grid"

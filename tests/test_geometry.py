@@ -66,6 +66,15 @@ class TestPartials:
         with pytest.raises(ValueError):
             tlab.partials(u)
 
+    # valid rectangles whose width overflows to inf, whose step squares to
+    # inf, or whose step squares to 0
+    @pytest.mark.parametrize("rect", [(-1.7e308, 1.7e308, 0.0, 1.0), (0.0, 1e300, 0.0, 1.0),
+                                      (0.0, 1.0, 0.0, 1e-310)])
+    def test_steps_that_cannot_be_differenced(self, rect):
+        u = tlab.GridFunction(tlab.Rectangle(*rect), np.zeros((5, 5)))
+        with pytest.raises(ValueError, match=r"cannot difference a 5x5 grid on the rectangle"):
+            tlab.partials(u)
+
 
 class TestGeometryFields:
     def test_plane_is_flat(self):

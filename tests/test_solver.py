@@ -10,7 +10,7 @@ import pytest
 import tlab
 from tlab.geometry import interior_partials, quasilinear_residual
 from tlab.solver import (_OFFSETS, _PANEL_SIZE, _RKL_STAGES, _SUPERNODE_RELAX, _factorize,
-                         _fold_origin, _jacobian, _mirror, _mirror_axes,
+                         _fold_origin, _jacobian, _mirror, _mirror_axes, _norm,
                          _preconditioned_step, _residual, _rounding_floor,
                          _stencil_pattern)
 
@@ -34,6 +34,10 @@ def _bump(ny, nx, amp):
     t = np.linspace(0.0, 1.0, ny)[:, None]
     s = np.linspace(0.0, 1.0, nx)[None, :]
     return amp * np.sin(np.pi * s) * np.sin(np.pi * t)
+
+
+def _zero(a, b):
+    return np.zeros(np.broadcast_shapes(np.shape(a), np.shape(b)))
 
 
 def _noisy_grim(nx, ny, amp, seed):
@@ -185,30 +189,31 @@ class TestNewton:
 
     def test_strip_solve_reuses_factorizations(self, strip_solution):
         assert strip_solution.converged
-        assert (strip_solution.iterations, strip_solution.factorizations) == (6, 2)
+        assert (strip_solution.iterations, strip_solution.factorizations) == (6, 1)
 
-    def test_strip_cycles_keep_the_fill_lu_until_one_gives_up(self, monkeypatch):
-        # the fill's float32 LU meets its own step's target with one solve,
-        # then serves four cycles, the first of which scipy's
+    def test_strip_cycles_all_run_on_the_fill_lu(self, strip_cycles):
+        # the fill's float32 LU meets its own step's target with one solve
+        # and serves the five later cycles, the first of which scipy's
         # left-preconditioned gmres refused at a true residual of 2.55e-2
-        # against 1e-2; the fifth cannot reach its target and gives up after
-        # the start's solve and two of its ten inner iterations, and the
-        # fresh float32 LU's own cycle takes its place
-        cycles = []
-        step = tlab.solver._preconditioned_step
+        # against 1e-2. Without the tol / 2 floor the last cycle was asked
+        # for 3.8e-15, gave up after two inner iterations, and a second LU
+        # was factored for it
+        out, cycles = strip_cycles
+        assert (out.status, out.iterations, out.factorizations) == ("converged", 6, 1)
+        assert [(solves, met) for solves, met, _ in cycles] == [
+            (1, True), (4, True), (4, True), (3, True), (6, True), (6, True)]
 
-        def counted(J, rhs, solve, rtol):
-            solves = []
-            x, met = step(J, rhs, lambda v: solves.append(v) or solve(v), rtol)
-            cycles.append((len(solves), met))
-            return x, met
-
-        monkeypatch.setattr(tlab.solver, "_preconditioned_step", counted)
-        g, init = _cli_strip(2.0, 121, 601, 30.0)
-        out = tlab.newton_solve(g, init, tlab.SolveConfig(max_newton_iters=60))
-        assert (out.status, out.iterations, out.factorizations) == ("converged", 6, 2)
-        assert [ok for _, ok in cycles] == [True, True, True, True, True, False, True]
-        assert cycles[-2][0] <= 3
+    def test_strip_cycle_targets_stop_at_half_tol(self, strip_cycles):
+        # each cycle's absolute target rtol |rhs| is the forcing term's until
+        # that falls under tol / 2, which only the last step's does
+        out, cycles = strip_cycles
+        tol = tlab.SolveConfig().tol
+        targets = [target for _, _, target in cycles]
+        assert all(t > 0.5 * tol for t in targets[:-1])
+        assert targets[-1] >= 0.5 * tol
+        assert targets[-1] == pytest.approx(0.5 * tol, rel=4 * np.finfo(float).eps)
+        # the fill's LU finishes the solve
+        assert out.factorizations == 1 and cycles[-1][1]
 
     @pytest.mark.parametrize("bad", [np.nan, 0.0], ids=["nan", "zero"])
     @pytest.mark.parametrize("bad_from", [1, 2], ids=["start", "arnoldi"])
@@ -320,6 +325,15 @@ def test_nonfinite_boundary_data_rejected(solver, bad):
     nonfinite = lambda a, b: np.full(np.broadcast_shapes(np.shape(a), np.shape(b)), bad)
     with pytest.raises(ValueError, match="not finite"):
         solver(nonfinite, sample, tlab.SolveConfig())
+
+
+@pytest.mark.parametrize("solver", [tlab.newton_solve, tlab.parabolic_relax])
+@pytest.mark.parametrize("rect", [(-1.7e308, 1.7e308, 0.0, 1.0), (0.0, 1.0, 0.0, 1e-310)],
+                         ids=["width overflows", "step squares to 0"])
+def test_steps_that_cannot_be_differenced_rejected(solver, rect):
+    init = tlab.GridFunction(tlab.Rectangle(*rect), np.zeros((5, 5)))
+    with pytest.raises(ValueError, match=r"cannot difference a 5x5 grid on the rectangle"):
+        solver(_zero, init, tlab.SolveConfig())
 
 
 @pytest.mark.parametrize("budget", ["max_newton_iters", "max_relax_steps"])
@@ -479,35 +493,35 @@ class TestMirrorFold:
         cfg = tlab.SolveConfig()
         boundary, init = _grim_fill(30, 36)
         out = tlab.newton_solve(boundary, init, cfg)
-        assert out.history[-1].hex() == "0x1.4300000000000p-40"
+        assert out.history[-1].hex() == "0x1.a900000000000p-40"
         assert (hashlib.sha256(out.solution.values.tobytes()).hexdigest()
-                == "b6c317c755893d1f982456e14ec8d84c06b1b931e857e4db68a62b96e176f7aa")
+                == "956beb758ff01ed176cb7fd790526d949dc2dd7c20d184182a04c45a072ac5b0")
         g, init = _strip_problem()
         out = tlab.newton_solve(g, _one_sided(init), cfg)
-        assert out.history[-1].hex() == "0x1.3300000000000p-41"
+        assert out.history[-1].hex() == "0x1.a4c0000000000p-36"
         assert (hashlib.sha256(out.solution.values.tobytes()).hexdigest()
-                == "88fbc35abc8c3e54c2b229c9c7a2d3202b2b09d5cd7d94d1b2bb9b95787eda60")
+                == "d215fa19714c9af356816bfce700e7e3083d339a55e1e06db020b5442f749ea2")
 
     @pytest.mark.parametrize("problem, tol, axes, counts, digest, history", [
-        (_strip_problem, 1e-10, ("x1", "x2"), (True, 6, 2),
-         "492dde5fe8d7f82bf1e9a180c71da8a51d6992ecec8eb364da2df39206a21640",
+        (_strip_problem, 1e-10, ("x1", "x2"), (True, 6, 1),
+         "01e37d11580481ea8491240ecf2dfc8a1e3b3183d7175342401d5a1eb14caaa6",
          "0x1.0c1b4b166b70ap+2 0x1.0d404a2e8ff48p+0 0x1.c43b83b42aaa0p-3 "
          "0x1.1d7a90d8f2800p-7 0x1.e6957abe70000p-14 0x1.83edf40000000p-29 "
-         "0x1.4800000000000p-41"),
+         "0x1.3e90000000000p-36"),
         (_grim_fill, 1e-10, ("x1",), (True, 3, 1),
-         "ae76280d06459f81623cf417d3c61227489644d84f764ed789cbf589d8aab96a",
+         "23c6f5b7677f358e19fde181019a0fd09ee9e453e69c8cea8cb4c47cd1c5d450",
          "0x1.20a5999e00d00p-3 0x1.10a2cc5780000p-13 0x1.5a0e000000000p-32 "
-         "0x1.4d00000000000p-40"),
-        (_ring_asymmetric_strip, 1e-12, ("x1", "x2"), (True, 7, 3),
-         "e3b4da827806c1d408eeb67a0185318933db4faa65f4c61da22176e45236df77",
+         "0x1.2c80000000000p-39"),
+        (_ring_asymmetric_strip, 1e-12, ("x1", "x2"), (True, 7, 2),
+         "7d9398641ba958e3922a9f3622e0c7301a2b6a6c52c9ba455f189cc2153aa2d9",
          "0x1.0c1b4b166b70ap+2 0x1.0d404a2e8ff48p+0 0x1.c43b83b42aaa0p-3 "
          "0x1.1d7a90d8f2800p-7 0x1.e6957abe70000p-14 0x1.83edf40000000p-29 "
-         "0x1.18a0000000000p-38 0x1.2c00000000000p-41"),
-        (_stalled_strip, 1e-10, ("x1", "x2"), (False, 7, 2),
-         "93fbe5b7b644a053a33991a39d1203e28e67087c299ac4ccf3c51f1bcb8245dc",
+         "0x1.1680000000000p-38 0x1.2c00000000000p-41"),
+        (_stalled_strip, 1e-10, ("x1", "x2"), (False, 7, 1),
+         "c895fa085a985e9d90d99a3ca767a639f46f18ab58f1c45ee9e31b8731170ce6",
          "0x1.eab01661541e8p+3 0x1.0f8b3ea24c100p-1 0x1.8a37305875a40p-4 "
          "0x1.5900334897000p-8 0x1.0a25b99580000p-16 0x1.2670000000000p-33 "
-         "0x1.1750000000000p-33 0x1.1768000000000p-32"),
+         "0x1.0e98000000000p-33 0x1.1768000000000p-32"),
     ], ids=["strip 21x41", "grim 31x37", "ring-asymmetric strip", "stalled strip"])
     def test_folded_solves_pinned(self, problem, tol, axes, counts, digest, history):
         boundary, init = problem()
@@ -537,6 +551,27 @@ def _cli_strip(lam, nx=61, ny=121, Y=6.0):
     p = tlab.GrimParams(lam)
     rect, g = tlab.strip_boundary_data(p, 0.25 * p.half_width, Y, max(1.0, lam * lam - 1.0))
     return g, tlab.fill_from_boundary(rect, nx, ny, g)
+
+
+@pytest.fixture(scope="module")
+def strip_cycles():
+    """The 121x601 strip solved from the fill at the default tol, with each
+    GMRES cycle's (solves, met, absolute target), the target computed as
+    the cycle computes it."""
+    cycles = []
+    step = tlab.solver._preconditioned_step
+
+    def counted(J, rhs, solve, rtol):
+        solves = []
+        x, met = step(J, rhs, lambda v: solves.append(v) or solve(v), rtol)
+        cycles.append((len(solves), met, rtol * _norm(rhs)))
+        return x, met
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tlab.solver, "_preconditioned_step", counted)
+        g, init = _cli_strip(2.0, 121, 601, 30.0)
+        out = tlab.newton_solve(g, init, tlab.SolveConfig(max_newton_iters=60))
+    return out, cycles
 
 
 @pytest.fixture(scope="module")
@@ -620,7 +655,7 @@ class TestRoundingFloor:
         assert out.status == "at_rounding_floor"
         assert out.mirror_axes == ("x1", "x2")
         assert all(call[4] == ("x1", "x2") for call in jacobians)
-        assert (out.iterations, out.factorizations) == (7, 2)
+        assert (out.iterations, out.factorizations) == (7, 1)
 
 
 class TestStatus:
@@ -829,11 +864,11 @@ class TestSymmetries:
     # iterate rounds on |U|, so it raises the rounding floor about 8.5x. The
     # 61x121 strip is within its floor either way and ends alike. The
     # ring-asymmetric strip converges in its full-grid pass (5.3e-13);
-    # shifted, its folded pass already ends within the raised floor (3.6e-12
+    # shifted, its folded pass already ends within the raised floor (5.6e-12
     # against 2.7e-11), so it stops there without that pass and its LU.
     @pytest.mark.parametrize("problem, ending, shifted_ending", [
-        (lambda: _cli_strip(2.0), ("at_rounding_floor", 7, 2), ("at_rounding_floor", 7, 2)),
-        (_ring_asymmetric_strip, ("converged", 7, 3), ("at_rounding_floor", 7, 2)),
+        (lambda: _cli_strip(2.0), ("at_rounding_floor", 7, 1), ("at_rounding_floor", 7, 1)),
+        (_ring_asymmetric_strip, ("converged", 7, 2), ("at_rounding_floor", 7, 1)),
     ], ids=["strip 61x121", "ring-asymmetric strip"])
     def test_shifted_solve_ends_alike_but_for_its_floor(self, problem, ending, shifted_ending):
         _, data_map, grid_map, _ = _SYMMETRIES["shift by 100"]
@@ -846,6 +881,24 @@ class TestSymmetries:
         assert (image.status, image.iterations, image.factorizations) == shifted_ending
         sol = image.solution
         assert image.final_residual <= _rounding_floor(sol.values, sol.h1, sol.h2)
+
+
+# Newton iterations of tier-1 solves that no other test pins, recorded
+# before the forcing term was floored at 0.5 tol / |F|: the floor only ever
+# relaxes a cycle's target, so no solve may take more
+@pytest.mark.parametrize("problem, tol, iterations", [
+    (lambda: _grim_box(41, 57), 1e-10, 2),
+    (lambda: _strip_problem(31, 61), 1e-10, 6),
+    (_bowl_box, 1e-10, 5),
+    (lambda: _cli_strip(3.0), 1e-10, 6),
+    (lambda: _cli_strip(8.0), 1e-10, 7),
+    (lambda: (_zero, tlab.GridFunction(tlab.Rectangle(-0.5, 0.5, -0.5, 0.5),
+                                       np.zeros((65, 65)))), 1e-11, 4),
+], ids=["grim 41x57", "strip 31x61", "bowl 41x33", "strip lambda 3", "strip lambda 8",
+        "zero cap 65x65"])
+def test_floored_target_takes_no_more_iterations(problem, tol, iterations):
+    out = tlab.newton_solve(*problem(), tlab.SolveConfig(tol=tol))
+    assert out.iterations <= iterations
 
 
 def _stencil_pattern_by_column(mi, mj):
